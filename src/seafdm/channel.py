@@ -15,7 +15,7 @@ analysis rest on.  They agree to machine precision and tests pin that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,8 +122,8 @@ def apply_channel(
     Works on the whole prefixed block so prefix contamination is physical,
     not modeled.  The longest path delay must fit inside the prefix.
     """
-    if not s.has_prefix:
-        raise ContractViolation("apply_channel expects a prefixed block")
+    if not isinstance(s, SignalBlock):
+        raise ContractViolation("apply_channel expects a prefixed block; add_cpp first")
     if realization.max_delay > s.prefix_len:
         raise ContractViolation(
             f"path delay {realization.max_delay} exceeds prefix length {s.prefix_len}"
@@ -171,11 +171,21 @@ def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) ->
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Subcarrier-domain coupling matrix together with which receiver it models."""
+    """Subcarrier-domain coupling matrix from transmit symbols to receiver output."""
 
     matrix: np.ndarray
-    variant: str = "bob"
-    meta: dict = field(default_factory=dict, compare=False)
+
+
+def _apply_schedules(acc: np.ndarray, sched_rx: C2Schedule, sched_tx: C2Schedule | None) -> EffectiveChannel:
+    """Receive schedule phasors on rows, conjugate transmit schedule phasors on columns.
+
+    chirp_diag rejects a schedule whose length is not the frame size.
+    """
+    n = acc.shape[0]
+    acc = chirp_diag(sched_rx.values, n)[:, None] * acc
+    if sched_tx is not None:
+        acc = acc * np.conj(chirp_diag(sched_tx.values, n))[None, :]
+    return EffectiveChannel(acc)
 
 
 def effective_channel(
@@ -193,21 +203,12 @@ def effective_channel(
     (her own front-end guess is hers to undo losslessly, so it drops out).
     """
     n = params.n
-    if len(sched_rx) != n or (sched_tx is not None and len(sched_tx) != n):
-        raise ContractViolation("schedule length must match the frame size")
     ht = _time_domain_matrix(realization, params)
     lam1 = chirp_diag(params.c1, n)
     work = lam1[:, None] * ht * np.conj(lam1)[None, :]
     work = np.fft.fft(work, axis=0, norm="ortho")
     work = np.fft.ifft(work, axis=1, norm="ortho")
-    work = chirp_diag(sched_rx.values, n)[None, :].T * work
-    if sched_tx is None:
-        variant = "eve"
-    else:
-        work = work * np.conj(chirp_diag(sched_tx.values, n))[None, :]
-        both_zero = not (np.any(sched_rx.values) or np.any(sched_tx.values))
-        variant = "afdm" if both_zero else "bob"
-    return EffectiveChannel(matrix=work, variant=variant)
+    return _apply_schedules(work, sched_rx, sched_tx)
 
 
 def _dirichlet_sum(z: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
@@ -249,8 +250,6 @@ def effective_channel_closed_form(
     rows and the conjugate transmit schedule phasors on columns.
     """
     n = params.n
-    if len(sched_rx) != n or (sched_tx is not None and len(sched_tx) != n):
-        raise ContractViolation("schedule length must match the frame size")
     rows = np.arange(n, dtype=np.float64)[:, None]
     cols = np.arange(n, dtype=np.float64)[None, :]
     acc = np.zeros((n, n), dtype=np.complex128)
@@ -259,11 +258,4 @@ def effective_channel_closed_form(
         # carrier-dependent phase from the delay passing through the chirps
         phase = np.mod(params.c1 * path.delay * path.delay - cols * path.delay / n, 1.0)
         acc += path.gain * np.exp(2j * np.pi * phase) * kernel / n
-    acc = chirp_diag(sched_rx.values, n)[:, None] * acc
-    if sched_tx is None:
-        variant = "eve"
-    else:
-        acc = acc * np.conj(chirp_diag(sched_tx.values, n))[None, :]
-        both_zero = not (np.any(sched_rx.values) or np.any(sched_tx.values))
-        variant = "afdm" if both_zero else "bob"
-    return EffectiveChannel(matrix=acc, variant=variant)
+    return _apply_schedules(acc, sched_rx, sched_tx)

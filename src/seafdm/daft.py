@@ -33,8 +33,6 @@ from .exceptions import ContractViolation
 __all__ = [
     "FrameParams",
     "SignalBlock",
-    "dft",
-    "idft",
     "chirp_diag",
     "daft",
     "idaft",
@@ -80,46 +78,38 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class SignalBlock:
-    """Time-domain samples tagged with prefix state.
+    """A prefixed time-domain frame: prefix_len prefix samples, then the core.
 
-    prefix_len is None while no prefix stage has run and an integer once
-    one has; prefix_len == 0 records that the stage ran with a zero-length
-    prefix.  The tag keeps the transmit and receive chains honest about
-    stage ordering.
+    Only the prefix stages produce or consume blocks; the transforms work on
+    the bare length-n core vector.  The type keeps the transmit and receive
+    chains honest about stage ordering.
     """
 
     samples: np.ndarray
-    prefix_len: int | None = None
+    prefix_len: int
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.complex128)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ContractViolation("a signal block is one-dimensional")
-        if self.prefix_len is not None:
-            if not 0 <= self.prefix_len < len(samples) or (len(samples) == 0):
-                raise ContractViolation("prefix length inconsistent with sample count")
-
-    @property
-    def has_prefix(self) -> bool:
-        return self.prefix_len is not None
+        if not 0 <= self.prefix_len < len(samples):
+            raise ContractViolation("prefix length inconsistent with sample count")
 
     @property
     def n(self) -> int:
-        """Core frame length, excluding any prefix."""
-        return len(self.samples) - (self.prefix_len or 0)
+        """Core frame length, excluding the prefix."""
+        return len(self.samples) - self.prefix_len
 
 
-def _core_samples(block: SignalBlock | np.ndarray, who: str) -> np.ndarray:
-    """Accept a prefix-free block or a bare vector, reject prefixed input."""
-    if isinstance(block, SignalBlock):
-        if block.has_prefix:
-            raise ContractViolation(f"{who} expects a prefix-free block; remove_cpp first")
-        return block.samples
-    x = np.asarray(block, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ContractViolation(f"{who} expects a one-dimensional vector")
-    return x
+def _core(s: np.ndarray, n: int, who: str) -> np.ndarray:
+    """The bare length-n core vector; a prefixed block is the wrong kind of frame."""
+    if isinstance(s, SignalBlock):
+        raise ContractViolation(f"{who} expects the prefix-free core; remove_cpp first")
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (n,):
+        raise ContractViolation(f"{who} expects a vector of length n = {n}, got shape {s.shape}")
+    return s
 
 
 def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
@@ -142,38 +132,21 @@ def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * frac)
 
 
-def dft(block: SignalBlock | np.ndarray) -> np.ndarray:
-    """Unitary DFT of a prefix-free block, returned as a plain spectrum vector."""
-    return np.fft.fft(_core_samples(block, "dft"), norm="ortho")
-
-
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft`."""
-    x = np.asarray(spectrum, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ContractViolation("idft expects a one-dimensional spectrum")
-    return np.fft.ifft(x, norm="ortho")
-
-
-def daft(block: SignalBlock | np.ndarray, params: FrameParams, c2) -> np.ndarray:
-    """Analysis transform: subcarrier symbols L(c2) F L(c1) s.
+def daft(s: np.ndarray, params: FrameParams, c2) -> np.ndarray:
+    """Analysis transform: subcarrier symbols L(c2) F L(c1) s of the core s.
 
     c2 may be a scalar or a per-subcarrier vector of rates.
     """
-    s = _core_samples(block, "daft")
-    if len(s) != params.n:
-        raise ContractViolation(f"block length {len(s)} != n = {params.n}")
+    s = _core(s, params.n, "daft")
     y = np.fft.fft(chirp_diag(params.c1, params.n) * s, norm="ortho")
     return chirp_diag(c2, params.n) * y
 
 
-def idaft(x: np.ndarray, params: FrameParams, c2) -> SignalBlock:
-    """Synthesis transform: prefix-free time samples L(c1)^H F^H L(c2)^H x."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or len(x) != params.n:
-        raise ContractViolation(f"symbol frame must have length n = {params.n}")
+def idaft(x: np.ndarray, params: FrameParams, c2) -> np.ndarray:
+    """Synthesis transform: the length-n core L(c1)^H F^H L(c2)^H x."""
+    x = _core(x, params.n, "idaft")
     s = np.fft.ifft(chirp_diag(c2, params.n, conjugate=True) * x, norm="ortho")
-    return SignalBlock(chirp_diag(params.c1, params.n, conjugate=True) * s)
+    return chirp_diag(params.c1, params.n, conjugate=True) * s
 
 
 def daft_matrix(n: int, c1: float, c2) -> np.ndarray:
@@ -182,14 +155,12 @@ def daft_matrix(n: int, c1: float, c2) -> np.ndarray:
     return chirp_diag(c2, n)[:, None] * f * chirp_diag(c1, n)[None, :]
 
 
-def add_cpp(block: SignalBlock | np.ndarray, params: FrameParams) -> SignalBlock:
-    """Prepend the chirp-periodic prefix.
+def add_cpp(s: np.ndarray, params: FrameParams) -> SignalBlock:
+    """Prepend the chirp-periodic prefix to the length-n core s.
 
     Prefix position k in [-ncp, -1] holds s[k + n] * exp(-2j*pi*c1*(n**2 + 2*n*k)).
     """
-    s = _core_samples(block, "add_cpp")
-    if len(s) != params.n:
-        raise ContractViolation(f"block length {len(s)} != n = {params.n}")
+    s = _core(s, params.n, "add_cpp")
     if params.ncp == 0:
         return SignalBlock(s.copy(), prefix_len=0)
     k = np.arange(-params.ncp, 0, dtype=np.float64)
@@ -198,13 +169,13 @@ def add_cpp(block: SignalBlock | np.ndarray, params: FrameParams) -> SignalBlock
     return SignalBlock(np.concatenate([prefix, s]), prefix_len=params.ncp)
 
 
-def remove_cpp(block: SignalBlock, params: FrameParams) -> SignalBlock:
-    """Drop the prefix, returning the core frame as a prefix-free block."""
-    if not isinstance(block, SignalBlock) or not block.has_prefix:
-        raise ContractViolation("remove_cpp expects a block that carries a prefix")
+def remove_cpp(block: SignalBlock, params: FrameParams) -> np.ndarray:
+    """Drop the prefix, returning the length-n core vector."""
+    if not isinstance(block, SignalBlock):
+        raise ContractViolation("remove_cpp expects a prefixed block")
     if block.prefix_len != params.ncp or block.n != params.n:
         raise ContractViolation(
             f"block geometry ({block.n}, ncp={block.prefix_len}) does not match params "
             f"({params.n}, ncp={params.ncp})"
         )
-    return SignalBlock(block.samples[block.prefix_len or 0:].copy())
+    return block.samples[block.prefix_len:].copy()

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .channel import EffectiveChannel
 from .exceptions import ContractViolation, SolverError
 from .waveform import Constellation
 
@@ -15,8 +12,6 @@ __all__ = [
     "mmse_equalize",
     "demap",
     "count_errors",
-    "DetectionResult",
-    "detect",
 ]
 
 
@@ -61,29 +56,3 @@ def count_errors(sent: np.ndarray, received: np.ndarray) -> int:
     if sent.shape != received.shape:
         raise ContractViolation("bit vectors must have equal length")
     return int(np.count_nonzero(sent != received))
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    symbols: np.ndarray
-    bits: np.ndarray
-    errors: int
-    bit_count: int
-
-    @property
-    def ber(self) -> float:
-        return self.errors / self.bit_count if self.bit_count else 0.0
-
-
-def detect(
-    y: np.ndarray,
-    channel: EffectiveChannel,
-    sigma2: float,
-    spec: Constellation,
-    sent_bits: np.ndarray,
-) -> DetectionResult:
-    """Equalize, demap, and score one frame against the transmitted bits."""
-    x_hat = mmse_equalize(y, channel.matrix, sigma2)
-    bits = demap(x_hat, spec)
-    errors = count_errors(sent_bits, bits)
-    return DetectionResult(symbols=x_hat, bits=bits, errors=errors, bit_count=bits.size)

@@ -9,9 +9,9 @@ never on worker count or completion order, and error counts are summed as
 integers before any division.
 
 The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
-channel realization and the same noise vector as the scrambled frame (two
-generators built from one child sequence replay identical draws), so the
-comparison isolates the scrambling itself.
+channel realization, the same noise vector and the same channel-estimate
+error as the scrambled frame (two generators built from one child sequence
+replay identical draws), so the comparison isolates the scrambling itself.
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError("n must be at least 2")
         if self.paths < 1 or self.paths > self.n:
             raise ConfigError("paths must lie in [1, n]")
+        if self.ncp is not None and self.ncp < self.paths - 1:
+            raise ConfigError(f"ncp={self.ncp} is shorter than the longest path delay {self.paths - 1}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.workers < 1:
@@ -278,56 +280,44 @@ def _run_trial(
 
     state = _draw_lfsr_state(np.random.default_rng(ss_key), config.lfsr_taps)
     alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
-    bob = C2Schedule(alice.values, "bob")
-
     rng_csi = np.random.default_rng(ss_csi)
 
-    realization = sample_channel(
-        config.paths,
-        config.alpha_max,
-        np.random.default_rng(ss_chb),
-        n=n,
-        integer_doppler=config.integer_doppler,
-    )
+    def channel(ss_channel, label=""):
+        rng = np.random.default_rng(ss_channel)
+        return sample_channel(
+            config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler, label=label
+        )
+
+    def receive(front_end, realization, tx, ss_noise, sched_rx, sched_tx, rng_err):
+        """Channel, front end, effective matrix, CSI error, MMSE: the symbol estimate."""
+        r = apply_channel(tx, realization, np.random.default_rng(ss_noise), sigma2)
+        y = front_end(r, params, sched_rx)
+        h = effective_channel(realization, params, sched_rx, sched_tx).matrix
+        h = _perturb(h, rng_err, config.csi_error_var)  # frees the exact matrix before the solve
+        return mmse_equalize(y, h, sigma2)
+
+    def errors(x_hat):
+        return count_errors(bits, demap(x_hat, const))
+
+    realization = channel(ss_chb)
     tx = se_afdm_modulate(x, params, alice)
-    r = apply_channel(tx, realization, np.random.default_rng(ss_nb), sigma2)
-    y = bob_front_end(r, params, bob)
-    h_bob = effective_channel(realization, params, bob, alice).matrix
-    h_bob = _perturb(h_bob, rng_csi, config.csi_error_var)
-    bob_bits = demap(mmse_equalize(y, h_bob, sigma2), const)
-    bob_err = count_errors(bits, bob_bits)
+    bob = C2Schedule(alice.values, "bob")
+    bob_err = errors(receive(bob_front_end, realization, tx, ss_nb, bob, alice, rng_csi))
 
     eve_err = 0
     if need_eve:
-        realization_e = sample_channel(
-            config.paths,
-            config.alpha_max,
-            np.random.default_rng(ss_che),
-            n=n,
-            integer_doppler=config.integer_doppler,
-            label="eve",
-        )
         guess = _eve_guess(config.eve_mode, alice, book, np.random.default_rng(ss_eve), bias)
-        r_e = apply_channel(tx, realization_e, np.random.default_rng(ss_ne), sigma2)
-        y_e = eve_front_end(r_e, params, guess)
         # she knows her own front end, not the transmit schedule
-        h_eve = effective_channel(realization_e, params, guess, None).matrix
-        h_eve = _perturb(h_eve, rng_csi, config.csi_error_var)
-        scrambled_hat = mmse_equalize(y_e, h_eve, sigma2)
-        eve_bits = demap(descramble(scrambled_hat, guess), const)
-        eve_err = count_errors(bits, eve_bits)
+        scrambled_hat = receive(eve_front_end, channel(ss_che, "eve"), tx, ss_ne, guess, None, rng_csi)
+        eve_err = errors(descramble(scrambled_hat, guess))
 
     afdm_err = 0
     if need_afdm:
-        a0 = zero_schedule(n, "alice")
-        b0 = zero_schedule(n, "bob")
+        a0, b0 = zero_schedule(n, "alice"), zero_schedule(n, "bob")
         tx0 = se_afdm_modulate(x, params, a0)
-        # fresh generator from the same child sequence replays the noise
-        r0 = apply_channel(tx0, realization, np.random.default_rng(ss_nb), sigma2)
-        y0 = bob_front_end(r0, params, b0)
-        h0 = effective_channel(realization, params, b0, a0).matrix
-        afdm_bits = demap(mmse_equalize(y0, h0, sigma2), const)
-        afdm_err = count_errors(bits, afdm_bits)
+        # fresh generators from Bob's child sequences replay his noise and CSI error
+        x0 = receive(bob_front_end, realization, tx0, ss_nb, b0, a0, np.random.default_rng(ss_csi))
+        afdm_err = errors(x0)
 
     return bob_err, eve_err, afdm_err, bits.size
 

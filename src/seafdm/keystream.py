@@ -62,7 +62,6 @@ class Lfsr:
         self.taps = taps
         self.degree = degree
         self.state = seed
-        self.steps = 0
         mask = 0
         for t in taps[1:]:
             mask |= 1 << t
@@ -73,7 +72,6 @@ class Lfsr:
         out = self.state & 1
         feedback = (self.state & self._feedback_mask).bit_count() & 1
         self.state = (self.state >> 1) | (feedback << (self.degree - 1))
-        self.steps += 1
         return out
 
     def next_bits(self, count: int) -> np.ndarray:

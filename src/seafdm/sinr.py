@@ -25,8 +25,6 @@ __all__ = [
     "sinr_eve_saturated",
     "sinr_eve_measured",
     "measured_sinr",
-    "LinkBudget",
-    "sinr_bob",
     "SinrCurve",
     "eve_sinr_curve",
 ]
@@ -142,32 +140,6 @@ def measured_sinr(x: np.ndarray, x_hat: np.ndarray) -> float:
     if noise == 0.0:
         return float("inf")
     return float((abs(a) ** 2) * denom / noise)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Receive SNR bookkeeping: symbol power * channel energy / noise variance."""
-
-    sigma2: float
-    symbol_power: float = 1.0
-    channel_energy: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma2 <= 0 or self.symbol_power <= 0 or self.channel_energy <= 0:
-            raise ContractViolation("link budget terms must be positive")
-
-    @property
-    def snr(self) -> float:
-        return self.symbol_power * self.channel_energy / self.sigma2
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * np.log10(self.snr)
-
-
-def sinr_bob(budget: LinkBudget) -> float:
-    """The synchronized receiver pays no scrambling penalty: SINR == SNR."""
-    return budget.snr
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from seafdm import (
@@ -11,7 +13,6 @@ from seafdm import (
     ContractViolation,
     FrameParams,
     PathSpec,
-    SignalBlock,
     add_cpp,
     apply_channel,
     awgn,
@@ -127,7 +128,7 @@ def test_apply_channel_pure_delay():
 def test_apply_channel_contracts():
     params = FrameParams(n=16, ncp=1, c1=0.1)
     rng = np.random.default_rng(7)
-    core = SignalBlock(random_frame(rng, 16))
+    core = random_frame(rng, 16)
     with pytest.raises(ContractViolation):
         apply_channel(core, ChannelRealization((PathSpec(1.0, 0, 0.0),)), rng, 0.1)
     prefixed = add_cpp(core, params)
@@ -147,7 +148,7 @@ def test_prefixed_transmission_is_circular():
         real = sample_channel(3, 2.0, rng, n=n)
         s = random_frame(rng, n)
         r = apply_channel(add_cpp(s, params), real, None, 0.0)
-        got = remove_cpp(r, params).samples
+        got = remove_cpp(r, params)
         oracle = sum(circular_path_oracle(p, params) for p in real.paths)
         np.testing.assert_allclose(got, oracle @ s, atol=1e-10)
 
@@ -161,7 +162,7 @@ def test_prefixed_transmission_is_circular_awkward_c1():
         real = sample_channel(4, 1.5, rng, n=n)
         s = random_frame(rng, n)
         r = apply_channel(add_cpp(s, params), real, None, 0.0)
-        got = remove_cpp(r, params).samples
+        got = remove_cpp(r, params)
         oracle = sum(circular_path_oracle(p, params) for p in real.paths)
         np.testing.assert_allclose(got, oracle @ s, atol=1e-10)
 
@@ -173,22 +174,7 @@ def test_effective_channel_identity_case():
     rx, tx = matched_schedules(rng, n)
     real = ChannelRealization((PathSpec(1.0, 0, 0.0),))
     eff = effective_channel(real, params, rx, tx)
-    assert eff.variant == "bob"
     np.testing.assert_allclose(eff.matrix, np.eye(n), atol=1e-10)
-
-
-def test_effective_channel_variant_labels():
-    n = 8
-    params = FrameParams(n=n, ncp=0, c1=0.1)
-    real = ChannelRealization((PathSpec(1.0, 0, 0.5),))
-    rng = np.random.default_rng(11)
-    rx, tx = matched_schedules(rng, n)
-    assert effective_channel(real, params, rx, tx).variant == "bob"
-    assert effective_channel(real, params, rx, None).variant == "eve"
-    assert (
-        effective_channel(real, params, zero_schedule(n, "bob"), zero_schedule(n, "alice")).variant
-        == "afdm"
-    )
 
 
 def test_single_path_effective_channel_is_unitary():
@@ -233,6 +219,32 @@ def test_closed_form_matches_operator_product(n, integer_doppler):
         ae = effective_channel(real, params, rx, None).matrix
         be = effective_channel_closed_form(real, params, rx, None).matrix
         assert np.max(np.abs(ae - be)) <= 1e-9
+
+
+@st.composite
+def links(draw):
+    """A frame, a channel and independent receive / transmit schedules."""
+    n = draw(st.integers(4, 64))
+    paths = draw(st.integers(1, 4))
+    ncp = draw(st.integers(paths - 1, n))
+    c1 = draw(st.floats(-2.0, 2.0))
+    alpha_max = draw(st.floats(0.0, 4.0))
+    integer_doppler = draw(st.booleans())
+    c2max = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = sample_channel(paths, alpha_max, rng, n=n, integer_doppler=integer_doppler)
+    rx = C2Schedule(rng.uniform(-c2max, c2max, size=n), "bob")
+    tx = C2Schedule(rng.uniform(-c2max, c2max, size=n), "alice") if draw(st.booleans()) else None
+    return real, FrameParams(n=n, ncp=ncp, c1=c1), rx, tx
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(links())
+def test_closed_form_matches_operator_product_on_random_links(link):
+    real, params, rx, tx = link
+    a = effective_channel(real, params, rx, tx).matrix
+    b = effective_channel_closed_form(real, params, rx, tx).matrix
+    assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_effective_channel_predicts_front_end():

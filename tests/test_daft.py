@@ -16,11 +16,15 @@ from seafdm import (
     idaft,
     remove_cpp,
 )
-from seafdm.daft import dft, idft
 
 
 def random_frame(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def zero_rates(n):
+    """At c1 = c2 = 0 the DAFT is the unitary DFT, L(0) F L(0) = F."""
+    return FrameParams(n=n, ncp=0, c1=0.0)
 
 
 def idaft_double_sum(x, c1, c2):
@@ -38,7 +42,7 @@ def idaft_double_sum(x, c1, c2):
 
 def test_dft_of_constant_is_impulse():
     n = 8
-    out = dft(np.ones(n))
+    out = daft(np.ones(n), zero_rates(n), 0.0)
     expected = np.zeros(n, dtype=complex)
     expected[0] = np.sqrt(n)
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -48,18 +52,20 @@ def test_dft_of_impulse_is_flat():
     n = 8
     e0 = np.zeros(n)
     e0[0] = 1.0
-    np.testing.assert_allclose(dft(e0), np.full(n, 1 / np.sqrt(n)), atol=1e-12)
+    np.testing.assert_allclose(daft(e0, zero_rates(n), 0.0), np.full(n, 1 / np.sqrt(n)), atol=1e-12)
 
 
 def test_dft_four_point_tone():
     x = np.array([1, 1j, -1, -1j])
-    np.testing.assert_allclose(dft(x), [0, 2, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(daft(x, zero_rates(4), 0.0), [0, 2, 0, 0], atol=1e-12)
 
 
 def test_idft_inverts_dft():
     rng = np.random.default_rng(5)
     x = random_frame(rng, 32)
-    np.testing.assert_allclose(idft(dft(x)), x, atol=1e-12)
+    params = zero_rates(32)
+    np.testing.assert_allclose(idaft(daft(x, params, 0.0), params, 0.0), x, atol=1e-12)
+    np.testing.assert_allclose(daft(x, params, 0.0), np.fft.fft(x, norm="ortho"), atol=1e-12)
 
 
 def test_chirp_diag_zero_rate_is_identity():
@@ -116,7 +122,7 @@ def test_idaft_matches_double_sum(vector_c2):
     params = FrameParams(n=n, ncp=0, c1=0.17)
     c2 = rng.uniform(-0.2, 0.2, size=n) if vector_c2 else 0.05
     x = random_frame(rng, n)
-    got = idaft(x, params, c2).samples
+    got = idaft(x, params, c2)
     np.testing.assert_allclose(got, idaft_double_sum(x, params.c1, c2), atol=1e-10)
 
 
@@ -127,7 +133,7 @@ def test_idaft_of_impulse_ignores_c2():
     x[0] = 1.0
     expected = np.exp(2j * np.pi * params.c1 * np.arange(n) ** 2) / np.sqrt(n)
     for c2 in (0.0, 0.31, np.linspace(-1, 1, n)):
-        np.testing.assert_allclose(idaft(x, params, c2).samples, expected, atol=1e-12)
+        np.testing.assert_allclose(idaft(x, params, c2), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 16, 64, 256])
@@ -138,7 +144,7 @@ def test_round_trip_and_norm(n):
         c2 = rng.uniform(-1, 1, size=n)
         x = random_frame(rng, n)
         s = idaft(x, params, c2)
-        np.testing.assert_allclose(np.linalg.norm(s.samples), np.linalg.norm(x), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(s), np.linalg.norm(x), atol=1e-12)
         np.testing.assert_allclose(daft(s, params, c2), x, atol=1e-10)
 
 
@@ -159,6 +165,8 @@ def test_daft_rejects_prefixed_block():
     block = add_cpp(np.ones(8, dtype=complex), params)
     with pytest.raises(ContractViolation):
         daft(block, params, 0.0)
+    with pytest.raises(ContractViolation):
+        add_cpp(block, params)
 
 
 def test_add_cpp_zero_length_prefix():
@@ -208,14 +216,14 @@ def test_remove_cpp_round_trip():
     rng = np.random.default_rng(8)
     s = random_frame(rng, 12)
     back = remove_cpp(add_cpp(s, params), params)
-    assert not back.has_prefix
-    np.testing.assert_allclose(back.samples, s, atol=1e-15)
+    assert back.shape == (12,)
+    np.testing.assert_allclose(back, s, atol=1e-15)
 
 
 def test_remove_cpp_rejects_bad_geometry():
     params = FrameParams(n=12, ncp=4, c1=0.37)
     with pytest.raises(ContractViolation):
-        remove_cpp(SignalBlock(np.ones(12, dtype=complex)), params)
+        remove_cpp(np.ones(16, dtype=complex), params)
     # one sample short of n + ncp
     with pytest.raises(ContractViolation):
         remove_cpp(SignalBlock(np.ones(15, dtype=complex), prefix_len=4), params)
@@ -237,11 +245,9 @@ def test_for_profile_defaults():
 
 
 def test_signal_block_tags():
-    plain = SignalBlock(np.zeros(4, dtype=complex))
-    assert not plain.has_prefix and plain.n == 4
-    tagged = SignalBlock(np.zeros(6, dtype=complex), prefix_len=2)
-    assert tagged.has_prefix and tagged.n == 4
+    assert SignalBlock(np.zeros(4, dtype=complex), prefix_len=0).n == 4
+    assert SignalBlock(np.zeros(6, dtype=complex), prefix_len=2).n == 4
     with pytest.raises(ContractViolation):
-        SignalBlock(np.zeros((2, 2), dtype=complex))
+        SignalBlock(np.zeros((2, 2), dtype=complex), prefix_len=0)
     with pytest.raises(ContractViolation):
         SignalBlock(np.zeros(4, dtype=complex), prefix_len=4)

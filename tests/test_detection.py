@@ -7,7 +7,6 @@ import pytest
 
 from seafdm import (
     ContractViolation,
-    EffectiveChannel,
     FrameParams,
     SolverError,
     apply_channel,
@@ -16,7 +15,6 @@ from seafdm import (
     count_errors,
     demap,
     descramble,
-    detect,
     effective_channel,
     eve_front_end,
     map_bits,
@@ -119,23 +117,6 @@ def test_count_errors():
         count_errors(a, np.array([0, 1]))
 
 
-def test_detect_reports_ber():
-    spec = qpsk()
-    rng = np.random.default_rng(6)
-    bits = rng.integers(0, 2, size=64).astype(np.uint8)
-    x = map_bits(bits, spec)
-    chan = EffectiveChannel(np.eye(32, dtype=complex))
-    res = detect(x, chan, 0.0, spec, bits)
-    assert res.errors == 0
-    assert res.bit_count == 64
-    assert res.ber == 0.0
-    flipped = bits.copy()
-    flipped[:4] ^= 1
-    res = detect(map_bits(flipped, spec), chan, 0.0, spec, bits)
-    assert res.errors == 4
-    assert res.ber == pytest.approx(4 / 64)
-
-
 def test_scheduled_detector_is_rotated_plain_detector():
     # the synchronized receiver estimate equals the plain-waveform estimate of
     # the scrambled symbols under co-rotated noise, rotated back; scheduling
@@ -176,8 +157,8 @@ def test_synchronized_receiver_noiseless_recovery():
     real = sample_channel(3, 2.0, rng, n=n)
     r = apply_channel(se_afdm_modulate(x, params, alice), real, None, 0.0)
     y = bob_front_end(r, params, bob)
-    res = detect(y, effective_channel(real, params, bob, alice), 1e-12, spec, bits)
-    assert res.errors == 0
+    x_hat = mmse_equalize(y, effective_channel(real, params, bob, alice).matrix, 1e-12)
+    assert count_errors(bits, demap(x_hat, spec)) == 0
 
 
 def test_front_end_mismatch_leaves_residual_rotation():

@@ -107,6 +107,14 @@ def test_config_from_yaml(tmp_path):
     assert ExperimentConfig.from_file(empty) == ExperimentConfig()
 
 
+def test_config_rejects_prefix_shorter_than_delay_spread():
+    with pytest.raises(ConfigError, match="ncp=0"):
+        ExperimentConfig(n=32, paths=3, ncp=0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(n=32, paths=3, ncp=1)
+    assert ExperimentConfig(n=32, paths=3, ncp=2).frame_params.ncp == 2
+
+
 def test_derived_frame_geometry():
     cfg = tiny_config(paths=3)
     params = cfg.frame_params
@@ -233,6 +241,18 @@ def test_csi_error_scenario_degrades_bob():
         tiny_config(scenario="csi-error-ber", csi_error_var=0.05, snr_db=(35.0,), trials=10)
     )[0]
     assert noisy.bob_ber > clean.bob_ber
+
+
+def test_afdm_reference_replays_bob_csi_error():
+    # with scrambling off Bob and the plain-AFDM reference run the same
+    # link, so they must agree bit for bit, estimate error included
+    cfg = tiny_config(
+        scenario="bob-vs-afdm-ber", n=64, paths=3, c2max=0.0, csi_error_var=1e-3,
+        snr_db=(15.0,), trials=20,
+    )
+    rec = run_scenario(cfg)[0]
+    assert rec.bob_ber > 0.0
+    assert rec.bob_ber == rec.afdm_ber
 
 
 def test_run_sinr_curve_matches_analytics():

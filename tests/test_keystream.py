@@ -97,7 +97,11 @@ def test_schedule_consumes_exact_bit_budget():
     book = build_codebook(1e-4, 8)
     reg = Lfsr(seed=7)
     generate_schedule(reg, book, 50, "alice")
-    assert reg.steps == 50 * 3
+    ref = Lfsr(seed=7)
+    ref.next_bits(50 * 3)
+    assert reg.state == ref.state
+    ref.next_bits(1)
+    assert reg.state != ref.state
 
 
 def test_schedule_values_are_codebook_members():

@@ -8,12 +8,10 @@ from scipy import integrate
 
 from seafdm import (
     ContractViolation,
-    LinkBudget,
     build_codebook,
     eve_sinr_curve,
     measured_sinr,
     sa,
-    sinr_bob,
     sinr_eve_average,
     sinr_eve_measured,
     sinr_eve_saturated,
@@ -143,19 +141,6 @@ def test_measured_sinr_validation():
         sinr_eve_measured(10, -1, 100.0, book, rng)
     with pytest.raises(ContractViolation):
         sinr_eve_measured(10, 1, -5.0, book, rng)
-
-
-def test_link_budget():
-    flat = LinkBudget(sigma2=1.0)
-    assert flat.snr == 1.0
-    assert flat.snr_db == 0.0
-    assert LinkBudget(sigma2=1.0, symbol_power=2.0).snr == 2.0
-    budget = LinkBudget(sigma2=10**-2.5)
-    assert budget.snr == pytest.approx(316.22776601683796)
-    assert budget.snr_db == pytest.approx(25.0)
-    assert sinr_bob(budget) == budget.snr
-    with pytest.raises(ContractViolation):
-        LinkBudget(sigma2=0.0)
 
 
 def test_sinr_curve_units_agree():
