@@ -147,25 +147,33 @@ def apply_channel(
     return SignalBlock(out, prefix_len=s.prefix_len)
 
 
-def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) -> np.ndarray:
-    """Equivalent circular matrix acting on the prefix-free transmit block.
+def _tap_diagonals(realization: ChannelRealization, params: FrameParams) -> np.ndarray:
+    """Per-delay diagonals of the circular channel: taps[l, k] multiplies s[(k - l) mod n].
 
     The chirp-periodic prefix turns each delayed echo into a circular shift
-    with an extra unit phasor on the rows that wrap, so the end-to-end map
-    from prefix-free input to prefix-free output is exactly circular.
+    with an extra unit phasor on the rows that wrap (k < l), so the map from
+    prefix-free input to prefix-free output is exactly circular.
     """
     n = params.n
     rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=np.complex128)
+    taps = np.zeros((realization.max_delay + 1, n), dtype=np.complex128)
     for p in realization.paths:
-        cols = (rows - p.delay) % n
         vals = p.gain * np.exp(2j * np.pi * p.doppler * rows / n)
         if p.delay:
             wrap = rows < p.delay
             phase = np.mod(params.c1 * (n * n - 2.0 * n * (p.delay - rows[wrap])), 1.0)
-            vals = vals.astype(np.complex128)
             vals[wrap] *= np.exp(-2j * np.pi * phase)
-        mat[rows, cols] += vals
+        taps[p.delay] += vals
+    return taps
+
+
+def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) -> np.ndarray:
+    """Equivalent circular matrix acting on the prefix-free transmit block."""
+    n = params.n
+    rows = np.arange(n)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    for delay, diagonal in enumerate(_tap_diagonals(realization, params)):
+        mat[rows, (rows - delay) % n] += diagonal
     return mat
 
 

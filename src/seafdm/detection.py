@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 
+from .channel import ChannelRealization, _tap_diagonals
+from .daft import FrameParams
 from .exceptions import ContractViolation, SolverError
 from .waveform import Constellation
 
 __all__ = [
     "mmse_equalize",
+    "banded_mmse_equalize",
     "demap",
     "count_errors",
 ]
@@ -37,6 +40,57 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
     except LinAlgError as exc:
         raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
     return h.conj().T @ cho_solve(factor, y, check_finite=False)
+
+
+def banded_mmse_equalize(
+    r: np.ndarray, realization: ChannelRealization, params: FrameParams, sigma2: float
+) -> np.ndarray:
+    """s_hat = H_t^H (H_t H_t^H + sigma2 I)^{-1} r on the prefix-free received core r.
+
+    H_t is the circular time-domain channel, so with exact channel knowledge
+    the subcarrier-domain MMSE estimate of any receiver is daft(s_hat) under
+    the transmit schedule: every DAFT is unitary, and the receiver's own
+    transform cancels inside the solve.
+
+    The Gram matrix is cyclically banded with half-width L = max_delay.
+    Folding the index order (position 2k holds k, position 2k+1 holds
+    n-1-k) turns it into an ordinary Hermitian band of half-width 2L, which
+    a banded Cholesky factors in O(L^2 n).  When n <= 2L several cyclic
+    offsets land on the same entry, so entries are accumulated.
+    """
+    n = params.n
+    r = np.asarray(r, dtype=np.complex128)
+    if r.shape != (n,):
+        raise ContractViolation(f"received core must have shape ({n},), got {r.shape}")
+    if sigma2 < 0:
+        raise ContractViolation("noise variance must be nonnegative")
+    taps = _tap_diagonals(realization, params)
+    delays = np.arange(taps.shape[0])
+    idx = np.arange(n)
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = idx[: (n + 1) // 2]
+    order[1::2] = n - 1 - idx[: n // 2]
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = idx
+
+    # G[k, j] += taps[l, k] * conj(taps[m, j]) with j = (k + m - l) mod n, for every delay pair (l, m)
+    cols = (idx + delays[None, :, None] - delays[:, None, None]) % n
+    vals = taps[:, None, :] * np.conj(taps[delays[None, :, None], cols])
+    # lower band storage of the folded Gram matrix: band[a - b, b] = G'[a, b] for a >= b
+    a, b = pos, pos[cols]
+    keep = a >= b
+    band = np.zeros((min(2 * delays[-1], n - 1) + 1, n), dtype=np.complex128)
+    np.add.at(band.reshape(-1), ((a - b) * n + b)[keep], vals[keep])
+    band[0] += sigma2
+    try:
+        factor = cholesky_banded(band, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
+    z = np.empty(n, dtype=np.complex128)
+    z[order] = cho_solve_banded((factor, True), r[order], check_finite=False)
+    # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n
+    rows = (idx[None, :] + delays[:, None]) % n
+    return np.sum(np.conj(taps[delays[:, None], rows]) * z[rows], axis=0)
 
 
 def demap(x_hat: np.ndarray, spec: Constellation) -> np.ndarray:

@@ -17,7 +17,9 @@ replay identical draws), so the comparison isolates the scrambling itself.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -28,8 +30,8 @@ import numpy as np
 import yaml
 
 from .channel import apply_channel, effective_channel, sample_channel
-from .daft import FrameParams
-from .detection import demap, count_errors, mmse_equalize
+from .daft import FrameParams, daft, remove_cpp
+from .detection import banded_mmse_equalize, count_errors, demap, mmse_equalize
 from .exceptions import ConfigError
 from .keystream import (
     DEFAULT_TAPS,
@@ -137,12 +139,19 @@ class ExperimentConfig:
             raise ConfigError("workers must be positive")
         if not self.snr_db:
             raise ConfigError("snr_db sweep must not be empty")
+        if not all(v > -np.inf for v in self.snr_db):
+            # rejects NaN and -inf; +inf is legal, it means a noiseless link
+            raise ConfigError(f"snr_db values must be numbers or +inf, got {self.snr_db}")
         if self.c2max < 0 or not np.isfinite(self.c2max):
             raise ConfigError("c2max must be finite and nonnegative")
-        if self.eve_bias < 0:
-            raise ConfigError("eve_bias must be nonnegative")
-        if self.csi_error_var < 0:
-            raise ConfigError("csi_error_var must be nonnegative")
+        if not 0 <= self.eve_bias < np.inf:
+            raise ConfigError("eve_bias must be finite and nonnegative")
+        if not all(0 <= v < np.inf for v in self.bias_values):
+            raise ConfigError(f"bias_values must be finite and nonnegative, got {self.bias_values}")
+        if not 0 <= self.csi_error_var < np.inf:
+            raise ConfigError("csi_error_var must be finite and nonnegative")
+        if not 0 <= self.alpha_max < np.inf:
+            raise ConfigError("alpha_max must be finite and nonnegative")
         if self.scenario == "bias-sweep" and not self.bias_values:
             raise ConfigError("bias-sweep needs a nonempty bias_values list")
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
@@ -289,8 +298,17 @@ def _run_trial(
         )
 
     def receive(front_end, realization, tx, ss_noise, sched_rx, sched_tx, rng_err):
-        """Channel, front end, effective matrix, CSI error, MMSE: the symbol estimate."""
+        """Channel, then MMSE: the symbol estimate.
+
+        Exact CSI takes the banded time-domain solve seen through the transmit
+        DAFT, which equals the subcarrier-domain MMSE (the receiver's own DAFT
+        cancels).  Imperfect CSI perturbs the dense subcarrier matrix, so it
+        runs front end, effective matrix, CSI error and dense MMSE.
+        """
         r = apply_channel(tx, realization, np.random.default_rng(ss_noise), sigma2)
+        if config.csi_error_var == 0.0:
+            s_hat = banded_mmse_equalize(remove_cpp(r, params), realization, params, sigma2)
+            return daft(s_hat, params, 0.0 if sched_tx is None else sched_tx.values)
         y = front_end(r, params, sched_rx)
         h = effective_channel(realization, params, sched_rx, sched_tx).matrix
         h = _perturb(h, rng_err, config.csi_error_var)  # frees the exact matrix before the solve
@@ -415,23 +433,25 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
 
     The CSV holds only reproducible numbers; wall-clock times and config
     echo live in ``<path>.meta.json`` so diffing two runs of the same seed
-    yields byte-identical CSVs.
+    yields byte-identical CSVs.  Both files are written in full to
+    temporary files next to their targets before either is renamed into
+    place, so a failure while writing leaves an earlier pair intact.
     """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    repr(rec.point),
-                    repr(rec.bob_ber),
-                    repr(rec.eve_ber),
-                    repr(rec.afdm_ber),
-                    rec.bit_count,
-                    rec.seed,
-                ]
-            )
+    table = io.StringIO(newline="")
+    writer = csv.writer(table)
+    writer.writerow(_CSV_COLUMNS)
+    for rec in records:
+        writer.writerow(
+            [
+                repr(rec.point),
+                repr(rec.bob_ber),
+                repr(rec.eve_ber),
+                repr(rec.afdm_ber),
+                rec.bit_count,
+                rec.seed,
+            ]
+        )
     meta = {
         "version": _VERSION,
         "rng": "numpy.random.default_rng (PCG64)",
@@ -443,7 +463,21 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
             "eve": [_interval(rec.eve_ber, rec.bit_count) for rec in records],
         },
     }
-    Path(f"{path}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    targets = (
+        (path, table.getvalue()),
+        (Path(f"{path}.meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n"),
+    )
+    # named by hand, not by tempfile, so the files get the umask's permissions
+    staged = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target, _ in targets]
+    try:
+        for (_, text), tmp in zip(targets, staged):
+            with tmp.open("w", newline="") as fh:
+                fh.write(text)
+        for (target, _), tmp in zip(targets, staged):
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _interval(ber: float, bits: int) -> tuple[float, float] | None:

@@ -16,11 +16,17 @@ from seafdm import (
     add_cpp,
     apply_channel,
     awgn,
+    banded_mmse_equalize,
     coupling_kernel,
+    daft,
     effective_channel,
     effective_channel_closed_form,
+    map_bits,
+    mmse_equalize,
+    qpsk,
     remove_cpp,
     sample_channel,
+    se_afdm_modulate,
     zero_schedule,
 )
 from seafdm.keystream import C2Schedule
@@ -223,7 +229,12 @@ def test_closed_form_matches_operator_product(n, integer_doppler):
 
 @st.composite
 def links(draw):
-    """A frame, a channel and independent receive / transmit schedules."""
+    """A frame, a channel, independent schedules, a noise level and a received core.
+
+    ``tx`` is the transmit schedule (Bob's view) or None (Eve's view: her
+    estimate targets the scrambled frame); the frame is always sent with
+    ``alice``.
+    """
     n = draw(st.integers(4, 64))
     paths = draw(st.integers(1, 4))
     ncp = draw(st.integers(paths - 1, n))
@@ -231,20 +242,35 @@ def links(draw):
     alpha_max = draw(st.floats(0.0, 4.0))
     integer_doppler = draw(st.booleans())
     c2max = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.5]))
+    sigma2 = 10.0 ** draw(st.integers(-3, 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     real = sample_channel(paths, alpha_max, rng, n=n, integer_doppler=integer_doppler)
+    params = FrameParams(n=n, ncp=ncp, c1=c1)
     rx = C2Schedule(rng.uniform(-c2max, c2max, size=n), "bob")
-    tx = C2Schedule(rng.uniform(-c2max, c2max, size=n), "alice") if draw(st.booleans()) else None
-    return real, FrameParams(n=n, ncp=ncp, c1=c1), rx, tx
+    alice = C2Schedule(rng.uniform(-c2max, c2max, size=n), "alice")
+    tx = alice if draw(st.booleans()) else None
+    x = map_bits(rng.integers(0, 2, size=2 * n), qpsk())
+    r = remove_cpp(apply_channel(se_afdm_modulate(x, params, alice), real, rng, sigma2), params)
+    return real, params, rx, tx, sigma2, r
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(links())
 def test_closed_form_matches_operator_product_on_random_links(link):
-    real, params, rx, tx = link
+    real, params, rx, tx, _, _ = link
     a = effective_channel(real, params, rx, tx).matrix
     b = effective_channel_closed_form(real, params, rx, tx).matrix
     assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(links())
+def test_time_domain_mmse_matches_dense_subcarrier_mmse_on_random_links(link):
+    real, params, rx, tx, sigma2, r = link
+    h = effective_channel(real, params, rx, tx).matrix
+    dense = mmse_equalize(daft(r, params, rx.values), h, sigma2)
+    fast = daft(banded_mmse_equalize(r, real, params, sigma2), params, 0.0 if tx is None else tx.values)
+    assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
 def test_effective_channel_predicts_front_end():

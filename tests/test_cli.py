@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from seafdm import read_csv
+import pytest
+
+from seafdm import ChannelRealization, PathSpec, harness, read_csv
 from seafdm.cli import main
 
 
@@ -63,6 +65,33 @@ def test_bad_override_exits_2(capsys):
     assert main(["simulate", "--set", "bogus_key=1"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", "--set", "no-equals-sign"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", "snr_db=[.nan]"],
+        ["simulate", "--set", "snr_db=[20, -.inf]"],
+        ["simulate", "--set", "eve_bias=.inf"],
+        ["bias-sweep", "--set", "n=32", "--set", "paths=2", "--bias", "0.0", "-0.001"],
+        ["bias-sweep", "--set", "n=32", "--set", "paths=2", "--set", "bias_values=[1.0e-6, -1.0e-6]"],
+        ["bias-sweep", "--set", "n=32", "--set", "paths=2", "--bias", "nan"],
+    ],
+)
+def test_bad_snr_or_bias_exits_2_before_any_trial(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dead_noiseless_channel_exits_4(tmp_path, monkeypatch, capsys):
+    def dead_channel(path_count, alpha_max, rng, *, n, integer_doppler=False, label=""):
+        return ChannelRealization(tuple(PathSpec(0.0, l, 0.0) for l in range(path_count)), label)
+
+    monkeypatch.setattr(harness, "sample_channel", dead_channel)
+    argv = ["simulate", "--set", "n=16", "--set", "trials=1", "--set", "snr_db=[.inf]"]
+    assert main([*argv, "--out", str(tmp_path / "dead.csv")]) == 4
+    assert "numeric error:" in capsys.readouterr().err
+    assert not (tmp_path / "dead.csv").exists()
 
 
 def test_missing_config_file_exits_3(capsys):

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from seafdm import (
+    ChannelRealization,
     ContractViolation,
     FrameParams,
+    PathSpec,
     SolverError,
     apply_channel,
+    banded_mmse_equalize,
     bob_front_end,
     chirp_diag,
     count_errors,
+    daft,
     demap,
     descramble,
     effective_channel,
@@ -84,6 +88,34 @@ def test_singular_system_raises():
     h = np.zeros((4, 4), dtype=complex)
     with pytest.raises(SolverError):
         mmse_equalize(np.ones(4, dtype=complex), h, 0.0)
+
+
+@pytest.mark.parametrize("n, paths", [(2, 2), (3, 3), (4, 3), (4, 4), (5, 4), (6, 4)])
+def test_time_domain_mmse_when_cyclic_band_offsets_alias(n, paths):
+    # n <= 2 * max_delay: several cyclic offsets land on one Gram entry
+    rng = np.random.default_rng(10 * n + paths)
+    params = FrameParams(n=n, ncp=paths - 1, c1=rng.uniform(-1.0, 1.0))
+    for sigma2 in (1e-2, 1.0):
+        real = sample_channel(paths, 2.0, rng, n=n)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for tx in (C2Schedule(rng.uniform(-0.5, 0.5, size=n), "alice"), None):
+            rx = C2Schedule(rng.uniform(-0.5, 0.5, size=n), "bob")
+            h = effective_channel(real, params, rx, tx).matrix
+            dense = mmse_equalize(daft(r, params, rx.values), h, sigma2)
+            fast = daft(banded_mmse_equalize(r, real, params, sigma2), params, 0.0 if tx is None else tx.values)
+            np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
+
+
+def test_time_domain_mmse_contracts_and_singular_channel():
+    params = FrameParams(n=8, ncp=2, c1=0.1)
+    real = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 2, 0.3)))
+    with pytest.raises(ContractViolation):
+        banded_mmse_equalize(np.ones(7, dtype=complex), real, params, 0.1)
+    with pytest.raises(ContractViolation):
+        banded_mmse_equalize(np.ones(8, dtype=complex), real, params, -0.1)
+    dead = ChannelRealization((PathSpec(0.0, 0, 0.0), PathSpec(0.0, 2, 1.0)))
+    with pytest.raises(SolverError):
+        banded_mmse_equalize(np.ones(8, dtype=complex), dead, params, 0.0)
 
 
 def test_demap_exact_points_returns_labels():

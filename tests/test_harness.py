@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from seafdm import (
     demap,
     effective_channel,
     emit_csv,
+    harness,
     map_bits,
     mmse_equalize,
     qpsk,
@@ -75,7 +78,17 @@ def test_config_rejects_unknown_keys():
         {"snr_db": ()},
         {"c2max": -1.0},
         {"eve_bias": -0.1},
+        {"eve_bias": float("inf")},
+        {"eve_bias": float("nan")},
+        {"scenario": "bias-sweep", "bias_values": (1e-6, -1e-6)},
+        {"scenario": "bias-sweep", "bias_values": (float("inf"),)},
+        {"scenario": "bias-sweep", "bias_values": (float("nan"),)},
+        {"snr_db": (float("nan"),)},
+        {"snr_db": (20.0, float("-inf"))},
         {"csi_error_var": -1.0},
+        {"scenario": "csi-error-ber", "csi_error_var": float("nan")},
+        {"scenario": "csi-error-ber", "csi_error_var": float("inf")},
+        {"alpha_max": -1.0},
         {"scenario": "bias-sweep", "bias_values": ()},
         {"scenario": "csi-error-ber", "csi_error_var": 0.0},
         {"modulation": "qam7"},
@@ -87,6 +100,12 @@ def test_config_rejects_bad_values(overrides):
     base.update(overrides)
     with pytest.raises(ConfigError):
         ExperimentConfig(**base)
+
+
+def test_infinite_snr_means_noiseless():
+    rec = run_scenario(tiny_config(scenario="bob-vs-afdm-ber", snr_db=(float("inf"),), trials=4))[0]
+    assert rec.point == float("inf")
+    assert rec.bob_ber == 0.0 and rec.afdm_ber == 0.0
 
 
 def test_config_coerces_scalar_sweeps():
@@ -255,6 +274,30 @@ def test_afdm_reference_replays_bob_csi_error():
     assert rec.bob_ber == rec.afdm_ber
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        tiny_config(n=64, paths=3, trials=40, snr_db=(6.0, 14.0), seed=21),
+        tiny_config(n=64, paths=3, trials=40, snr_db=(10.0,), seed=22, eve_mode="random", c2max=0.0125),
+        tiny_config(scenario="bob-vs-afdm-ber", n=64, paths=3, trials=40, snr_db=(4.0, 10.0), seed=23),
+        tiny_config(
+            scenario="bob-vs-afdm-ber", n=48, paths=4, trials=30, snr_db=(8.0,), seed=24, integer_doppler=True
+        ),
+        tiny_config(scenario="bias-sweep", n=64, paths=3, trials=20, snr_db=(12.0,), seed=25, bias_values=(0.0, 1e-4, 1e-3)),
+    ],
+    ids=["eve-zeros", "eve-random", "bob-vs-afdm", "bob-vs-afdm-integer", "bias-sweep"],
+)
+def test_time_domain_solve_matches_dense_replay(cfg, monkeypatch):
+    fast = run_scenario(cfg)
+    # a positive csi_error_var sends every receiver through its front end, the
+    # dense effective matrix and the Cholesky MMSE; the identity perturbation
+    # keeps that channel knowledge exact
+    monkeypatch.setattr(harness, "_perturb", lambda matrix, rng, var: matrix)
+    dense = run_scenario(replace(cfg, csi_error_var=1e-300))
+    assert all(records_equal(a, b) for a, b in zip(fast, dense))
+    assert any(r.bob_ber > 0 for r in fast)
+
+
 def test_run_sinr_curve_matches_analytics():
     cfg = tiny_config(scenario="sinr-vs-c2max", c2max_values=(1e-6, 1e-5, 1e-4))
     curve = run_sinr_curve(cfg)
@@ -321,6 +364,27 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path.write_text("alpha,beta\n1,2\n")
     with pytest.raises(ConfigError, match="unexpected CSV header"):
         read_csv(path)
+
+
+def test_failed_sidecar_write_keeps_the_earlier_pair(tmp_path, monkeypatch):
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_scenario(tiny_config(trials=2)), path, tiny_config(trials=2))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"sweep.csv", "sweep.csv.meta.json"}
+
+    real_open = Path.open
+
+    def full_disk_for_sidecars(self, *args, **kwargs):
+        if ".meta.json" in self.name:
+            raise OSError(28, "No space left on device")
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", full_disk_for_sidecars)
+    cfg = tiny_config(trials=3, seed=4)
+    with pytest.raises(OSError):
+        emit_csv(run_scenario(cfg), path, cfg)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_identical_seeds_identical_csv_bytes(tmp_path):
