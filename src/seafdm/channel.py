@@ -219,16 +219,24 @@ def effective_channel(
     return _apply_schedules(work, sched_rx, sched_tx)
 
 
-def _dirichlet_sum(z: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
-    """sum_{k=0}^{n-1} exp(-2j*pi*z*k/n), stable at the integer-z limit."""
+def _dirichlet_sum(z: np.ndarray, n: int) -> np.ndarray:
+    """sum_{k=0}^{n-1} exp(-2j*pi*z*k/n), accurate near every integer z.
+
+    The sum has period n in z, so it is evaluated on the offset f reduced to
+    [-n/2, n/2] as exp(-1j*pi*f*(n-1)/n) * sin(pi*f) / sin(pi*f/n).  Unlike
+    the ratio of two phasor differences this never cancels: sin(pi*f) is
+    taken on f minus its nearest integer, so it keeps full relative
+    precision at the kernel's zeros.  Within 1e-9 of the peak the sine ratio
+    equals n to a relative 2e-18 (and would underflow for subnormal f), so
+    it is n there, while the phase is kept.
+    """
     z = np.asarray(z, dtype=np.float64)
-    frac = z - n * np.rint(z / n)
-    near = np.abs(frac) < tol
-    safe = np.where(near, 1.0, z)
-    num = np.exp(-2j * np.pi * safe) - 1.0
-    den = np.exp(-2j * np.pi * safe / n) - 1.0
-    out = np.where(near, float(n), num / np.where(near, 1.0, den))
-    return out
+    f = z - n * np.rint(z / n)
+    whole = np.rint(f)
+    sin_pi_f = np.sin(np.pi * (f - whole)) * (1.0 - 2.0 * np.mod(whole, 2.0))
+    peak = np.abs(f) < 1e-9
+    ratio = np.where(peak, float(n), sin_pi_f / np.sin(np.pi * np.where(peak, 1.0, f) / n))
+    return np.exp(-1j * np.pi * f * (n - 1) / n) * ratio
 
 
 def coupling_kernel(p, q, nu: float, delay: int, params: FrameParams) -> np.ndarray:

@@ -24,6 +24,7 @@ the CPP degenerates to the familiar cyclic prefix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,23 @@ def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
     c is a scalar rate or a length-n vector of per-index rates.  conjugate=True
     flips the sign of the exponent.  The quadratic argument is reduced mod 1
     before exponentiation so large indices keep full phase precision.
+
+    A scalar rate (the fixed c1, or a zero schedule) gives a read-only array
+    built once per (c, n, conjugate) and shared by every caller.
     """
+    if np.ndim(c) == 0:
+        return _scalar_chirp(float(c), int(n), bool(conjugate))
+    return _chirp(c, n, conjugate)
+
+
+@functools.lru_cache(maxsize=64)
+def _scalar_chirp(c: float, n: int, conjugate: bool) -> np.ndarray:
+    out = _chirp(c, n, conjugate)
+    out.flags.writeable = False
+    return out
+
+
+def _chirp(c, n: int, conjugate: bool) -> np.ndarray:
     idx = np.arange(n, dtype=np.float64)
     rate = np.asarray(c, dtype=np.float64)
     if rate.ndim not in (0, 1):

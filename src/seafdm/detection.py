@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 
@@ -64,8 +67,39 @@ def banded_mmse_equalize(
         raise ContractViolation(f"received core must have shape ({n},), got {r.shape}")
     if sigma2 < 0:
         raise ContractViolation("noise variance must be nonnegative")
-    taps = _tap_diagonals(realization, params)
-    delays = np.arange(taps.shape[0])
+    taps = _tap_diagonals(realization, params).reshape(-1)
+    plan = _band_plan(n, realization.max_delay)
+    # lower band of the folded Gram matrix, entries summed in plan order
+    vals = taps[plan.left] * np.conj(taps[plan.right])
+    band = np.empty((plan.band_rows, n), dtype=np.complex128)
+    band.real.flat = np.bincount(plan.target, vals.real, band.size)
+    band.imag.flat = np.bincount(plan.target, vals.imag, band.size)
+    band[0] += sigma2
+    try:
+        factor = cholesky_banded(band, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
+    z = np.empty(n, dtype=np.complex128)
+    z[plan.order] = cho_solve_banded((factor, True), r[plan.order], check_finite=False)
+    # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n
+    return np.sum(np.conj(taps[plan.adjoint_taps]) * z[plan.adjoint_rows], axis=0)
+
+
+class _BandPlan(NamedTuple):
+    """Index tables of the banded solve; they depend only on (n, max_delay)."""
+
+    order: np.ndarray  # folded position -> frame index
+    band_rows: int
+    left: np.ndarray  # flat tap index l*n + k of each kept Gram term
+    right: np.ndarray  # flat tap index m*n + j of the same term
+    target: np.ndarray  # flat lower-band index (a - b)*n + b it sums into
+    adjoint_taps: np.ndarray  # flat tap index l*n + (k + l) mod n, shape (L + 1, n)
+    adjoint_rows: np.ndarray  # (k + l) mod n, shape (L + 1, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_plan(n: int, max_delay: int) -> _BandPlan:
+    delays = np.arange(max_delay + 1)
     idx = np.arange(n)
     order = np.empty(n, dtype=np.intp)
     order[0::2] = idx[: (n + 1) // 2]
@@ -75,22 +109,25 @@ def banded_mmse_equalize(
 
     # G[k, j] += taps[l, k] * conj(taps[m, j]) with j = (k + m - l) mod n, for every delay pair (l, m)
     cols = (idx + delays[None, :, None] - delays[:, None, None]) % n
-    vals = taps[:, None, :] * np.conj(taps[delays[None, :, None], cols])
+    left = np.broadcast_to(delays[:, None, None] * n + idx, cols.shape)
+    right = delays[None, :, None] * n + cols
     # lower band storage of the folded Gram matrix: band[a - b, b] = G'[a, b] for a >= b
     a, b = pos, pos[cols]
     keep = a >= b
-    band = np.zeros((min(2 * delays[-1], n - 1) + 1, n), dtype=np.complex128)
-    np.add.at(band.reshape(-1), ((a - b) * n + b)[keep], vals[keep])
-    band[0] += sigma2
-    try:
-        factor = cholesky_banded(band, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
-    z = np.empty(n, dtype=np.complex128)
-    z[order] = cho_solve_banded((factor, True), r[order], check_finite=False)
-    # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n
     rows = (idx[None, :] + delays[:, None]) % n
-    return np.sum(np.conj(taps[delays[:, None], rows]) * z[rows], axis=0)
+    plan = _BandPlan(
+        order=order,
+        band_rows=min(2 * max_delay, n - 1) + 1,
+        left=left[keep],
+        right=right[keep],
+        target=((a - b) * n + b)[keep],
+        adjoint_taps=delays[:, None] * n + rows,
+        adjoint_rows=rows,
+    )
+    for table in plan:
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return plan
 
 
 def demap(x_hat: np.ndarray, spec: Constellation) -> np.ndarray:

@@ -353,9 +353,10 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
     def one(trial_idx: int) -> tuple[int, int, int, int]:
         return _run_trial(config, point_idx, trial_idx, sigma2, bias, need_eve, need_afdm)
 
+    workers = min(config.workers, config.trials)
     start = time.perf_counter()
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(config.trials)))
     else:
         outcomes = [one(t) for t in range(config.trials)]

@@ -75,10 +75,33 @@ class Lfsr:
         return out
 
     def next_bits(self, count: int) -> np.ndarray:
-        """The next ``count`` output bits as a uint8 vector."""
+        """The next ``count`` output bits as a uint8 vector; same as ``count`` steps.
+
+        The output obeys o[k + d] = XOR over t in taps[1:] of o[k + t], and
+        because squaring over GF(2) is linear, p(x)**s = p(x**s) for s a power
+        of two, so o[k + d*s] = XOR of o[k + t*s] as well.  The stream is held
+        as one Python int (bit i is o[i], starting from the register state)
+        and each round appends (d - max tap) * s bits with one shift and XOR
+        per tap, doubling s as the known stream grows.
+        """
         if count < 0:
             raise ContractViolation("bit count must be nonnegative")
-        return np.fromiter((self.step() for _ in range(count)), dtype=np.uint8, count=count)
+        d = self.degree
+        taps = self.taps[1:]
+        block = d - taps[0]
+        stream, known, s = self.state, d, 1
+        while known < count + d:
+            while d * 2 * s <= known:
+                s *= 2
+            start = known - d * s
+            chunk = 0
+            for t in taps:
+                chunk ^= stream >> (start + t * s)
+            stream |= (chunk & ((1 << (block * s)) - 1)) << known
+            known += block * s
+        self.state = (stream >> count) & ((1 << d) - 1)
+        raw = (stream & ((1 << count) - 1)).to_bytes((count + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -254,8 +254,17 @@ def links(draw):
     return real, params, rx, tx, sigma2, r
 
 
+def near_integer_link():
+    """n=4, c1=0, one path a hair off integer Doppler: the kernel sits just off its peak."""
+    n = 4
+    real = ChannelRealization((PathSpec(1.0, 0, 9.972e-10),))
+    params = FrameParams(n=n, ncp=0, c1=0.0)
+    return real, params, zero_schedule(n, "bob"), None, 1.0, np.zeros(n, dtype=complex)
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(links())
+@example(near_integer_link())
 def test_closed_form_matches_operator_product_on_random_links(link):
     real, params, rx, tx, _, _ = link
     a = effective_channel(real, params, rx, tx).matrix
@@ -320,6 +329,20 @@ def test_kernel_matches_geometric_sum():
         np.testing.assert_allclose(
             coupling_kernel(p, q, nu, delay, params), expected, atol=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 1024])
+def test_kernel_near_integer_offsets_matches_direct_sum(n):
+    # offsets a hair from an integer j: the peak (j a multiple of n) and the zeros
+    params = FrameParams(n=n, ncp=0, c1=0.0)
+    k = np.arange(n)
+    for j in (0, 1, n - 1, n, -n, 3 * n + 1):
+        for eps in (0.0, 1e-12, 9.972e-10, -9.972e-10, 1.0001e-9, -3e-9, 1e-7):
+            z = j + eps
+            # direct sum with the integer part reduced exactly: exp(-2j*pi*j*k/n) cycles mod n
+            direct = np.sum(np.exp(-2j * np.pi * ((j * k) % n) / n) * np.exp(-2j * np.pi * (z - j) * k / n))
+            got = coupling_kernel(0, 0, -z, 0, params)
+            assert abs(got - direct) <= 1e-12, (n, j, eps, abs(got - direct))
 
 
 def test_integer_doppler_single_coupling_per_row():

@@ -115,6 +115,36 @@ def test_chirp_diag_large_index_phase_precision():
     np.testing.assert_allclose(np.abs(chirp_diag(c, n)), 1.0, atol=1e-14)
 
 
+def test_scalar_chirp_is_built_once_and_read_only():
+    a = chirp_diag(0.37, 16)
+    assert chirp_diag(0.37, 16) is a
+    with pytest.raises(ValueError):
+        a[3] = 0.0
+    with pytest.raises(ValueError):
+        a *= 2.0
+    np.testing.assert_allclose(a, np.exp(-2j * np.pi * 0.37 * np.arange(16.0) ** 2), atol=1e-12)
+    # a per-index rate vector is built fresh and belongs to the caller
+    v = chirp_diag(np.full(16, 0.37), 16)
+    v[3] = 0.0
+    assert chirp_diag(np.full(16, 0.37), 16)[3] == a[3]
+
+
+def test_frames_of_equal_size_keep_their_own_c1():
+    rng = np.random.default_rng(17)
+    n = 16
+    x = random_frame(rng, n)
+    k = np.arange(n, dtype=np.float64)
+    outs = []
+    for c1 in (0.1, 0.2, 0.1, -0.1):
+        params = FrameParams(n=n, ncp=0, c1=c1)
+        expected = np.fft.fft(np.exp(-2j * np.pi * c1 * k * k) * x, norm="ortho")
+        np.testing.assert_allclose(daft(x, params, 0.0), expected, atol=1e-12)
+        outs.append(daft(x, params, 0.0))
+        np.testing.assert_allclose(idaft(outs[-1], params, 0.0), x, atol=1e-12)
+    np.testing.assert_array_equal(outs[0], outs[2])
+    assert not np.allclose(outs[0], outs[1]) and not np.allclose(outs[0], outs[3])
+
+
 @pytest.mark.parametrize("vector_c2", [False, True])
 def test_idaft_matches_double_sum(vector_c2):
     rng = np.random.default_rng(7)

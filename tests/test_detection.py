@@ -28,6 +28,7 @@ from seafdm import (
     se_afdm_modulate,
     zero_schedule,
 )
+from seafdm.detection import _band_plan
 from seafdm.keystream import C2Schedule
 
 
@@ -116,6 +117,26 @@ def test_time_domain_mmse_contracts_and_singular_channel():
     dead = ChannelRealization((PathSpec(0.0, 0, 0.0), PathSpec(0.0, 2, 1.0)))
     with pytest.raises(SolverError):
         banded_mmse_equalize(np.ones(8, dtype=complex), dead, params, 0.0)
+
+
+def test_band_plan_is_shared_and_read_only():
+    rng = np.random.default_rng(11)
+    params = FrameParams(n=12, ncp=2, c1=0.3)
+    real = sample_channel(3, 2.0, rng, n=12)
+    r = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    first = banded_mmse_equalize(r, real, params, 0.1)
+    plan = _band_plan(12, 2)
+    assert _band_plan(12, 2) is plan
+    tables = [t for t in plan if isinstance(t, np.ndarray)]
+    assert len(tables) == 6
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    np.testing.assert_array_equal(banded_mmse_equalize(r, real, params, 0.1), first)
+    # a second geometry gets its own tables and the first one's are untouched
+    assert _band_plan(12, 1) is not plan
+    banded_mmse_equalize(r[:10], sample_channel(2, 2.0, rng, n=10), FrameParams(n=10, ncp=1, c1=0.3), 0.1)
+    np.testing.assert_array_equal(banded_mmse_equalize(r, real, params, 0.1), first)
 
 
 def test_demap_exact_points_returns_labels():

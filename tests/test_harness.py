@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,6 +157,44 @@ def test_worker_count_does_not_change_results():
     serial = run_scenario(tiny_config(trials=12, workers=1))
     threaded = run_scenario(tiny_config(trials=12, workers=4))
     assert all(records_equal(s, t) for s, t in zip(serial, threaded))
+
+
+@pytest.mark.parametrize("scenario", ["eve-ber", "bob-vs-afdm-ber", "csi-error-ber"])
+def test_two_workers_match_one(scenario):
+    # the threads share the cached chirps and band plans; results must not notice
+    extra = dict(csi_error_var=1e-3) if scenario == "csi-error-ber" else {}
+    for n in (32, 48):
+        serial = run_scenario(tiny_config(scenario=scenario, n=n, trials=10, workers=1, **extra))
+        threaded = run_scenario(tiny_config(scenario=scenario, n=n, trials=10, workers=2, **extra))
+        assert all(records_equal(s, t) for s, t in zip(serial, threaded))
+
+
+def test_pool_is_capped_by_trial_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Stands in for the thread pool: records its size, runs nothing in threads."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+    threads = threading.active_count()
+    capped = run_scenario(tiny_config(trials=3, workers=8))
+    assert requested == [3]
+    assert threading.active_count() == threads
+    assert records_equal(capped[0], run_scenario(tiny_config(trials=3, workers=1))[0])
+    run_scenario(tiny_config(trials=1, workers=8))
+    assert requested == [3]  # one trial runs inline, with no pool at all
 
 
 def test_bit_count_accounting():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seafdm import (
+    DEFAULT_TAPS,
     C2Schedule,
     ContractViolation,
     Lfsr,
@@ -50,6 +55,61 @@ def test_lfsr_rejects_degenerate_inputs():
         Lfsr((1, 0), 1)
     with pytest.raises(ContractViolation):
         Lfsr((70, 1, 0), 1)
+
+
+def stepped(reg, count):
+    """The one-bit definition, kept as the reference for the word-parallel stream."""
+    return np.array([reg.step() for _ in range(count)], dtype=np.uint8)
+
+
+# x^64 + x^4 + x^3 + x + 1 is primitive; its one-bit-per-round block is the slowest case
+TAP_SETS = [DEFAULT_TAPS, (3, 1, 0), (4, 1, 0), (5, 2, 0), (64, 4, 3, 1, 0), (64, 63, 61, 60, 0)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    taps=st.sampled_from(TAP_SETS),
+    seed=st.integers(1, 2**64 - 1),
+    counts=st.lists(st.integers(0, 20_000), min_size=1, max_size=3),
+)
+def test_next_bits_equals_stepping_the_register(taps, seed, counts):
+    seed = seed % ((1 << taps[0]) - 1) + 1
+    fast, ref, whole = Lfsr(taps, seed), Lfsr(taps, seed), Lfsr(taps, seed)
+    pieces = []
+    for count in counts:
+        got = fast.next_bits(count)
+        assert got.dtype == np.uint8 and got.shape == (count,)
+        np.testing.assert_array_equal(got, stepped(ref, count))
+        assert fast.state == ref.state
+        pieces.append(got)
+    np.testing.assert_array_equal(np.concatenate(pieces), whole.next_bits(sum(counts)))
+    assert whole.state == fast.state
+
+
+@pytest.mark.parametrize("taps", TAP_SETS)
+def test_next_bits_short_counts_match_stepping(taps):
+    # every count around the register degree, where the first rounds are one tap wide
+    for count in range(0, 2 * taps[0] + 3):
+        fast, ref = Lfsr(taps, 5), Lfsr(taps, 5)
+        np.testing.assert_array_equal(fast.next_bits(count), stepped(ref, count))
+        assert fast.state == ref.state
+
+
+def test_default_stream_golden_digest():
+    # sha256 of np.packbits over the first 65,536 bits of Lfsr(seed=1), taken
+    # from the bit-serial register before next_bits became word-parallel
+    reg = Lfsr(seed=1)
+    bits = reg.next_bits(65_536)
+    digest = hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()
+    assert digest == "fd324cf23d746140422ab718d8146ecca4823b7e13d2c1aa252f5f32b7b3b6e1"
+    assert reg.state == 2638543288
+
+
+def test_negative_bit_count_is_rejected():
+    reg = Lfsr(seed=3)
+    with pytest.raises(ContractViolation):
+        reg.next_bits(-1)
+    assert reg.state == 3
 
 
 def test_same_seed_same_stream():
