@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -80,7 +81,7 @@ def _add_config_args(cmd: argparse.ArgumentParser) -> None:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict = {}
     if args.config is not None:
-        loaded = yaml.safe_load(open(args.config).read())
+        loaded = _parse_yaml(Path(args.config).read_text(), args.config)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -90,7 +91,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
-        raw[key.strip()] = yaml.safe_load(value)
+        raw[key.strip()] = _parse_yaml(value, f"--set {item}")
     config = ExperimentConfig.from_dict(raw)
     if getattr(args, "scenario", None):
         config = replace(config, scenario=args.scenario)
@@ -98,6 +99,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         values = tuple(args.bias) if args.bias else config.bias_values
         config = replace(config, scenario="bias-sweep", bias_values=values)
     return config
+
+
+def _parse_yaml(text: str, source: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML in {source}: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -103,12 +103,15 @@ class SignalBlock:
         return len(self.samples) - self.prefix_len
 
 
-def _core(s: np.ndarray, n: int, who: str) -> np.ndarray:
-    """The bare length-n core vector; a prefixed block is the wrong kind of frame."""
+def _core(s: np.ndarray, n: int, who: str, stacked: bool = False) -> np.ndarray:
+    """The bare length-n core vector; a prefixed block is the wrong kind of frame.
+
+    stacked=True also accepts leading axes, one length-n core per row.
+    """
     if isinstance(s, SignalBlock):
         raise ContractViolation(f"{who} expects the prefix-free core; remove_cpp first")
     s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (n,):
+    if s.shape[-1:] != (n,) or (s.ndim > 1 and not stacked):
         raise ContractViolation(f"{who} expects a vector of length n = {n}, got shape {s.shape}")
     return s
 
@@ -116,9 +119,10 @@ def _core(s: np.ndarray, n: int, who: str) -> np.ndarray:
 def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
     """Diagonal entries of the chirp operator, exp(-2j*pi*c*k**2) for k < n.
 
-    c is a scalar rate or a length-n vector of per-index rates.  conjugate=True
-    flips the sign of the exponent.  The quadratic argument is reduced mod 1
-    before exponentiation so large indices keep full phase precision.
+    c is a scalar rate or an array of per-index rates whose last axis has
+    length n (one rate vector per row).  conjugate=True flips the sign of the
+    exponent.  The quadratic argument is reduced mod 1 before exponentiation
+    so large indices keep full phase precision.
 
     A scalar rate (the fixed c1, or a zero schedule) gives a read-only array
     built once per (c, n, conjugate) and shared by every caller.
@@ -138,10 +142,8 @@ def _scalar_chirp(c: float, n: int, conjugate: bool) -> np.ndarray:
 def _chirp(c, n: int, conjugate: bool) -> np.ndarray:
     idx = np.arange(n, dtype=np.float64)
     rate = np.asarray(c, dtype=np.float64)
-    if rate.ndim not in (0, 1):
-        raise ContractViolation("chirp rate must be a scalar or a vector")
-    if rate.ndim == 1 and rate.shape[0] != n:
-        raise ContractViolation(f"rate vector length {rate.shape[0]} != n = {n}")
+    if rate.ndim and rate.shape[-1] != n:
+        raise ContractViolation(f"rate vector length {rate.shape[-1]} != n = {n}")
     if not np.all(np.isfinite(rate)):
         raise ContractViolation("chirp rate must be finite")
     frac = np.mod(rate * idx * idx, 1.0)
@@ -152,9 +154,11 @@ def _chirp(c, n: int, conjugate: bool) -> np.ndarray:
 def daft(s: np.ndarray, params: FrameParams, c2) -> np.ndarray:
     """Analysis transform: subcarrier symbols L(c2) F L(c1) s of the core s.
 
-    c2 may be a scalar or a per-subcarrier vector of rates.
+    s may carry leading axes, one core per row, transformed over the last
+    axis.  c2 may be a scalar, a per-subcarrier vector of rates, or one rate
+    vector per row of s.
     """
-    s = _core(s, params.n, "daft")
+    s = _core(s, params.n, "daft", stacked=True)
     y = np.fft.fft(chirp_diag(params.c1, params.n) * s, norm="ortho")
     return chirp_diag(c2, params.n) * y
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,13 @@ __all__ = [
     "demap",
     "count_errors",
 ]
+
+
+# Frame samples per stacked banded solve.  Its temporaries take about half a
+# kilobyte per sample with three paths.  Larger stacks measured hundreds of
+# page faults per call, as freed temporaries went back to the system, and ran
+# slower than separate solves.
+_STACK_SAMPLES = 1024
 
 
 def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
@@ -46,7 +54,10 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
 
 
 def banded_mmse_equalize(
-    r: np.ndarray, realization: ChannelRealization, params: FrameParams, sigma2: float
+    r: np.ndarray,
+    realization: ChannelRealization | Sequence[ChannelRealization],
+    params: FrameParams,
+    sigma2: float,
 ) -> np.ndarray:
     """s_hat = H_t^H (H_t H_t^H + sigma2 I)^{-1} r on the prefix-free received core r.
 
@@ -60,45 +71,82 @@ def banded_mmse_equalize(
     n-1-k) turns it into an ordinary Hermitian band of half-width 2L, which
     a banded Cholesky factors in O(L^2 n).  When n <= 2L several cyclic
     offsets land on the same entry, so entries are accumulated.
+
+    One realization takes r of shape (n,).  A sequence of S realizations
+    of equal max_delay takes a leading system axis, r of shape (S, n) or
+    (S, k, n) with k right-hand sides per system, and solves every system at
+    once: their folded bands sit side by side in one band whose entries
+    across a seam are zero, so each system's solution is, bit for bit, the
+    one it gets alone.  Long stacks are solved in runs of at most
+    _STACK_SAMPLES // n systems.
     """
     n = params.n
+    stacked = not isinstance(realization, ChannelRealization)
+    systems = tuple(realization) if stacked else (realization,)
     r = np.asarray(r, dtype=np.complex128)
-    if r.shape != (n,):
-        raise ContractViolation(f"received core must have shape ({n},), got {r.shape}")
+    if stacked:
+        shape_ok = bool(systems) and r.ndim in (2, 3) and r.shape[0] == len(systems)
+    else:
+        shape_ok = r.ndim == 1
+    if not shape_ok or r.shape[-1] != n:
+        want = f"({len(systems)}, [k,] {n})" if stacked else f"({n},)"
+        raise ContractViolation(f"received core must have shape {want}, got {r.shape}")
     if sigma2 < 0:
         raise ContractViolation("noise variance must be nonnegative")
-    taps = _tap_diagonals(realization, params).reshape(-1)
-    plan = _band_plan(n, realization.max_delay)
-    # lower band of the folded Gram matrix, entries summed in plan order
-    vals = taps[plan.left] * np.conj(taps[plan.right])
-    band = np.empty((plan.band_rows, n), dtype=np.complex128)
-    band.real.flat = np.bincount(plan.target, vals.real, band.size)
-    band.imag.flat = np.bincount(plan.target, vals.imag, band.size)
+    if len({real.max_delay for real in systems}) > 1:
+        raise ContractViolation("stacked systems must share one max_delay")
+    count = len(systems)
+    step = max(1, _STACK_SAMPLES // n)
+    if count > step:
+        return np.concatenate(
+            [banded_mmse_equalize(r[i : i + step], systems[i : i + step], params, sigma2) for i in range(0, count, step)]
+        )
+    plan = _band_plan(n, systems[0].max_delay, count)
+    taps = np.stack([_tap_diagonals(real, params) for real in systems]).reshape(count, -1)
+    # lower band of each folded Gram matrix, entries summed in plan order;
+    # np.take gathers along one axis row by row, which beats fancy indexing
+    # on a trailing axis when there are few systems
+    vals = np.take(taps, plan.left, axis=1) * np.conj(np.take(taps, plan.right, axis=1))
+    cols = count * n + plan.band_rows - 1
+    band = np.empty((plan.band_rows, cols), dtype=np.complex128)
+    band.real.flat = np.bincount(plan.target, vals.real.ravel(), band.size)
+    band.imag.flat = np.bincount(plan.target, vals.imag.ravel(), band.size)
     band[0] += sigma2
+    band[0, count * n :] = 1.0
     try:
         factor = cholesky_banded(band, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
-    z = np.empty(n, dtype=np.complex128)
-    z[plan.order] = cho_solve_banded((factor, True), r[plan.order], check_finite=False)
-    # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n
-    return np.sum(np.conj(taps[plan.adjoint_taps]) * z[plan.adjoint_rows], axis=0)
+    rhs = np.take(r.reshape(count, -1, n), plan.order, axis=2)
+    folded = np.zeros((cols, rhs.shape[1]), dtype=np.complex128)
+    folded[: count * n] = rhs.transpose(0, 2, 1).reshape(count * n, -1)
+    z = cho_solve_banded((factor, True), folded, check_finite=False)[: count * n].reshape(count, n, -1)
+    # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n, read from its folded position
+    adjoint = np.conj(np.take(taps, plan.adjoint_taps, axis=1))[..., None] * np.take(z, plan.adjoint_rows, axis=1)
+    return np.sum(adjoint, axis=1).transpose(0, 2, 1).reshape(r.shape)
 
 
 class _BandPlan(NamedTuple):
-    """Index tables of the banded solve; they depend only on (n, max_delay)."""
+    """Index tables of the banded solve; they depend only on (n, max_delay, systems).
+
+    The band of S stacked systems has S*n + band_rows - 1 columns: entry
+    (d, b) of system s sits at column s*n + b, and an identity block as wide
+    as the band follows the last system, so the triangular solves run the
+    same kernel lengths on every system's tail whether another system
+    follows it or not.
+    """
 
     order: np.ndarray  # folded position -> frame index
     band_rows: int
     left: np.ndarray  # flat tap index l*n + k of each kept Gram term
     right: np.ndarray  # flat tap index m*n + j of the same term
-    target: np.ndarray  # flat lower-band index (a - b)*n + b it sums into
+    target: np.ndarray  # flat stacked-band index of each system's terms, shape (S * terms,)
     adjoint_taps: np.ndarray  # flat tap index l*n + (k + l) mod n, shape (L + 1, n)
-    adjoint_rows: np.ndarray  # (k + l) mod n, shape (L + 1, n)
+    adjoint_rows: np.ndarray  # folded position of (k + l) mod n, shape (L + 1, n)
 
 
-@functools.lru_cache(maxsize=16)
-def _band_plan(n: int, max_delay: int) -> _BandPlan:
+@functools.lru_cache(maxsize=32)
+def _band_plan(n: int, max_delay: int, systems: int = 1) -> _BandPlan:
     delays = np.arange(max_delay + 1)
     idx = np.arange(n)
     order = np.empty(n, dtype=np.intp)
@@ -115,14 +163,16 @@ def _band_plan(n: int, max_delay: int) -> _BandPlan:
     a, b = pos, pos[cols]
     keep = a >= b
     rows = (idx[None, :] + delays[:, None]) % n
+    band_rows = min(2 * max_delay, n - 1) + 1
+    width = systems * n + band_rows - 1
     plan = _BandPlan(
         order=order,
-        band_rows=min(2 * max_delay, n - 1) + 1,
+        band_rows=band_rows,
         left=left[keep],
         right=right[keep],
-        target=((a - b) * n + b)[keep],
+        target=(((a - b) * width + b)[keep] + (np.arange(systems) * n)[:, None]).reshape(-1),
         adjoint_taps=delays[:, None] * n + rows,
-        adjoint_rows=rows,
+        adjoint_rows=pos[rows],
     )
     for table in plan:
         if isinstance(table, np.ndarray):
@@ -131,19 +181,25 @@ def _band_plan(n: int, max_delay: int) -> _BandPlan:
 
 
 def demap(x_hat: np.ndarray, spec: Constellation) -> np.ndarray:
-    """Nearest-point hard decision back to bits, MSB first per symbol."""
+    """Nearest-point hard decision back to bits, MSB first per symbol.
+
+    Leading axes of x_hat are kept: each row of symbols becomes a row of bits.
+    """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
-    dist = np.abs(x_hat[:, None] - spec.points[None, :])
-    labels = np.argmin(dist, axis=1)
+    dist = np.abs(x_hat[..., None] - spec.points)
+    labels = np.argmin(dist, axis=-1)
     k = spec.bits_per_symbol
     shifts = np.arange(k - 1, -1, -1)
-    bits = (labels[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(np.uint8)
+    bits = (labels[..., None] >> shifts) & 1
+    return bits.reshape(*labels.shape[:-1], -1).astype(np.uint8)
 
 
-def count_errors(sent: np.ndarray, received: np.ndarray) -> int:
+def count_errors(sent: np.ndarray, received: np.ndarray) -> int | np.ndarray:
+    """Differing bits of two bit vectors, or per row of two equal-shape stacks."""
     sent = np.asarray(sent)
     received = np.asarray(received)
     if sent.shape != received.shape:
         raise ContractViolation("bit vectors must have equal length")
-    return int(np.count_nonzero(sent != received))
+    if sent.ndim < 2:
+        return int(np.count_nonzero(sent != received))
+    return np.count_nonzero(sent != received, axis=-1)

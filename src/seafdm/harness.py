@@ -12,6 +12,13 @@ The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
 channel realization, the same noise vector and the same channel-estimate
 error as the scrambled frame (two generators built from one child sequence
 replay identical draws), so the comparison isolates the scrambling itself.
+
+With exact channel knowledge the trials of a point run serially in blocks:
+each trial draws, modulates and passes its frames through the channel on
+its own, and the trial that completes a block equalizes, transforms and
+demaps the whole block at once.  Every draw still comes from the trial's
+own seed tree, and the stacked solve gives each frame the bits it gets
+alone, so the block size changes no count.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,10 +37,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import apply_channel, effective_channel, sample_channel
+from .channel import ChannelRealization, apply_channel, effective_channel, sample_channel
 from .daft import FrameParams, daft, remove_cpp
 from .detection import banded_mmse_equalize, count_errors, demap, mmse_equalize
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ContractViolation
 from .keystream import (
     DEFAULT_TAPS,
     C2Schedule,
@@ -87,6 +95,11 @@ except metadata.PackageNotFoundError:  # running from a source tree
 
 _SEED_POLICY = "SeedSequence(seed, spawn_key=(point_index, trial_index)).spawn(8)"
 
+# Frame samples (trials times n) per exact-CSI trial block: enough frames to
+# spread each receive-side stage's fixed cost at small n, one trial per
+# block once n exceeds 1024.  Measured per-trial times are in the README.
+_BLOCK_SAMPLES = 2048
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -122,7 +135,20 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
         object.__setattr__(self, "bias_values", _as_float_tuple(self.bias_values, "bias_values", empty_ok=True))
         object.__setattr__(self, "c2max_values", _as_float_tuple(self.c2max_values, "c2max_values", empty_ok=True))
-        object.__setattr__(self, "lfsr_taps", tuple(int(t) for t in self.lfsr_taps))
+        counts = ["seed", "n", "m", "paths", "trials", "workers"]
+        if self.ncp is not None:
+            counts.append("ncp")
+        for name in counts:
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        if not isinstance(self.lfsr_taps, (list, tuple, np.ndarray)):
+            raise ConfigError(f"lfsr_taps must be a list of exponents, got {self.lfsr_taps!r}")
+        object.__setattr__(self, "lfsr_taps", tuple(_as_int(t, "lfsr_taps entry") for t in self.lfsr_taps))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        try:
+            Lfsr(self.lfsr_taps)
+        except ContractViolation as exc:
+            raise ConfigError(f"lfsr_taps {self.lfsr_taps}: {exc}") from exc
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; known: {SCENARIOS}")
         if self.eve_mode not in EVE_MODES:
@@ -207,6 +233,13 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
+def _as_int(value, name: str) -> int:
+    # bool is an int subclass, but true/false in a YAML file is no count
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_float_tuple(value, name: str, empty_ok: bool = False) -> tuple[float, ...]:
     if np.isscalar(value):
         value = (value,)
@@ -265,6 +298,46 @@ def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.nda
     return matrix + err
 
 
+def _block_size(n: int) -> int:
+    """Exact-CSI trials per block."""
+    return max(1, _BLOCK_SAMPLES // n)
+
+
+class _Block:
+    """Exact-CSI trials of one sweep point whose receive side runs as one stack.
+
+    Each trial parks its data bits and one system per channel it sampled:
+    the realization, the received cores that went through it (that system's
+    right-hand sides) and, per core, the DAFT rate that maps its solution to
+    the receiver's symbols.  The trial that fills the block equalizes,
+    transforms and demaps every parked core at once.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.bits: list[np.ndarray] = []
+        self.realizations: list[ChannelRealization] = []
+        self.cores: list[list[np.ndarray]] = []
+        self.rates: list[list[np.ndarray]] = []
+
+    def park(self, bits: np.ndarray, systems: list[tuple[ChannelRealization, list, list]]) -> bool:
+        """Add one trial; True once the block is full."""
+        self.bits.append(bits)
+        for realization, cores, rates in systems:
+            self.realizations.append(realization)
+            self.cores.append(cores)
+            self.rates.append(rates)
+        return len(self.bits) == self.size
+
+    def finish(self, params: FrameParams, const: Constellation, sigma2: float) -> list[int]:
+        """Bit errors per receiver summed over the block, in the order each trial parked its cores."""
+        s_hat = banded_mmse_equalize(np.array(self.cores), self.realizations, params, sigma2)
+        received = demap(daft(s_hat, params, np.array(self.rates)), const)
+        received = received.reshape(self.size, -1, received.shape[-1])
+        sent = np.broadcast_to(np.array(self.bits)[:, None, :], received.shape)
+        return count_errors(sent, received).sum(axis=0).tolist()
+
+
 def _run_trial(
     config: ExperimentConfig,
     point_idx: int,
@@ -273,8 +346,14 @@ def _run_trial(
     bias: float,
     need_eve: bool,
     need_afdm: bool,
+    block: _Block | None = None,
 ) -> tuple[int, int, int, int]:
-    """One frame end to end; returns (bob, eve, afdm, bits) error counts."""
+    """One frame end to end; returns the (bob, eve, afdm, bits) error counts it completes.
+
+    With exact CSI (``block`` given) the frame's receive side waits in the
+    block: the call parks the received cores and completes nothing, unless
+    it fills the block, in which case it finishes every parked frame.
+    """
     params = config.frame_params
     book = config.codebook
     const = config.constellation
@@ -289,7 +368,6 @@ def _run_trial(
 
     state = _draw_lfsr_state(np.random.default_rng(ss_key), config.lfsr_taps)
     alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
-    rng_csi = np.random.default_rng(ss_csi)
 
     def channel(ss_channel, label=""):
         rng = np.random.default_rng(ss_channel)
@@ -297,44 +375,68 @@ def _run_trial(
             config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler, label=label
         )
 
-    def receive(front_end, realization, tx, ss_noise, sched_rx, sched_tx, rng_err):
-        """Channel, then MMSE: the symbol estimate.
+    realization = channel(ss_chb)
+    tx = se_afdm_modulate(x, params, alice)
+    if need_afdm:
+        a0 = zero_schedule(n, "alice")
+        tx0 = se_afdm_modulate(x, params, a0)
+    if need_eve:
+        guess = _eve_guess(config.eve_mode, alice, book, np.random.default_rng(ss_eve), bias)
+        eve_channel = channel(ss_che, "eve")
 
-        Exact CSI takes the banded time-domain solve seen through the transmit
-        DAFT, which equals the subcarrier-domain MMSE (the receiver's own DAFT
-        cancels).  Imperfect CSI perturbs the dense subcarrier matrix, so it
-        runs front end, effective matrix, CSI error and dense MMSE.
-        """
-        r = apply_channel(tx, realization, np.random.default_rng(ss_noise), sigma2)
-        if config.csi_error_var == 0.0:
-            s_hat = banded_mmse_equalize(remove_cpp(r, params), realization, params, sigma2)
-            return daft(s_hat, params, 0.0 if sched_tx is None else sched_tx.values)
+    if block is not None:
+        # exact CSI: the banded time-domain solve seen through the transmit
+        # DAFT equals the subcarrier-domain MMSE (the receiver's own DAFT
+        # cancels), so each receiver parks its prefix-free received core
+        def core(signal, link, ss_noise):
+            return remove_cpp(apply_channel(signal, link, np.random.default_rng(ss_noise), sigma2), params)
+
+        bob_system = (realization, [core(tx, realization, ss_nb)], [alice.values])
+        if need_afdm:
+            # the plain-AFDM frame replays Bob's noise through Bob's channel:
+            # a second right-hand side of his system
+            bob_system[1].append(core(tx0, realization, ss_nb))
+            bob_system[2].append(np.zeros(n))
+        systems = [bob_system]
+        if need_eve:
+            # she does not undo the transmit schedule; her DAFT at rate zero
+            # followed by descramble(guess) is her DAFT at the guessed rates
+            systems.append((eve_channel, [core(tx, eve_channel, ss_ne)], [guess.values]))
+        if not block.park(bits, systems):
+            return 0, 0, 0, 0
+        counts = iter(block.finish(params, const, sigma2))
+        bob_err = next(counts)
+        afdm_err = next(counts) if need_afdm else 0
+        eve_err = next(counts) if need_eve else 0
+        return bob_err, eve_err, afdm_err, block.size * bits.size
+
+    rng_csi = np.random.default_rng(ss_csi)
+
+    def receive(front_end, link, signal, ss_noise, sched_rx, sched_tx, rng_err):
+        """Imperfect CSI perturbs the dense subcarrier matrix, so it runs
+        front end, effective matrix, CSI error and dense MMSE."""
+        r = apply_channel(signal, link, np.random.default_rng(ss_noise), sigma2)
         y = front_end(r, params, sched_rx)
-        h = effective_channel(realization, params, sched_rx, sched_tx).matrix
+        h = effective_channel(link, params, sched_rx, sched_tx).matrix
         h = _perturb(h, rng_err, config.csi_error_var)  # frees the exact matrix before the solve
         return mmse_equalize(y, h, sigma2)
 
     def errors(x_hat):
         return count_errors(bits, demap(x_hat, const))
 
-    realization = channel(ss_chb)
-    tx = se_afdm_modulate(x, params, alice)
     bob = C2Schedule(alice.values, "bob")
     bob_err = errors(receive(bob_front_end, realization, tx, ss_nb, bob, alice, rng_csi))
 
     eve_err = 0
     if need_eve:
-        guess = _eve_guess(config.eve_mode, alice, book, np.random.default_rng(ss_eve), bias)
         # she knows her own front end, not the transmit schedule
-        scrambled_hat = receive(eve_front_end, channel(ss_che, "eve"), tx, ss_ne, guess, None, rng_csi)
+        scrambled_hat = receive(eve_front_end, eve_channel, tx, ss_ne, guess, None, rng_csi)
         eve_err = errors(descramble(scrambled_hat, guess))
 
     afdm_err = 0
     if need_afdm:
-        a0, b0 = zero_schedule(n, "alice"), zero_schedule(n, "bob")
-        tx0 = se_afdm_modulate(x, params, a0)
         # fresh generators from Bob's child sequences replay his noise and CSI error
-        x0 = receive(bob_front_end, realization, tx0, ss_nb, b0, a0, np.random.default_rng(ss_csi))
+        x0 = receive(bob_front_end, realization, tx0, ss_nb, zero_schedule(n, "bob"), a0, np.random.default_rng(ss_csi))
         afdm_err = errors(x0)
 
     return bob_err, eve_err, afdm_err, bits.size
@@ -350,12 +452,19 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
     need_eve = config.scenario in ("eve-ber", "csi-error-ber", "bias-sweep")
     need_afdm = config.scenario == "bob-vs-afdm-ber"
 
-    def one(trial_idx: int) -> tuple[int, int, int, int]:
-        return _run_trial(config, point_idx, trial_idx, sigma2, bias, need_eve, need_afdm)
+    def one(trial_idx: int, block: _Block | None = None) -> tuple[int, int, int, int]:
+        return _run_trial(config, point_idx, trial_idx, sigma2, bias, need_eve, need_afdm, block)
 
     workers = min(config.workers, config.trials)
     start = time.perf_counter()
-    if workers > 1:
+    if config.csi_error_var == 0.0:
+        # serial blocks: the stacked receive side leaves a thread nothing to overlap
+        outcomes = []
+        size = _block_size(config.n)
+        for first in range(0, config.trials, size):
+            block = _Block(min(size, config.trials - first))
+            outcomes += [one(t, block) for t in range(first, first + block.size)]
+    elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(config.trials)))
     else:

@@ -94,6 +94,44 @@ def test_dead_noiseless_channel_exits_4(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "dead.csv").exists()
 
 
+def test_solver_error_while_a_block_finishes_exits_4(tmp_path, monkeypatch, capsys):
+    # the third frame's channel is dead; its block fails when its last trial finishes it
+    calls = []
+    live = harness.sample_channel
+
+    def third_dead(path_count, alpha_max, rng, *, n, integer_doppler=False, label=""):
+        calls.append(label)
+        if len(calls) == 5:  # Bob's and Eve's channels alternate: this is trial 2's Bob
+            return ChannelRealization(tuple(PathSpec(0.0, l, 0.0) for l in range(path_count)), label)
+        return live(path_count, alpha_max, rng, n=n, integer_doppler=integer_doppler, label=label)
+
+    monkeypatch.setattr(harness, "sample_channel", third_dead)
+    monkeypatch.setattr(harness, "_block_size", lambda n: 4)
+    argv = ["simulate", "--set", "n=16", "--set", "trials=6", "--set", "snr_db=[.inf]"]
+    assert main([*argv, "--out", str(tmp_path / "dead.csv")]) == 4
+    assert "numeric error:" in capsys.readouterr().err
+    assert len(calls) == 8  # the failure surfaced when trial 3 completed the first block
+    assert not (tmp_path / "dead.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["seed=-1", "seed=1.5", "trials=2.5", "paths=2.5", "workers=2.5", "ncp=true", "lfsr_taps=[5, 2]"],
+)
+def test_bad_integer_field_exits_2(override, capsys):
+    assert main(["simulate", "--set", "n=32", "--set", override]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("n: [32\npaths: 2\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["simulate", "--set", "snr_db=[10, 20"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_3(capsys):
     assert main(["simulate", "--config", "/nonexistent/exp.yaml"]) == 3
     assert "io error:" in capsys.readouterr().err

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seafdm import (
     ChannelRealization,
@@ -28,6 +30,7 @@ from seafdm import (
     se_afdm_modulate,
     zero_schedule,
 )
+from seafdm import detection
 from seafdm.detection import _band_plan
 from seafdm.keystream import C2Schedule
 
@@ -117,6 +120,73 @@ def test_time_domain_mmse_contracts_and_singular_channel():
     dead = ChannelRealization((PathSpec(0.0, 0, 0.0), PathSpec(0.0, 2, 1.0)))
     with pytest.raises(SolverError):
         banded_mmse_equalize(np.ones(8, dtype=complex), dead, params, 0.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    systems=st.integers(1, 6),
+    n=st.integers(2, 80),
+    paths=st.integers(1, 5),
+    rhs=st.integers(1, 2),
+    log_sigma2=st.floats(-4.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    run=st.sampled_from([1, 2, 3, None]),
+)
+def test_stacked_solve_equals_each_system_alone(systems, n, paths, rhs, log_sigma2, seed, run):
+    # small n puts n <= 2 * max_delay in play; run caps the systems per stacked solve
+    rng = np.random.default_rng(seed)
+    paths = min(paths, n)
+    params = FrameParams(n=n, ncp=paths - 1, c1=rng.uniform(-1.0, 1.0))
+    sigma2 = 10.0**log_sigma2
+    reals = [sample_channel(paths, 2.0, rng, n=n) for _ in range(systems)]
+    r = rng.standard_normal((systems, rhs, n)) + 1j * rng.standard_normal((systems, rhs, n))
+    if rhs == 1 and rng.integers(0, 2):
+        r = r[:, 0]  # one right-hand side may also come without its axis
+    limit = detection._STACK_SAMPLES
+    try:
+        if run is not None:
+            detection._STACK_SAMPLES = run * n
+        stacked = banded_mmse_equalize(r, reals, params, sigma2)
+    finally:
+        detection._STACK_SAMPLES = limit
+    assert stacked.shape == r.shape
+    for s, real in enumerate(reals):
+        for j in range(rhs):
+            alone = banded_mmse_equalize(r.reshape(systems, rhs, n)[s, j], real, params, sigma2)
+            assert stacked.reshape(systems, rhs, n)[s, j].tobytes() == alone.tobytes()
+
+
+def test_stacked_solve_contracts():
+    params = FrameParams(n=8, ncp=2, c1=0.1)
+    real = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 2, 0.3)))
+    for shape in [(3, 8), (2, 2, 2, 8), (2, 7), (8,)]:
+        with pytest.raises(ContractViolation):
+            banded_mmse_equalize(np.ones(shape, dtype=complex), [real, real], params, 0.1)
+    with pytest.raises(ContractViolation):
+        banded_mmse_equalize(np.ones((0, 8), dtype=complex), [], params, 0.1)
+    with pytest.raises(ContractViolation):
+        banded_mmse_equalize(np.ones((2, 8), dtype=complex), real, params, 0.1)
+    short = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 1, 0.3)))
+    with pytest.raises(ContractViolation, match="max_delay"):
+        banded_mmse_equalize(np.ones((2, 8), dtype=complex), [real, short], params, 0.1)
+    dead = ChannelRealization((PathSpec(0.0, 0, 0.0), PathSpec(0.0, 2, 1.0)))
+    with pytest.raises(SolverError):
+        banded_mmse_equalize(np.ones((2, 8), dtype=complex), [real, dead], params, 0.0)
+
+
+def test_demap_and_count_errors_keep_leading_axes():
+    spec = qpsk()
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 2, 16)) + 1j * rng.standard_normal((3, 2, 16))
+    bits = demap(x, spec)
+    assert bits.shape == (3, 2, 32)
+    sent = rng.integers(0, 2, size=(3, 2, 32))
+    counts = count_errors(sent, bits)
+    assert counts.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            np.testing.assert_array_equal(bits[i, j], demap(x[i, j], spec))
+            assert counts[i, j] == count_errors(sent[i, j], bits[i, j])
 
 
 def test_band_plan_is_shared_and_read_only():

@@ -94,6 +94,23 @@ def test_config_rejects_unknown_keys():
         {"scenario": "csi-error-ber", "csi_error_var": 0.0},
         {"modulation": "qam7"},
         {"m": 1},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"n": 32.0},
+        {"n": "32"},
+        {"m": 4.0},
+        {"paths": 2.5},
+        {"trials": 2.5},
+        {"trials": True},
+        {"workers": 2.5},
+        {"ncp": 1.5},
+        {"ncp": False},
+        {"lfsr_taps": (5, 2)},
+        {"lfsr_taps": (65, 1, 0)},
+        {"lfsr_taps": (1, 0)},
+        {"lfsr_taps": (5.5, 2, 0)},
+        {"lfsr_taps": 5},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -189,12 +206,52 @@ def test_pool_is_capped_by_trial_count(monkeypatch):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
     threads = threading.active_count()
-    capped = run_scenario(tiny_config(trials=3, workers=8))
+    # only CSI-error runs, which keep the dense per-trial solve, use a pool
+    dense = dict(scenario="csi-error-ber", csi_error_var=1e-3)
+    capped = run_scenario(tiny_config(trials=3, workers=8, **dense))
     assert requested == [3]
     assert threading.active_count() == threads
-    assert records_equal(capped[0], run_scenario(tiny_config(trials=3, workers=1))[0])
-    run_scenario(tiny_config(trials=1, workers=8))
+    assert records_equal(capped[0], run_scenario(tiny_config(trials=3, workers=1, **dense))[0])
+    run_scenario(tiny_config(trials=1, workers=8, **dense))
     assert requested == [3]  # one trial runs inline, with no pool at all
+    run_scenario(tiny_config(trials=20, workers=8))
+    assert requested == [3]  # exact CSI runs its trial blocks serially
+
+
+BLOCK_SCENARIOS = [
+    tiny_config(n=32, paths=3, trials=20, snr_db=(6.0, 14.0), seed=31),
+    tiny_config(n=32, paths=3, trials=20, snr_db=(10.0,), seed=32, eve_mode="random"),
+    tiny_config(n=32, paths=3, trials=20, snr_db=(10.0,), seed=33, eve_mode="biased", eve_bias=1e-3),
+    tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(4.0, 10.0), seed=34),
+    tiny_config(scenario="bias-sweep", n=32, paths=2, trials=20, snr_db=(12.0,), seed=35, bias_values=(0.0, 1e-3)),
+    tiny_config(n=1024, paths=3, trials=7, snr_db=(8.0,), seed=36),
+]
+
+
+@pytest.mark.parametrize("cfg", BLOCK_SCENARIOS, ids=lambda c: f"{c.scenario}-{c.eve_mode}-n{c.n}")
+def test_trial_blocks_do_not_change_records(cfg, monkeypatch):
+    default = harness._block_size(cfg.n)
+    assert cfg.trials % default and cfg.trials % 3  # a short last block at every size
+    solves = []
+    banded = harness.banded_mmse_equalize
+
+    def counted(r, realizations, params, sigma2):
+        solves.append(len(realizations))
+        return banded(r, realizations, params, sigma2)
+
+    monkeypatch.setattr(harness, "banded_mmse_equalize", counted)
+    records = {}
+    for size in (1, 3, default):
+        monkeypatch.setattr(harness, "_block_size", lambda n, size=size: size)
+        solves.clear()
+        records[size] = run_scenario(cfg)
+        points = len(records[size])
+        assert len(solves) == -(-cfg.trials // size) * points  # one stacked solve per block
+        per_trial = 1 if cfg.scenario == "bob-vs-afdm-ber" else 2  # Bob's system, and Eve's
+        assert sum(solves) == cfg.trials * per_trial * points
+    for size in (3, default):
+        assert all(records_equal(a, b) for a, b in zip(records[1], records[size]))
+    assert any(r.bob_ber > 0 for r in records[1])
 
 
 def test_bit_count_accounting():
