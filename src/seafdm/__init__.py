@@ -6,142 +6,47 @@ handling in :mod:`seafdm.keystream`, the transmit/receive chains in
 :mod:`seafdm.channel`, MMSE detection in :mod:`seafdm.detection`,
 closed-form security analytics in :mod:`seafdm.sinr`, and the experiment
 harness plus CLI in :mod:`seafdm.harness` / :mod:`seafdm.cli`.
+
+The package root exports the experiment entry points and the one-frame
+chain that the README walks through; everything else is imported from
+its submodule.
 """
 
-from .channel import (
-    ChannelRealization,
-    EffectiveChannel,
-    PathSpec,
-    apply_channel,
-    awgn,
-    coupling_kernel,
-    effective_channel,
-    effective_channel_closed_form,
-    sample_channel,
-)
-from .daft import (
-    FrameParams,
-    SignalBlock,
-    add_cpp,
-    chirp_diag,
-    daft,
-    daft_matrix,
-    idaft,
-    remove_cpp,
-)
-from .detection import banded_mmse_equalize, count_errors, demap, mmse_equalize
+from .channel import apply_channel, effective_channel, effective_channel_closed_form, sample_channel
+from .daft import FrameParams
+from .detection import count_errors, demap, mmse_equalize
 from .exceptions import ConfigError, ContractViolation, SolverError
-from .harness import (
-    EVE_MODES,
-    SCENARIOS,
-    ExperimentConfig,
-    TrialRecord,
-    emit_csv,
-    read_csv,
-    run_scenario,
-    run_sinr_curve,
-    search_space_summary,
-    wilson,
-)
-from .keystream import (
-    DEFAULT_TAPS,
-    C2Schedule,
-    Codebook,
-    Lfsr,
-    bias_between,
-    build_codebook,
-    generate_schedule,
-    search_space_bits,
-    zero_schedule,
-)
-from .sinr import (
-    SinrCurve,
-    eve_sinr_curve,
-    measured_sinr,
-    sa,
-    sinr_eve_average,
-    sinr_eve_measured,
-    sinr_eve_saturated,
-    sinr_eve_symbol,
-    sinr_eve_symbol_discrete,
-)
-from .waveform import (
-    Constellation,
-    bob_front_end,
-    constellation_by_name,
-    descramble,
-    eve_front_end,
-    map_bits,
-    qam16,
-    qpsk,
-    schedule_phases,
-    se_afdm_modulate,
-)
+from .harness import ExperimentConfig, run_scenario
+from .keystream import DEFAULT_TAPS, C2Schedule, Lfsr, build_codebook, generate_schedule, zero_schedule
+from .waveform import bob_front_end, descramble, eve_front_end, map_bits, qpsk, se_afdm_modulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization",
-    "EffectiveChannel",
-    "PathSpec",
-    "apply_channel",
-    "awgn",
-    "coupling_kernel",
-    "effective_channel",
-    "effective_channel_closed_form",
-    "sample_channel",
-    "FrameParams",
-    "SignalBlock",
-    "add_cpp",
-    "chirp_diag",
-    "daft",
-    "daft_matrix",
-    "idaft",
-    "remove_cpp",
-    "banded_mmse_equalize",
-    "count_errors",
-    "demap",
-    "mmse_equalize",
+    "ExperimentConfig",
+    "run_scenario",
     "ConfigError",
     "ContractViolation",
     "SolverError",
-    "EVE_MODES",
-    "SCENARIOS",
-    "ExperimentConfig",
-    "TrialRecord",
-    "emit_csv",
-    "read_csv",
-    "run_scenario",
-    "run_sinr_curve",
-    "search_space_summary",
-    "wilson",
-    "DEFAULT_TAPS",
     "C2Schedule",
-    "Codebook",
+    "DEFAULT_TAPS",
+    "FrameParams",
     "Lfsr",
-    "bias_between",
-    "build_codebook",
-    "generate_schedule",
-    "search_space_bits",
-    "zero_schedule",
-    "SinrCurve",
-    "eve_sinr_curve",
-    "measured_sinr",
-    "sa",
-    "sinr_eve_average",
-    "sinr_eve_measured",
-    "sinr_eve_saturated",
-    "sinr_eve_symbol",
-    "sinr_eve_symbol_discrete",
-    "Constellation",
+    "apply_channel",
     "bob_front_end",
-    "constellation_by_name",
-    "descramble",
     "eve_front_end",
+    "build_codebook",
+    "count_errors",
+    "demap",
+    "descramble",
+    "effective_channel",
+    "effective_channel_closed_form",
+    "generate_schedule",
     "map_bits",
-    "qam16",
+    "mmse_equalize",
     "qpsk",
-    "schedule_phases",
+    "sample_channel",
     "se_afdm_modulate",
+    "zero_schedule",
     "__version__",
 ]

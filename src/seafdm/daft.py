@@ -39,7 +39,6 @@ __all__ = [
     "idaft",
     "add_cpp",
     "remove_cpp",
-    "daft_matrix",
 ]
 
 
@@ -168,12 +167,6 @@ def idaft(x: np.ndarray, params: FrameParams, c2) -> np.ndarray:
     x = _core(x, params.n, "idaft")
     s = np.fft.ifft(chirp_diag(c2, params.n, conjugate=True) * x, norm="ortho")
     return chirp_diag(params.c1, params.n, conjugate=True) * s
-
-
-def daft_matrix(n: int, c1: float, c2) -> np.ndarray:
-    """Dense analysis matrix L(c2) F L(c1); c2 scalar or per-subcarrier."""
-    f = np.fft.fft(np.eye(n), axis=0, norm="ortho")
-    return chirp_diag(c2, n)[:, None] * f * chirp_diag(c1, n)[None, :]
 
 
 def add_cpp(s: np.ndarray, params: FrameParams) -> SignalBlock:

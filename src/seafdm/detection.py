@@ -55,11 +55,11 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
 
 def banded_mmse_equalize(
     r: np.ndarray,
-    realization: ChannelRealization | Sequence[ChannelRealization],
+    realizations: Sequence[ChannelRealization],
     params: FrameParams,
     sigma2: float,
 ) -> np.ndarray:
-    """s_hat = H_t^H (H_t H_t^H + sigma2 I)^{-1} r on the prefix-free received core r.
+    """s_hat = H_t^H (H_t H_t^H + sigma2 I)^{-1} r on prefix-free received cores r.
 
     H_t is the circular time-domain channel, so with exact channel knowledge
     the subcarrier-domain MMSE estimate of any receiver is daft(s_hat) under
@@ -72,25 +72,18 @@ def banded_mmse_equalize(
     a banded Cholesky factors in O(L^2 n).  When n <= 2L several cyclic
     offsets land on the same entry, so entries are accumulated.
 
-    One realization takes r of shape (n,).  A sequence of S realizations
-    of equal max_delay takes a leading system axis, r of shape (S, n) or
-    (S, k, n) with k right-hand sides per system, and solves every system at
-    once: their folded bands sit side by side in one band whose entries
-    across a seam are zero, so each system's solution is, bit for bit, the
-    one it gets alone.  Long stacks are solved in runs of at most
-    _STACK_SAMPLES // n systems.
+    realizations holds S channels of equal max_delay and r has shape
+    (S, k, n), k right-hand sides per system; the result has the shape of r.
+    Every system is solved at once: their folded bands sit side by side in
+    one band whose entries across a seam are zero, so each system's
+    solution is, bit for bit, the one it gets alone.  Long stacks are
+    solved in runs of at most _STACK_SAMPLES // n systems.
     """
     n = params.n
-    stacked = not isinstance(realization, ChannelRealization)
-    systems = tuple(realization) if stacked else (realization,)
+    systems = tuple(realizations)
     r = np.asarray(r, dtype=np.complex128)
-    if stacked:
-        shape_ok = bool(systems) and r.ndim in (2, 3) and r.shape[0] == len(systems)
-    else:
-        shape_ok = r.ndim == 1
-    if not shape_ok or r.shape[-1] != n:
-        want = f"({len(systems)}, [k,] {n})" if stacked else f"({n},)"
-        raise ContractViolation(f"received core must have shape {want}, got {r.shape}")
+    if not systems or r.ndim != 3 or r.shape[0] != len(systems) or r.shape[2] != n:
+        raise ContractViolation(f"received cores must have shape ({len(systems)}, k, {n}), got {r.shape}")
     if sigma2 < 0:
         raise ContractViolation("noise variance must be nonnegative")
     if len({real.max_delay for real in systems}) > 1:
@@ -117,13 +110,13 @@ def banded_mmse_equalize(
         factor = cholesky_banded(band, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
-    rhs = np.take(r.reshape(count, -1, n), plan.order, axis=2)
+    rhs = np.take(r, plan.order, axis=2)
     folded = np.zeros((cols, rhs.shape[1]), dtype=np.complex128)
     folded[: count * n] = rhs.transpose(0, 2, 1).reshape(count * n, -1)
     z = cho_solve_banded((factor, True), folded, check_finite=False)[: count * n].reshape(count, n, -1)
     # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n, read from its folded position
     adjoint = np.conj(np.take(taps, plan.adjoint_taps, axis=1))[..., None] * np.take(z, plan.adjoint_rows, axis=1)
-    return np.sum(adjoint, axis=1).transpose(0, 2, 1).reshape(r.shape)
+    return np.sum(adjoint, axis=1).transpose(0, 2, 1)
 
 
 class _BandPlan(NamedTuple):

@@ -24,6 +24,7 @@ alone, so the block size changes no count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
@@ -35,7 +36,6 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .channel import ChannelRealization, apply_channel, effective_channel, sample_channel
 from .daft import FrameParams, daft, remove_cpp
@@ -140,6 +140,8 @@ class ExperimentConfig:
             counts.append("ncp")
         for name in counts:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name in ("c2max", "alpha_max", "eve_bias", "csi_error_var"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         if not isinstance(self.lfsr_taps, (list, tuple, np.ndarray)):
             raise ConfigError(f"lfsr_taps must be a list of exponents, got {self.lfsr_taps!r}")
         object.__setattr__(self, "lfsr_taps", tuple(_as_int(t, "lfsr_taps entry") for t in self.lfsr_taps))
@@ -182,12 +184,13 @@ class ExperimentConfig:
             raise ConfigError("bias-sweep needs a nonempty bias_values list")
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
-        # fail fast on geometry the properties would reject later
+        # fail fast on geometry the properties would reject later; each is
+        # then resolved once per config and shared by every trial
         self.frame_params
         self.codebook
         self.constellation
 
-    @property
+    @functools.cached_property
     def frame_params(self) -> FrameParams:
         ncp = self.ncp if self.ncp is not None else self.paths - 1
         try:
@@ -195,14 +198,14 @@ class ExperimentConfig:
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
 
-    @property
+    @functools.cached_property
     def codebook(self) -> Codebook:
         try:
             return build_codebook(self.c2max, self.m)
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
 
-    @property
+    @functools.cached_property
     def constellation(self) -> Constellation:
         try:
             return constellation_by_name(self.modulation)
@@ -224,14 +227,6 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        text = Path(path).read_text()
-        raw = yaml.safe_load(text)
-        if raw is None:
-            raw = {}
-        return cls.from_dict(raw)
-
 
 def _as_int(value, name: str) -> int:
     # bool is an int subclass, but true/false in a YAML file is no count
@@ -240,10 +235,20 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _as_float(value, name: str) -> float:
+    # YAML 1.1 reads 1e-4 (no dot) as a string, which float() parses; true/false is no number
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _as_float_tuple(value, name: str, empty_ok: bool = False) -> tuple[float, ...]:
     if np.isscalar(value):
         value = (value,)
-    out = tuple(float(v) for v in value)
+    out = tuple(_as_float(v, f"{name} entry") for v in value)
     if not empty_ok and not out:
         raise ConfigError(f"{name} must not be empty")
     return out

@@ -24,7 +24,6 @@ __all__ = [
     "C2Schedule",
     "zero_schedule",
     "generate_schedule",
-    "bias_between",
     "search_space_bits",
 ]
 
@@ -173,15 +172,6 @@ def generate_schedule(state: Lfsr, book: Codebook, n: int, owner: str = "alice")
     bits = state.next_bits(n * k).reshape(n, k).astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1)
     return C2Schedule(book.levels[bits @ weights], owner)
-
-
-def bias_between(sched_a: C2Schedule, sched_b: C2Schedule) -> float:
-    """Sup-norm distance between two schedules (the eavesdropper's guess error)."""
-    if len(sched_a) != len(sched_b):
-        raise ContractViolation("schedules must have equal length to compare")
-    if len(sched_a) == 0:
-        return 0.0
-    return float(np.max(np.abs(sched_a.values - sched_b.values)))
 
 
 def search_space_bits(book: Codebook, n: int) -> int:

@@ -22,9 +22,6 @@ __all__ = [
     "sinr_eve_symbol",
     "sinr_eve_symbol_discrete",
     "sinr_eve_average",
-    "sinr_eve_saturated",
-    "sinr_eve_measured",
-    "measured_sinr",
     "SinrCurve",
     "eve_sinr_curve",
 ]
@@ -73,32 +70,6 @@ def sinr_eve_symbol_discrete(p, gamma: float, book) -> np.ndarray:
     return gamma / (2.0 * gamma * leak + 1.0)
 
 
-def sinr_eve_measured(
-    trials: int,
-    p: int,
-    gamma: float,
-    book,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo counterpart of :func:`sinr_eve_symbol`.
-
-    Draws the unknown rate continuous-uniform on [-c2max, c2max], measures
-    the empirical residual power E|exp(2j*pi*c2*p**2) - 1|^2, and returns
-    1 / (that + 1/gamma) for unit-energy symbols.
-    """
-    _check_gamma(gamma)
-    if trials < 1:
-        raise ContractViolation("trial count must be positive")
-    if p < 0:
-        raise ContractViolation("subcarrier index must be nonnegative")
-    c2 = rng.uniform(-book.c2max, book.c2max, size=trials)
-    residual = np.exp(2j * np.pi * c2 * float(p * p)) - 1.0
-    interference = float(np.mean(np.abs(residual) ** 2))
-    if interference == 0.0:
-        return float(gamma)
-    return float(1.0 / (interference + 1.0 / gamma))
-
-
 def sinr_eve_average(n: int, gamma: float, c2max: float) -> float:
     """Arithmetic mean of the per-subcarrier eavesdropper SINR over a frame."""
     if n < 1:
@@ -109,37 +80,6 @@ def sinr_eve_average(n: int, gamma: float, c2max: float) -> float:
         # perturb the mean of a constant vector away from the receive SNR
         return float(values[0])
     return float(np.mean(values))
-
-
-def sinr_eve_saturated(n: int, gamma: float) -> float:
-    """Large-c2max limit of the frame average: (gamma + (n-1)*gamma/(2*gamma+1))/n.
-
-    Every scrambled subcarrier floors at gamma/(2*gamma+1), which is below
-    one (0 dB) for any gamma; only the untouched p = 0 term keeps gamma.
-    At high SNR the floor approaches 1/2, hence the -3 dB wall.
-    """
-    if n < 1:
-        raise ContractViolation("frame size must be positive")
-    _check_gamma(gamma)
-    floor = gamma / (2.0 * gamma + 1.0)
-    return float((gamma + (n - 1) * floor) / n)
-
-
-def measured_sinr(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Empirical SINR of an estimate: useful-projection power over the rest."""
-    x = np.asarray(x, dtype=np.complex128)
-    x_hat = np.asarray(x_hat, dtype=np.complex128)
-    if x.shape != x_hat.shape or x.ndim != 1 or not x.size:
-        raise ContractViolation("need two equal-length nonempty vectors")
-    denom = np.vdot(x, x).real
-    if denom == 0.0:
-        raise ContractViolation("reference signal has zero energy")
-    a = np.vdot(x, x_hat) / denom
-    err = x_hat - a * x
-    noise = np.vdot(err, err).real
-    if noise == 0.0:
-        return float("inf")
-    return float((abs(a) ** 2) * denom / noise)
 
 
 @dataclass(frozen=True)

@@ -12,25 +12,22 @@ import numpy as np
 import pytest
 
 from seafdm import (
-    ChannelRealization,
     ExperimentConfig,
     FrameParams,
-    PathSpec,
     build_codebook,
-    daft,
-    daft_matrix,
     effective_channel,
     effective_channel_closed_form,
-    emit_csv,
-    idaft,
     run_scenario,
     sample_channel,
-    sinr_eve_average,
-    sinr_eve_measured,
-    sinr_eve_symbol,
     zero_schedule,
 )
+from seafdm.channel import ChannelRealization, PathSpec
+from seafdm.daft import daft, idaft
+from seafdm.harness import emit_csv
 from seafdm.keystream import C2Schedule
+from seafdm.sinr import sinr_eve_average, sinr_eve_symbol
+
+from oracles import daft_matrix, sinr_eve_measured
 
 
 def _verdict(ok: bool, tag: str, detail: str) -> str:

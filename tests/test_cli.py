@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from seafdm import ChannelRealization, PathSpec, harness, read_csv
-from seafdm.cli import main
+from seafdm import ExperimentConfig, harness
+from seafdm.channel import ChannelRealization, PathSpec
+from seafdm.cli import _load_config, build_parser, main
+from seafdm.harness import read_csv
 
 
 def test_selftest_passes(capsys):
@@ -59,6 +61,39 @@ def test_config_file_plus_override(tmp_path):
     out = tmp_path / "cfg.csv"
     assert main(["simulate", "--config", str(cfg), "--set", "seed=11", "--out", str(out)]) == 0
     assert read_csv(out)[0].seed == 11
+
+
+def load(*argv):
+    return _load_config(build_parser().parse_args(["simulate", *argv]))
+
+
+def test_config_from_yaml(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("scenario: eve-ber\nn: 32\npaths: 2\nsnr_db: [10, 20]\ntrials: 5\n")
+    cfg = load("--config", str(path))
+    assert cfg.n == 32
+    assert cfg.snr_db == (10.0, 20.0)
+    assert cfg.trials == 5
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    assert load("--config", str(empty)) == ExperimentConfig()
+
+
+def test_float_written_without_a_dot_runs(tmp_path):
+    # YAML 1.1 reads 1e-4 as a string; the config parses it as the number it spells
+    cfg = tmp_path / "csi.yaml"
+    cfg.write_text("n: 16\npaths: 2\ntrials: 2\nsnr_db: [20]\ncsi_error_var: 1e-4\n")
+    out = tmp_path / "csi.csv"
+    assert main(["simulate", "--config", str(cfg), "--set", "c2max=1e-3", "--out", str(out)]) == 0
+    assert load("--config", str(cfg), "--set", "c2max=1e-3").csi_error_var == 1e-4
+    assert read_csv(out)[0].bit_count == 64
+
+
+def test_bool_float_field_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bool.yaml"
+    cfg.write_text("c2max: true\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "c2max" in capsys.readouterr().err
 
 
 def test_bad_override_exits_2(capsys):

@@ -5,17 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from seafdm import (
-    ContractViolation,
-    FrameParams,
-    SignalBlock,
-    add_cpp,
-    chirp_diag,
-    daft,
-    daft_matrix,
-    idaft,
-    remove_cpp,
-)
+from seafdm import ContractViolation, FrameParams
+from seafdm.daft import SignalBlock, add_cpp, chirp_diag, daft, idaft, remove_cpp
+
+from oracles import daft_matrix
 
 
 def random_frame(rng, n):

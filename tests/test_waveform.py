@@ -11,18 +11,16 @@ from seafdm import (
     FrameParams,
     bob_front_end,
     build_codebook,
-    constellation_by_name,
     descramble,
     eve_front_end,
     map_bits,
-    qam16,
     qpsk,
-    schedule_phases,
     se_afdm_modulate,
     zero_schedule,
 )
 from seafdm.daft import chirp_diag, idaft, remove_cpp
 from seafdm.detection import demap
+from seafdm.waveform import constellation_by_name, qam16, schedule_phases
 
 
 def random_bits(rng, count):
