@@ -15,6 +15,8 @@ analysis rest on.  They agree to machine precision and tests pin that.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,70 +103,102 @@ def sample_channel(
     return ChannelRealization(paths=paths, label=label)
 
 
-def awgn(rng: np.random.Generator, size: int, sigma2: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussian noise with total variance sigma2."""
+def awgn(rng, size: int, sigma2: float) -> np.ndarray:
+    """Complex Gaussian noise of total variance sigma2; one row per generator of a sequence."""
     if sigma2 < 0:
         raise ContractViolation("noise variance must be nonnegative")
+    lone = isinstance(rng, np.random.Generator)
+    gens = [rng] if lone else list(rng)
     if sigma2 == 0.0:
-        return np.zeros(size, dtype=np.complex128)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        return np.zeros(size if lone else (len(gens), size), dtype=np.complex128)
+    draws = np.empty((len(gens), 2, size))
+    for gen, row in zip(gens, draws):
+        gen.standard_normal(out=row)
+    noise = np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+    return noise[0] if lone else noise
 
 
 def apply_channel(
     s: SignalBlock,
-    realization: ChannelRealization,
-    rng: np.random.Generator | None,
+    realization: ChannelRealization | Sequence[ChannelRealization],
+    rng: np.random.Generator | Sequence[np.random.Generator] | None,
     sigma2: float,
 ) -> SignalBlock:
-    """Push a prefixed frame through the channel by direct time-domain convolution.
+    """Push prefixed frames through the channel by direct time-domain convolution.
 
     Works on the whole prefixed block so prefix contamination is physical,
-    not modeled.  The longest path delay must fit inside the prefix.
+    not modeled.  The longest path delay must fit inside the prefix.  Frames
+    stacked in rows take one realization and one generator per row, all
+    realizations with one delay profile; each row gets what it gets alone.
     """
     if not isinstance(s, SignalBlock):
         raise ContractViolation("apply_channel expects a prefixed block; add_cpp first")
-    if realization.max_delay > s.prefix_len:
-        raise ContractViolation(
-            f"path delay {realization.max_delay} exceeds prefix length {s.prefix_len}"
-        )
+    lone = s.samples.ndim == 1
+    links = [realization] if lone else list(realization)
+    samples = s.samples.reshape(-1, s.samples.shape[-1])
+    if len(links) != len(samples):
+        raise ContractViolation(f"{len(links)} realizations for {len(samples)} frames")
+    delays = [p.delay for p in links[0].paths]
+    if any([p.delay for p in link.paths] != delays for link in links):
+        raise ContractViolation("stacked frames need realizations with one delay profile")
+    if max(delays) > s.prefix_len:
+        raise ContractViolation(f"path delay {max(delays)} exceeds prefix length {s.prefix_len}")
     n = s.n
-    total = s.samples.size
+    total = samples.shape[1]
+    gains = np.array([[p.gain for p in link.paths] for link in links], dtype=np.complex128)
+    rotations = 2j * np.pi * np.array([[p.doppler for p in link.paths] for link in links])
     # sample clock: prefix samples sit at negative indices
     t = np.arange(total, dtype=np.float64) - s.prefix_len
-    out = np.zeros(total, dtype=np.complex128)
-    for p in realization.paths:
-        shifted = np.zeros(total, dtype=np.complex128)
-        if p.delay:
-            shifted[p.delay :] = s.samples[: total - p.delay]
-        else:
-            shifted[:] = s.samples
-        out += p.gain * shifted * np.exp(2j * np.pi * p.doppler * t / n)
+    out = np.zeros_like(samples)
+    for j, delay in enumerate(delays):
+        shifted = np.zeros_like(samples)
+        shifted[:, delay:] = samples[:, : total - delay]
+        out += gains[:, j, None] * shifted * np.exp(rotations[:, j, None] * t / n)
     if sigma2 > 0.0:
-        if rng is None:
-            raise ContractViolation("noise requested but no generator supplied")
-        out += awgn(rng, total, sigma2)
-    return SignalBlock(out, prefix_len=s.prefix_len)
+        gens = [rng] if lone else list(rng or ())
+        if len(gens) != len(links) or None in gens:
+            raise ContractViolation(f"noise needs one generator per frame, got {len(gens)} for {len(links)}")
+        out += awgn(gens, total, sigma2)
+    return SignalBlock(out.reshape(s.samples.shape), prefix_len=s.prefix_len)
 
 
-def _tap_diagonals(realization: ChannelRealization, params: FrameParams) -> np.ndarray:
-    """Per-delay diagonals of the circular channel: taps[l, k] multiplies s[(k - l) mod n].
+def _tap_diagonals(realizations: Sequence[ChannelRealization], params: FrameParams) -> np.ndarray:
+    """Per-delay diagonals of each circular channel: taps[s, l, k] multiplies s[(k - l) mod n].
 
     The chirp-periodic prefix turns each delayed echo into a circular shift
     with an extra unit phasor on the rows that wrap (k < l), so the map from
-    prefix-free input to prefix-free output is exactly circular.
+    prefix-free input to prefix-free output is exactly circular.  Systems
+    share one max_delay L; paths of equal delay add up in path order.
     """
     n = params.n
-    rows = np.arange(n)
-    taps = np.zeros((realization.max_delay + 1, n), dtype=np.complex128)
-    for p in realization.paths:
-        vals = p.gain * np.exp(2j * np.pi * p.doppler * rows / n)
-        if p.delay:
-            wrap = rows < p.delay
-            phase = np.mod(params.c1 * (n * n - 2.0 * n * (p.delay - rows[wrap])), 1.0)
-            vals[wrap] *= np.exp(-2j * np.pi * phase)
-        taps[p.delay] += vals
-    return taps
+    paths = [(s, p) for s, real in enumerate(realizations) for p in real.paths]
+    system = np.array([s for s, _ in paths])
+    delay = np.array([p.delay for _, p in paths])
+    gain = np.array([p.gain for _, p in paths], dtype=np.complex128)
+    rotation = 2j * np.pi * np.array([p.doppler for _, p in paths])
+    vals = gain[:, None] * np.exp(rotation[:, None] * np.arange(n) / n)
+    wrap = _wrap_phasors(n, int(delay.max()), params.c1)
+    # not in place: NumPy multiplies length-1 complex arrays in place without FMA
+    vals[:, : wrap.shape[1]] = vals[:, : wrap.shape[1]] * wrap[delay]
+    taps = np.zeros((len(realizations) * wrap.shape[0], n), dtype=np.complex128)
+    index = (system * wrap.shape[0] + delay).tolist()
+    if len(set(index)) == len(index):
+        taps[index] += vals
+    else:  # equal delays add in path order (np.add.at would too, at about 0.15 ms a call)
+        for row, diagonal in zip(index, vals):
+            taps[row] += diagonal
+    return taps.reshape(len(realizations), wrap.shape[0], n)
+
+
+@functools.lru_cache(maxsize=32)
+def _wrap_phasors(n: int, max_delay: int, c1: float) -> np.ndarray:
+    """Row l: the prefix phasor on the first l samples of an echo delayed by l, then ones."""
+    delay = np.arange(max_delay + 1)[:, None]
+    k = np.arange(min(max_delay, n))
+    phase = np.mod(c1 * (n * n - 2.0 * n * (delay - k)), 1.0)
+    out = np.where(k < delay, np.exp(-2j * np.pi * phase), 1.0)
+    out.flags.writeable = False
+    return out
 
 
 def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) -> np.ndarray:
@@ -172,7 +206,7 @@ def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) ->
     n = params.n
     rows = np.arange(n)
     mat = np.zeros((n, n), dtype=np.complex128)
-    for delay, diagonal in enumerate(_tap_diagonals(realization, params)):
+    for delay, diagonal in enumerate(_tap_diagonals([realization], params)[0]):
         mat[rows, (rows - delay) % n] += diagonal
     return mat
 

@@ -78,11 +78,12 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class SignalBlock:
-    """A prefixed time-domain frame: prefix_len prefix samples, then the core.
+    """Prefixed time-domain frames: prefix_len prefix samples, then the core.
 
-    Only the prefix stages produce or consume blocks; the transforms work on
-    the bare length-n core vector.  The type keeps the transmit and receive
-    chains honest about stage ordering.
+    samples holds one frame, or one frame per row along leading axes.  Only
+    the prefix stages produce or consume blocks; the transforms work on the
+    bare length-n cores.  The type keeps the transmit and receive chains
+    honest about stage ordering.
     """
 
     samples: np.ndarray
@@ -91,27 +92,22 @@ class SignalBlock:
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.complex128)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ContractViolation("a signal block is one-dimensional")
-        if not 0 <= self.prefix_len < len(samples):
+        if samples.ndim < 1 or not 0 <= self.prefix_len < samples.shape[-1]:
             raise ContractViolation("prefix length inconsistent with sample count")
 
     @property
     def n(self) -> int:
         """Core frame length, excluding the prefix."""
-        return len(self.samples) - self.prefix_len
+        return self.samples.shape[-1] - self.prefix_len
 
 
-def _core(s: np.ndarray, n: int, who: str, stacked: bool = False) -> np.ndarray:
-    """The bare length-n core vector; a prefixed block is the wrong kind of frame.
-
-    stacked=True also accepts leading axes, one length-n core per row.
-    """
+def _core(s: np.ndarray, n: int, who: str) -> np.ndarray:
+    """Bare length-n cores, one per row of any leading axes; a prefixed block is the wrong kind of frame."""
     if isinstance(s, SignalBlock):
         raise ContractViolation(f"{who} expects the prefix-free core; remove_cpp first")
     s = np.asarray(s, dtype=np.complex128)
-    if s.shape[-1:] != (n,) or (s.ndim > 1 and not stacked):
-        raise ContractViolation(f"{who} expects a vector of length n = {n}, got shape {s.shape}")
+    if s.shape[-1:] != (n,):
+        raise ContractViolation(f"{who} expects cores of length n = {n}, got shape {s.shape}")
     return s
 
 
@@ -155,9 +151,9 @@ def daft(s: np.ndarray, params: FrameParams, c2) -> np.ndarray:
 
     s may carry leading axes, one core per row, transformed over the last
     axis.  c2 may be a scalar, a per-subcarrier vector of rates, or one rate
-    vector per row of s.
+    vector per row of s.  idaft takes x and c2 of the same shapes.
     """
-    s = _core(s, params.n, "daft", stacked=True)
+    s = _core(s, params.n, "daft")
     y = np.fft.fft(chirp_diag(params.c1, params.n) * s, norm="ortho")
     return chirp_diag(c2, params.n) * y
 
@@ -170,21 +166,22 @@ def idaft(x: np.ndarray, params: FrameParams, c2) -> np.ndarray:
 
 
 def add_cpp(s: np.ndarray, params: FrameParams) -> SignalBlock:
-    """Prepend the chirp-periodic prefix to the length-n core s.
+    """Prepend the chirp-periodic prefix to the length-n core s (to each row of a stack).
 
     Prefix position k in [-ncp, -1] holds s[k + n] * exp(-2j*pi*c1*(n**2 + 2*n*k)).
     """
     s = _core(s, params.n, "add_cpp")
-    if params.ncp == 0:
-        return SignalBlock(s.copy(), prefix_len=0)
     k = np.arange(-params.ncp, 0, dtype=np.float64)
     frac = np.mod(params.c1 * (params.n * float(params.n) + 2.0 * params.n * k), 1.0)
-    prefix = s[params.n - params.ncp:] * np.exp(-2j * np.pi * frac)
-    return SignalBlock(np.concatenate([prefix, s]), prefix_len=params.ncp)
+    # phasors get the frames' axes: NumPy multiplies a (1, 1) stack by a (1,)
+    # vector without FMA, so a stack of one would round unlike a lone frame
+    phasors = np.exp(-2j * np.pi * frac).reshape((1,) * (s.ndim - 1) + (-1,))
+    prefix = s[..., params.n - params.ncp :] * phasors
+    return SignalBlock(np.concatenate([prefix, s], axis=-1), prefix_len=params.ncp)
 
 
 def remove_cpp(block: SignalBlock, params: FrameParams) -> np.ndarray:
-    """Drop the prefix, returning the length-n core vector."""
+    """Drop the prefix, returning the length-n core of each frame."""
     if not isinstance(block, SignalBlock):
         raise ContractViolation("remove_cpp expects a prefixed block")
     if block.prefix_len != params.ncp or block.n != params.n:
@@ -192,4 +189,4 @@ def remove_cpp(block: SignalBlock, params: FrameParams) -> np.ndarray:
             f"block geometry ({block.n}, ncp={block.prefix_len}) does not match params "
             f"({params.n}, ncp={params.ncp})"
         )
-    return block.samples[block.prefix_len:].copy()
+    return block.samples[..., block.prefix_len :].copy()

@@ -95,7 +95,7 @@ def banded_mmse_equalize(
             [banded_mmse_equalize(r[i : i + step], systems[i : i + step], params, sigma2) for i in range(0, count, step)]
         )
     plan = _band_plan(n, systems[0].max_delay, count)
-    taps = np.stack([_tap_diagonals(real, params) for real in systems]).reshape(count, -1)
+    taps = _tap_diagonals(systems, params).reshape(count, -1)
     # lower band of each folded Gram matrix, entries summed in plan order;
     # np.take gathers along one axis row by row, which beats fancy indexing
     # on a trailing axis when there are few systems

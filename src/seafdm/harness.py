@@ -14,10 +14,10 @@ error as the scrambled frame (two generators built from one child sequence
 replay identical draws), so the comparison isolates the scrambling itself.
 
 With exact channel knowledge the trials of a point run serially in blocks:
-each trial draws, modulates and passes its frames through the channel on
-its own, and the trial that completes a block equalizes, transforms and
+each trial makes its draws on its own, and the trial that completes a
+block modulates, passes through the channel, equalizes, transforms and
 demaps the whole block at once.  Every draw still comes from the trial's
-own seed tree, and the stacked solve gives each frame the bits it gets
+own seed tree, and every stacked stage gives each frame the bytes it gets
 alone, so the block size changes no count.
 """
 
@@ -29,6 +29,7 @@ import io
 import json
 import numbers
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -36,9 +37,10 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .channel import ChannelRealization, apply_channel, effective_channel, sample_channel
-from .daft import FrameParams, daft, remove_cpp
+from .daft import FrameParams, SignalBlock, daft, remove_cpp
 from .detection import banded_mmse_equalize, count_errors, demap, mmse_equalize
 from .exceptions import ConfigError, ContractViolation
 from .keystream import (
@@ -296,11 +298,15 @@ def _eve_guess(
 
 
 def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.ndarray:
+    """matrix + sqrt(var/2) * (a + 1j*b), with a and b drawn in that order, in one new array."""
     if var == 0.0:
         return matrix
-    scale = np.sqrt(var / 2.0)
-    err = scale * (rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape))
-    return matrix + err
+    out = np.empty(matrix.shape, dtype=np.complex128)
+    out.real = rng.standard_normal(matrix.shape)
+    out.imag = rng.standard_normal(matrix.shape)
+    out *= np.sqrt(var / 2.0)
+    out += matrix
+    return out
 
 
 def _block_size(n: int) -> int:
@@ -309,35 +315,40 @@ def _block_size(n: int) -> int:
 
 
 class _Block:
-    """Exact-CSI trials of one sweep point whose receive side runs as one stack.
+    """Exact-CSI trials of one sweep point whose chain runs as one stack.
 
-    Each trial parks its data bits and one system per channel it sampled:
-    the realization, the received cores that went through it (that system's
-    right-hand sides) and, per core, the DAFT rate that maps its solution to
-    the receiver's symbols.  The trial that fills the block equalizes,
-    transforms and demaps every parked core at once.
+    Each trial parks its own draws: its data bits, its (symbols, schedule)
+    frames, and one system per channel it sampled.  A system is the
+    realization plus one row per frame sent through it: the frame's index
+    within the trial, the generator of the row's noise, and the DAFT rate
+    that maps the row's solution to the receiver's symbols.  The trial that
+    fills the block modulates, passes through the channel, equalizes,
+    transforms and demaps every parked frame at once.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self.bits: list[np.ndarray] = []
-        self.realizations: list[ChannelRealization] = []
-        self.cores: list[list[np.ndarray]] = []
-        self.rates: list[list[np.ndarray]] = []
+        self.bits, self.frames, self.realizations, self.rows = [], [], [], []
 
-    def park(self, bits: np.ndarray, systems: list[tuple[ChannelRealization, list, list]]) -> bool:
+    def park(self, bits: np.ndarray, frames: list, systems: list) -> bool:
         """Add one trial; True once the block is full."""
+        first = len(self.frames)
         self.bits.append(bits)
-        for realization, cores, rates in systems:
+        self.frames += frames
+        for realization, rows in systems:
             self.realizations.append(realization)
-            self.cores.append(cores)
-            self.rates.append(rates)
+            self.rows += [(first + frame, realization, rng, rate) for frame, rng, rate in rows]
         return len(self.bits) == self.size
 
     def finish(self, params: FrameParams, const: Constellation, sigma2: float) -> list[int]:
-        """Bit errors per receiver summed over the block, in the order each trial parked its cores."""
-        s_hat = banded_mmse_equalize(np.array(self.cores), self.realizations, params, sigma2)
-        received = demap(daft(s_hat, params, np.array(self.rates)), const)
+        """Bit errors per receiver summed over the block, in the order each trial parked its rows."""
+        symbols, schedules = zip(*self.frames)
+        sources, links, gens, rates = zip(*self.rows)
+        tx = se_afdm_modulate(np.array(symbols), params, schedules)
+        rx = apply_channel(SignalBlock(tx.samples[list(sources)], tx.prefix_len), links, gens, sigma2)
+        cores = remove_cpp(rx, params).reshape(len(self.realizations), -1, params.n)
+        s_hat = banded_mmse_equalize(cores, self.realizations, params, sigma2)
+        received = demap(daft(s_hat, params, np.array(rates).reshape(cores.shape)), const)
         received = received.reshape(self.size, -1, received.shape[-1])
         sent = np.broadcast_to(np.array(self.bits)[:, None, :], received.shape)
         return count_errors(sent, received).sum(axis=0).tolist()
@@ -355,9 +366,9 @@ def _run_trial(
 ) -> tuple[int, int, int, int]:
     """One frame end to end; returns the (bob, eve, afdm, bits) error counts it completes.
 
-    With exact CSI (``block`` given) the frame's receive side waits in the
-    block: the call parks the received cores and completes nothing, unless
-    it fills the block, in which case it finishes every parked frame.
+    With exact CSI (``block`` given) the frame waits in the block: the call
+    parks its draws and completes nothing, unless it fills the block, in
+    which case it runs every parked frame.
     """
     params = config.frame_params
     book = config.codebook
@@ -381,10 +392,7 @@ def _run_trial(
         )
 
     realization = channel(ss_chb)
-    tx = se_afdm_modulate(x, params, alice)
-    if need_afdm:
-        a0 = zero_schedule(n, "alice")
-        tx0 = se_afdm_modulate(x, params, a0)
+    a0 = zero_schedule(n, "alice") if need_afdm else None
     if need_eve:
         guess = _eve_guess(config.eve_mode, alice, book, np.random.default_rng(ss_eve), bias)
         eve_channel = channel(ss_che, "eve")
@@ -392,22 +400,20 @@ def _run_trial(
     if block is not None:
         # exact CSI: the banded time-domain solve seen through the transmit
         # DAFT equals the subcarrier-domain MMSE (the receiver's own DAFT
-        # cancels), so each receiver parks its prefix-free received core
-        def core(signal, link, ss_noise):
-            return remove_cpp(apply_channel(signal, link, np.random.default_rng(ss_noise), sigma2), params)
-
-        bob_system = (realization, [core(tx, realization, ss_nb)], [alice.values])
+        # cancels), so each row's solution goes through the transmit DAFT
+        frames = [(x, alice)]
+        bob_rows = [(0, np.random.default_rng(ss_nb), alice.values)]
         if need_afdm:
             # the plain-AFDM frame replays Bob's noise through Bob's channel:
             # a second right-hand side of his system
-            bob_system[1].append(core(tx0, realization, ss_nb))
-            bob_system[2].append(np.zeros(n))
-        systems = [bob_system]
+            frames.append((x, a0))
+            bob_rows.append((1, np.random.default_rng(ss_nb), a0.values))
+        systems = [(realization, bob_rows)]
         if need_eve:
             # she does not undo the transmit schedule; her DAFT at rate zero
             # followed by descramble(guess) is her DAFT at the guessed rates
-            systems.append((eve_channel, [core(tx, eve_channel, ss_ne)], [guess.values]))
-        if not block.park(bits, systems):
+            systems.append((eve_channel, [(0, np.random.default_rng(ss_ne), guess.values)]))
+        if not block.park(bits, frames, systems):
             return 0, 0, 0, 0
         counts = iter(block.finish(params, const, sigma2))
         bob_err = next(counts)
@@ -415,6 +421,7 @@ def _run_trial(
         eve_err = next(counts) if need_eve else 0
         return bob_err, eve_err, afdm_err, block.size * bits.size
 
+    tx = se_afdm_modulate(x, params, alice)
     rng_csi = np.random.default_rng(ss_csi)
 
     def receive(front_end, link, signal, ss_noise, sched_rx, sched_tx, rng_err):
@@ -441,6 +448,7 @@ def _run_trial(
     afdm_err = 0
     if need_afdm:
         # fresh generators from Bob's child sequences replay his noise and CSI error
+        tx0 = se_afdm_modulate(x, params, a0)
         x0 = receive(bob_front_end, realization, tx0, ss_nb, zero_schedule(n, "bob"), a0, np.random.default_rng(ss_csi))
         afdm_err = errors(x0)
 
@@ -572,6 +580,7 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
         "rng": "numpy.random.default_rng (PCG64)",
         "seed_policy": _SEED_POLICY,
         "config": None if config is None else _jsonable(asdict(config)),
+        "provenance": _provenance(),
         "wall_ms": [rec.wall_ms for rec in records],
         "wilson_95": {
             "bob": [_interval(rec.bob_ber, rec.bit_count) for rec in records],
@@ -593,6 +602,19 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
     finally:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+
+
+def _provenance() -> dict:
+    """Library versions, CPU count and BLAS thread settings of the running process."""
+    out = {"python": platform.python_version(), "cpu_count": os.cpu_count()}
+    for module in (np, scipy):
+        out[module.__name__] = module.__version__
+        try:
+            out[f"{module.__name__}_blas"] = module.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+        except (KeyError, TypeError):
+            out[f"{module.__name__}_blas"] = None
+    out["thread_env"] = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return out
 
 
 def _interval(ber: float, bits: int) -> tuple[float, float] | None:

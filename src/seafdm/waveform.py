@@ -78,7 +78,7 @@ def map_bits(bits, spec: Constellation) -> np.ndarray:
         raise ContractViolation(
             f"bit count {bits.size} is not a multiple of {spec.bits_per_symbol}"
         )
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ContractViolation("bits must be 0 or 1")
     groups = bits.reshape(-1, spec.bits_per_symbol).astype(np.int64)
     weights = 1 << np.arange(spec.bits_per_symbol - 1, -1, -1)
@@ -109,17 +109,22 @@ def _check_schedule(sched: C2Schedule, owner: str, params: FrameParams, who: str
         raise ContractViolation(f"schedule length {len(sched)} != n = {params.n}")
 
 
-def se_afdm_modulate(x: np.ndarray, params: FrameParams, sched: C2Schedule) -> SignalBlock:
+def se_afdm_modulate(x: np.ndarray, params: FrameParams, sched) -> SignalBlock:
     """Transmit chain: schedule-varied inverse DAFT plus chirp-periodic prefix.
 
-    The prefix-free part of the output keeps the symbol energy exactly
-    (the transform is unitary for any schedule).
+    x is one symbol frame with one schedule, or F frames of shape (F, n)
+    with F schedules.  The prefix-free part of each output frame keeps its
+    symbol energy exactly (the transform is unitary for any schedule).
     """
-    _check_schedule(sched, "alice", params, "se_afdm_modulate")
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (params.n,):
-        raise ContractViolation(f"symbol frame must have shape ({params.n},)")
-    return add_cpp(idaft(x, params, sched.values), params)
+    lone = isinstance(sched, C2Schedule)
+    scheds = [sched] if lone else list(sched)
+    if x.shape != ((params.n,) if lone else (len(scheds), params.n)):
+        raise ContractViolation(f"{len(scheds)} schedules do not fit symbol frames of shape {x.shape}")
+    for one in scheds:
+        _check_schedule(one, "alice", params, "se_afdm_modulate")
+    rates = sched.values if lone else np.array([one.values for one in scheds])
+    return add_cpp(idaft(x, params, rates), params)
 
 
 def bob_front_end(r: SignalBlock, params: FrameParams, sched: C2Schedule) -> np.ndarray:

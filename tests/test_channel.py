@@ -21,8 +21,8 @@ from seafdm import (
     se_afdm_modulate,
     zero_schedule,
 )
-from seafdm.channel import ChannelRealization, PathSpec, awgn, coupling_kernel
-from seafdm.daft import add_cpp, daft, remove_cpp
+from seafdm.channel import ChannelRealization, PathSpec, _tap_diagonals, _time_domain_matrix, awgn, coupling_kernel
+from seafdm.daft import SignalBlock, add_cpp, daft, remove_cpp
 from seafdm.detection import banded_mmse_equalize
 from seafdm.keystream import C2Schedule
 
@@ -139,6 +139,79 @@ def test_apply_channel_contracts():
         apply_channel(prefixed, ChannelRealization((PathSpec(1.0, 0, 0.0),)), None, 0.1)
 
 
+def test_stacked_channel_contracts():
+    params = FrameParams(n=8, ncp=2, c1=0.1)
+    rng = np.random.default_rng(8)
+    real = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 2, 0.3)))
+    x = rng.standard_normal((3, 8)) + 0j
+    alice = zero_schedule(8, "alice")
+    for frames, scheds in [(x, [alice, alice]), (x, alice), (x[0], [alice])]:
+        with pytest.raises(ContractViolation):
+            se_afdm_modulate(frames, params, scheds)
+    tx = se_afdm_modulate(x, params, [alice] * 3)
+    gens = [np.random.default_rng(k) for k in range(3)]
+    with pytest.raises(ContractViolation):
+        apply_channel(tx, [real, real], gens, 0.1)  # one realization short
+    with pytest.raises(ContractViolation):
+        apply_channel(tx, [real] * 3, gens[:2], 0.1)  # one generator short
+    with pytest.raises(ContractViolation):
+        apply_channel(tx, [real] * 3, None, 0.1)
+    with pytest.raises(ContractViolation):
+        apply_channel(tx, [real] * 3, [gens[0], None, gens[2]], 0.1)
+    other = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 1, 0.3)))
+    with pytest.raises(ContractViolation):
+        apply_channel(tx, [real, other, real], gens, 0.1)  # rows share one delay profile
+    assert apply_channel(tx, [real] * 3, None, 0.0).samples.shape == (3, 10)
+    # a lone frame is a stack of one, and keeps its one-dimensional form
+    lone = apply_channel(SignalBlock(tx.samples[1], 2), real, np.random.default_rng(5), 0.1)
+    stack = apply_channel(SignalBlock(tx.samples[1:2], 2), [real], [np.random.default_rng(5)], 0.1)
+    assert lone.samples.shape == (10,)
+    assert lone.samples.tobytes() == stack.samples[0].tobytes()
+    assert awgn(np.random.default_rng(6), 10, 0.1).tobytes() == awgn([np.random.default_rng(6)], 10, 0.1)[0].tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_stacked_transmit_chain_equals_each_frame_alone(data):
+    n = data.draw(st.integers(2, 80), label="n")
+    ncp = data.draw(st.integers(0, n), label="ncp")
+    delays = data.draw(st.lists(st.integers(0, ncp), min_size=1, max_size=5), label="delays")
+    frames = data.draw(st.integers(1, 4), label="frames")
+    # (frame, channel, noise stream) per row; rows that share a stream replay
+    # one noise vector, as Bob's and the plain-AFDM frame do in the harness
+    rows = data.draw(
+        st.lists(st.tuples(st.integers(0, frames - 1), st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8),
+        label="rows",
+    )
+    sigma2 = data.draw(st.sampled_from([0.0, 1e-3, 0.5]), label="sigma2")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = FrameParams(n=n, ncp=ncp, c1=rng.uniform(-1.0, 1.0))
+    x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
+    scheds = [C2Schedule(rng.uniform(-0.5, 0.5, size=n), "alice") for _ in range(frames)]
+    links = [
+        ChannelRealization(tuple(PathSpec(complex(*rng.standard_normal(2)), d, rng.uniform(-3, 3)) for d in delays))
+        for _ in range(3)
+    ]
+    streams = [np.random.SeedSequence(int(rng.integers(2**32))) for _ in range(3)]
+
+    tx = se_afdm_modulate(x, params, scheds)
+    alone = [se_afdm_modulate(x[f], params, scheds[f]) for f in range(frames)]
+    cores = remove_cpp(tx, params)
+    for f, one in enumerate(alone):
+        assert tx.samples[f].tobytes() == one.samples.tobytes()
+        assert cores[f].tobytes() == remove_cpp(one, params).tobytes()
+        assert add_cpp(cores, params).samples[f].tobytes() == add_cpp(cores[f], params).samples.tobytes()
+
+    picked = SignalBlock(tx.samples[[f for f, _, _ in rows]], ncp)
+    gens = [np.random.default_rng(streams[k]) for _, _, k in rows]
+    rx = apply_channel(picked, [links[c] for _, c, _ in rows], gens, sigma2)
+    received = remove_cpp(rx, params)
+    for i, (f, c, k) in enumerate(rows):
+        one = apply_channel(alone[f], links[c], np.random.default_rng(streams[k]), sigma2)
+        assert rx.samples[i].tobytes() == one.samples.tobytes()
+        assert received[i].tobytes() == remove_cpp(one, params).tobytes()
+
+
 def test_prefixed_transmission_is_circular():
     # linear convolution over the chirp-periodic prefix equals the circular
     # Gamma Delta Pi^l model on the prefix-free frame
@@ -152,6 +225,28 @@ def test_prefixed_transmission_is_circular():
         got = remove_cpp(r, params)
         oracle = sum(circular_path_oracle(p, params) for p in real.paths)
         np.testing.assert_allclose(got, oracle @ s, atol=1e-10)
+
+
+def test_stacked_tap_diagonals_match_the_circular_oracle():
+    # stacked systems share one max_delay, not their delay sets; equal delays add up
+    rng = np.random.default_rng(13)
+    n = 12
+    params = FrameParams(n=n, ncp=3, c1=0.1)
+
+    def path(delay):
+        return PathSpec(complex(*rng.standard_normal(2)), delay, rng.uniform(-2.0, 2.0))
+
+    reals = [
+        ChannelRealization((path(0), path(3), path(1))),
+        ChannelRealization((path(3), path(2), path(2), path(0), path(2))),
+        ChannelRealization((path(3),)),
+    ]
+    taps = _tap_diagonals(reals, params)
+    assert taps.shape == (3, 4, n)
+    for s, real in enumerate(reals):
+        oracle = sum(circular_path_oracle(p, params) for p in real.paths)
+        np.testing.assert_allclose(_time_domain_matrix(real, params), oracle, atol=1e-12)
+        assert taps[s].tobytes() == _tap_diagonals([real], params)[0].tobytes()
 
 
 def test_prefixed_transmission_is_circular_awkward_c1():

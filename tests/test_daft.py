@@ -270,7 +270,10 @@ def test_for_profile_defaults():
 def test_signal_block_tags():
     assert SignalBlock(np.zeros(4, dtype=complex), prefix_len=0).n == 4
     assert SignalBlock(np.zeros(6, dtype=complex), prefix_len=2).n == 4
-    with pytest.raises(ContractViolation):
-        SignalBlock(np.zeros((2, 2), dtype=complex), prefix_len=0)
+    assert SignalBlock(np.zeros((3, 6), dtype=complex), prefix_len=2).n == 4  # one frame per row
     with pytest.raises(ContractViolation):
         SignalBlock(np.zeros(4, dtype=complex), prefix_len=4)
+    with pytest.raises(ContractViolation):
+        SignalBlock(np.zeros((2, 4), dtype=complex), prefix_len=4)
+    with pytest.raises(ContractViolation):
+        SignalBlock(np.complex128(1.0), prefix_len=0)

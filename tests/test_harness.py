@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -464,11 +465,39 @@ def test_csv_round_trip(tmp_path):
     assert all(math.isnan(r.wall_ms) for r in loaded)
 
     meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-    assert set(meta) == {"version", "rng", "seed_policy", "config", "wall_ms", "wilson_95"}
+    assert set(meta) == {"version", "rng", "seed_policy", "provenance", "config", "wall_ms", "wilson_95"}
     assert meta["config"]["n"] == 32
     assert meta["config"]["snr_db"] == [10.0, 20.0]
     assert len(meta["wilson_95"]["bob"]) == 2
     assert meta["wilson_95"]["eve"] == [None, None]
+
+
+def test_sidecar_records_provenance_and_leaves_the_csv_alone(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    recs = [TrialRecord(10.0, 0.25, 0.5, float("nan"), 128, 7, wall_ms=3.5)]
+    path = tmp_path / "sweep.csv"
+    emit_csv(recs, path, tiny_config())
+    assert path.read_bytes() == b"point,bob_ber,eve_ber,afdm_ber,bit_count,seed\r\n10.0,0.25,0.5,nan,128,7\r\n"
+    prov = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["provenance"]
+    assert set(prov) == {"python", "numpy", "numpy_blas", "scipy", "scipy_blas", "cpu_count", "thread_env"}
+    assert prov["numpy"] == np.__version__
+    assert prov["cpu_count"] == os.cpu_count()
+    assert prov["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+
+
+def test_csi_error_is_drawn_in_place_with_the_same_bytes():
+    rng = np.random.default_rng(41)
+    exact = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    before = exact.copy()
+    for var in (1e-4, 0.3):
+        got = harness._perturb(exact, np.random.default_rng(42), var)
+        draw = np.random.default_rng(42)
+        a, b = draw.standard_normal(exact.shape), draw.standard_normal(exact.shape)
+        assert got.tobytes() == (exact + np.sqrt(var / 2.0) * (a + 1j * b)).tobytes()
+        assert exact.tobytes() == before.tobytes()
+    assert harness._perturb(exact, rng, 0.0) is exact
 
 
 def test_csv_of_empty_run(tmp_path):

@@ -108,6 +108,37 @@ def test_map_bits_validation():
         map_bits(np.zeros((2, 2), dtype=int), spec)
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.array([0, 1, 1, 0]),
+        np.array([1, 0, 0, 1], dtype=np.uint8),
+        np.array([True, False, True, True]),
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([0.0, 0.5, 1.0, 0.0]),
+        np.array([0.0, np.nan, 1.0, 0.0]),
+        np.array([0.0, 1.0 + 0.0j, 1.0, 0.0]),
+        np.array([0.0, 1.0j, 1.0, 0.0]),
+        np.array([0, -1, 1, 0]),
+        np.array([0, 2, 1, 0], dtype=np.uint8),
+        np.array([], dtype=int),
+        np.array(["0", "1", "1", "0"]),
+    ],
+    ids=[
+        "int", "uint8", "bool", "float", "float-half", "float-nan", "complex", "complex-imag", "negative", "uint8-two",
+        "empty", "str",
+    ],
+)
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_map_bits_accepts_what_isin_accepts(bits):
+    valid = bool(np.isin(bits, (0, 1)).all())
+    if valid:
+        np.testing.assert_array_equal(map_bits(bits, qpsk()), map_bits(bits.real.astype(int), qpsk()))
+    else:
+        with pytest.raises(ContractViolation, match="0 or 1"):
+            map_bits(bits, qpsk())
+
+
 def test_schedule_phases_definition():
     sched = C2Schedule(np.array([0.3, -0.1, 0.25, 0.07]), "alice")
     got = schedule_phases(sched)
