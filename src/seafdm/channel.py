@@ -21,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daft import FrameParams, SignalBlock, chirp_diag
+from .daft import FrameParams, SignalBlock, chirp_diag, prefix_phasors
 from .exceptions import ContractViolation
 from .keystream import C2Schedule
 
 __all__ = [
-    "PathSpec",
     "ChannelRealization",
     "sample_channel",
     "apply_channel",
-    "awgn",
     "EffectiveChannel",
     "effective_channel",
     "effective_channel_closed_form",
@@ -38,33 +36,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """One propagation path: complex gain, integer delay, normalized Doppler."""
-
-    gain: complex
-    delay: int
-    doppler: float
-
-    def __post_init__(self):
-        if self.delay < 0 or self.delay != int(self.delay):
-            raise ContractViolation(f"delay must be a nonnegative integer, got {self.delay}")
-        if not np.isfinite(self.doppler):
-            raise ContractViolation("doppler must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    paths: tuple[PathSpec, ...]
+    """P paths as three read-only arrays of shape (P,): complex gains, integer delays, normalized Dopplers."""
+
+    gains: np.ndarray
+    delays: np.ndarray
+    dopplers: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if not self.paths:
-            raise ContractViolation("a realization needs at least one path")
+        gains = np.array(self.gains, dtype=np.complex128)
+        delays = np.asarray(self.delays)
+        dopplers = np.array(self.dopplers, dtype=np.float64)
+        if gains.ndim != 1 or not gains.size or not gains.shape == delays.shape == dopplers.shape:
+            shapes = f"{gains.shape}, {delays.shape}, {dopplers.shape}"
+            raise ContractViolation(f"need P >= 1 gains, delays and dopplers of shape (P,), got {shapes}")
+        with np.errstate(invalid="ignore"):  # a NaN or infinite delay casts to some integer unequal to it
+            ints = delays.astype(np.intp)
+        if delays.dtype.kind not in "iu" and not np.array_equal(ints, delays) or min(ints.tolist()) < 0:
+            raise ContractViolation(f"delays must be nonnegative integers, got {delays}")
+        if not np.isfinite(dopplers).all():
+            raise ContractViolation("dopplers must be finite")
+        for name, value in (("gains", gains), ("delays", ints), ("dopplers", dopplers)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-    @property
-    def max_delay(self) -> int:
-        return max(p.delay for p in self.paths)
+
+def _shared_delays(realizations: Sequence[ChannelRealization]) -> list[int]:
+    """The one delay profile of a stack of realizations, in path order."""
+    delays = realizations[0].delays.tolist()
+    if any(real.delays.tolist() != delays for real in realizations):
+        raise ContractViolation("stacked channels need one delay profile")
+    return delays
 
 
 def sample_channel(
@@ -96,26 +100,7 @@ def sample_channel(
     h = scale * (rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count))
     delays = np.arange(path_count)
     gains = h * np.exp(-2j * np.pi * nu * delays / n)
-    paths = tuple(
-        PathSpec(gain=complex(g), delay=int(l), doppler=float(v))
-        for g, l, v in zip(gains, delays, nu)
-    )
-    return ChannelRealization(paths=paths, label=label)
-
-
-def awgn(rng, size: int, sigma2: float) -> np.ndarray:
-    """Complex Gaussian noise of total variance sigma2; one row per generator of a sequence."""
-    if sigma2 < 0:
-        raise ContractViolation("noise variance must be nonnegative")
-    lone = isinstance(rng, np.random.Generator)
-    gens = [rng] if lone else list(rng)
-    if sigma2 == 0.0:
-        return np.zeros(size if lone else (len(gens), size), dtype=np.complex128)
-    draws = np.empty((len(gens), 2, size))
-    for gen, row in zip(gens, draws):
-        gen.standard_normal(out=row)
-    noise = np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
-    return noise[0] if lone else noise
+    return ChannelRealization(gains, delays, nu, label)
 
 
 def apply_channel(
@@ -130,23 +115,25 @@ def apply_channel(
     not modeled.  The longest path delay must fit inside the prefix.  Frames
     stacked in rows take one realization and one generator per row, all
     realizations with one delay profile; each row gets what it gets alone.
+    Each row's noise is complex Gaussian of total variance sigma2, its real
+    then its imaginary parts drawn from the row's generator.
     """
     if not isinstance(s, SignalBlock):
         raise ContractViolation("apply_channel expects a prefixed block; add_cpp first")
+    if not sigma2 >= 0:
+        raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
     lone = s.samples.ndim == 1
     links = [realization] if lone else list(realization)
     samples = s.samples.reshape(-1, s.samples.shape[-1])
     if len(links) != len(samples):
         raise ContractViolation(f"{len(links)} realizations for {len(samples)} frames")
-    delays = [p.delay for p in links[0].paths]
-    if any([p.delay for p in link.paths] != delays for link in links):
-        raise ContractViolation("stacked frames need realizations with one delay profile")
+    delays = _shared_delays(links)
     if max(delays) > s.prefix_len:
         raise ContractViolation(f"path delay {max(delays)} exceeds prefix length {s.prefix_len}")
     n = s.n
     total = samples.shape[1]
-    gains = np.array([[p.gain for p in link.paths] for link in links], dtype=np.complex128)
-    rotations = 2j * np.pi * np.array([[p.doppler for p in link.paths] for link in links])
+    gains = np.array([link.gains for link in links])
+    rotations = 2j * np.pi * np.array([link.dopplers for link in links])
     # sample clock: prefix samples sit at negative indices
     t = np.arange(total, dtype=np.float64) - s.prefix_len
     out = np.zeros_like(samples)
@@ -158,7 +145,10 @@ def apply_channel(
         gens = [rng] if lone else list(rng or ())
         if len(gens) != len(links) or None in gens:
             raise ContractViolation(f"noise needs one generator per frame, got {len(gens)} for {len(links)}")
-        out += awgn(gens, total, sigma2)
+        draws = np.empty((len(gens), 2, total))
+        for gen, row in zip(gens, draws):
+            gen.standard_normal(out=row)
+        out += np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
     return SignalBlock(out.reshape(s.samples.shape), prefix_len=s.prefix_len)
 
 
@@ -168,26 +158,22 @@ def _tap_diagonals(realizations: Sequence[ChannelRealization], params: FramePara
     The chirp-periodic prefix turns each delayed echo into a circular shift
     with an extra unit phasor on the rows that wrap (k < l), so the map from
     prefix-free input to prefix-free output is exactly circular.  Systems
-    share one max_delay L; paths of equal delay add up in path order.
+    share one delay profile; paths of equal delay add up in path order.
     """
     n = params.n
-    paths = [(s, p) for s, real in enumerate(realizations) for p in real.paths]
-    system = np.array([s for s, _ in paths])
-    delay = np.array([p.delay for _, p in paths])
-    gain = np.array([p.gain for _, p in paths], dtype=np.complex128)
-    rotation = 2j * np.pi * np.array([p.doppler for _, p in paths])
-    vals = gain[:, None] * np.exp(rotation[:, None] * np.arange(n) / n)
-    wrap = _wrap_phasors(n, int(delay.max()), params.c1)
-    # not in place: NumPy multiplies length-1 complex arrays in place without FMA
-    vals[:, : wrap.shape[1]] = vals[:, : wrap.shape[1]] * wrap[delay]
-    taps = np.zeros((len(realizations) * wrap.shape[0], n), dtype=np.complex128)
-    index = (system * wrap.shape[0] + delay).tolist()
-    if len(set(index)) == len(index):
-        taps[index] += vals
-    else:  # equal delays add in path order (np.add.at would too, at about 0.15 ms a call)
-        for row, diagonal in zip(index, vals):
-            taps[row] += diagonal
-    return taps.reshape(len(realizations), wrap.shape[0], n)
+    delays = _shared_delays(realizations)
+    gains = np.concatenate([real.gains for real in realizations])
+    rotation = 2j * np.pi * np.concatenate([real.dopplers for real in realizations])
+    vals = gains[:, None] * np.exp(rotation[:, None] * np.arange(n) / n)
+    wrap = _wrap_phasors(n, max(delays), params.c1)
+    # each path's wrap row, system by system; not in place: NumPy multiplies
+    # length-1 complex arrays in place without FMA
+    vals[:, : wrap.shape[1]] = vals[:, : wrap.shape[1]] * wrap[delays * len(realizations)]
+    vals = vals.reshape(len(realizations), len(delays), n)
+    taps = np.zeros((len(realizations), wrap.shape[0], n), dtype=np.complex128)
+    for path, delay in enumerate(delays):
+        taps[:, delay] += vals[:, path]
+    return taps
 
 
 @functools.lru_cache(maxsize=32)
@@ -195,8 +181,9 @@ def _wrap_phasors(n: int, max_delay: int, c1: float) -> np.ndarray:
     """Row l: the prefix phasor on the first l samples of an echo delayed by l, then ones."""
     delay = np.arange(max_delay + 1)[:, None]
     k = np.arange(min(max_delay, n))
-    phase = np.mod(c1 * (n * n - 2.0 * n * (delay - k)), 1.0)
-    out = np.where(k < delay, np.exp(-2j * np.pi * phase), 1.0)
+    # an echo delayed by l reads prefix position k - l at sample k < l
+    prefix = prefix_phasors(n, max_delay, c1)
+    out = np.where(k < delay, prefix[np.minimum(max_delay + k - delay, max_delay - 1)], 1.0)
     out.flags.writeable = False
     return out
 
@@ -303,9 +290,9 @@ def effective_channel_closed_form(
     rows = np.arange(n, dtype=np.float64)[:, None]
     cols = np.arange(n, dtype=np.float64)[None, :]
     acc = np.zeros((n, n), dtype=np.complex128)
-    for path in realization.paths:
-        kernel = coupling_kernel(rows, cols, path.doppler, path.delay, params)
+    for gain, delay, doppler in zip(realization.gains, realization.delays, realization.dopplers):
+        kernel = coupling_kernel(rows, cols, doppler, delay, params)
         # carrier-dependent phase from the delay passing through the chirps
-        phase = np.mod(params.c1 * path.delay * path.delay - cols * path.delay / n, 1.0)
-        acc += path.gain * np.exp(2j * np.pi * phase) * kernel / n
+        phase = np.mod(params.c1 * delay * delay - cols * delay / n, 1.0)
+        acc += gain * np.exp(2j * np.pi * phase) * kernel / n
     return _apply_schedules(acc, sched_rx, sched_tx)

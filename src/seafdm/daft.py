@@ -37,6 +37,7 @@ __all__ = [
     "chirp_diag",
     "daft",
     "idaft",
+    "prefix_phasors",
     "add_cpp",
     "remove_cpp",
 ]
@@ -165,17 +166,24 @@ def idaft(x: np.ndarray, params: FrameParams, c2) -> np.ndarray:
     return chirp_diag(params.c1, params.n, conjugate=True) * s
 
 
+@functools.lru_cache(maxsize=32)
+def prefix_phasors(n: int, ncp: int, c1: float) -> np.ndarray:
+    """exp(-2j*pi*c1*(n**2 + 2*n*k)) at prefix positions k in [-ncp, -1], read-only and built once."""
+    k = np.arange(-ncp, 0, dtype=np.float64)
+    out = np.exp(-2j * np.pi * np.mod(c1 * (n * float(n) + 2.0 * n * k), 1.0))
+    out.flags.writeable = False
+    return out
+
+
 def add_cpp(s: np.ndarray, params: FrameParams) -> SignalBlock:
     """Prepend the chirp-periodic prefix to the length-n core s (to each row of a stack).
 
-    Prefix position k in [-ncp, -1] holds s[k + n] * exp(-2j*pi*c1*(n**2 + 2*n*k)).
+    Prefix position k in [-ncp, -1] holds s[k + n] times its prefix phasor.
     """
     s = _core(s, params.n, "add_cpp")
-    k = np.arange(-params.ncp, 0, dtype=np.float64)
-    frac = np.mod(params.c1 * (params.n * float(params.n) + 2.0 * params.n * k), 1.0)
     # phasors get the frames' axes: NumPy multiplies a (1, 1) stack by a (1,)
     # vector without FMA, so a stack of one would round unlike a lone frame
-    phasors = np.exp(-2j * np.pi * frac).reshape((1,) * (s.ndim - 1) + (-1,))
+    phasors = prefix_phasors(params.n, params.ncp, params.c1).reshape((1,) * (s.ndim - 1) + (-1,))
     prefix = s[..., params.n - params.ncp :] * phasors
     return SignalBlock(np.concatenate([prefix, s], axis=-1), prefix_len=params.ncp)
 

@@ -42,8 +42,8 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
         raise ContractViolation("channel matrix must be square")
     if y.shape != (h.shape[0],):
         raise ContractViolation("observation length does not match the channel")
-    if sigma2 < 0:
-        raise ContractViolation("noise variance must be nonnegative")
+    if not sigma2 >= 0:
+        raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
     gram = h @ h.conj().T
     gram[np.diag_indices_from(gram)] += sigma2
     try:
@@ -72,7 +72,7 @@ def banded_mmse_equalize(
     a banded Cholesky factors in O(L^2 n).  When n <= 2L several cyclic
     offsets land on the same entry, so entries are accumulated.
 
-    realizations holds S channels of equal max_delay and r has shape
+    realizations holds S channels of one delay profile and r has shape
     (S, k, n), k right-hand sides per system; the result has the shape of r.
     Every system is solved at once: their folded bands sit side by side in
     one band whose entries across a seam are zero, so each system's
@@ -84,18 +84,18 @@ def banded_mmse_equalize(
     r = np.asarray(r, dtype=np.complex128)
     if not systems or r.ndim != 3 or r.shape[0] != len(systems) or r.shape[2] != n:
         raise ContractViolation(f"received cores must have shape ({len(systems)}, k, {n}), got {r.shape}")
-    if sigma2 < 0:
-        raise ContractViolation("noise variance must be nonnegative")
-    if len({real.max_delay for real in systems}) > 1:
-        raise ContractViolation("stacked systems must share one max_delay")
-    count = len(systems)
+    if not sigma2 >= 0:
+        raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
+    taps = _tap_diagonals(systems, params)
     step = max(1, _STACK_SAMPLES // n)
-    if count > step:
-        return np.concatenate(
-            [banded_mmse_equalize(r[i : i + step], systems[i : i + step], params, sigma2) for i in range(0, count, step)]
-        )
-    plan = _band_plan(n, systems[0].max_delay, count)
-    taps = _tap_diagonals(systems, params).reshape(count, -1)
+    return np.concatenate([_banded_solve(r[i : i + step], taps[i : i + step], sigma2) for i in range(0, len(systems), step)])
+
+
+def _banded_solve(r: np.ndarray, taps: np.ndarray, sigma2: float) -> np.ndarray:
+    """The stacked solve of banded_mmse_equalize on the tap diagonals of each system."""
+    count, rows, n = taps.shape
+    plan = _band_plan(n, rows - 1, count)
+    taps = taps.reshape(count, -1)
     # lower band of each folded Gram matrix, entries summed in plan order;
     # np.take gathers along one axis row by row, which beats fancy indexing
     # on a trailing axis when there are few systems

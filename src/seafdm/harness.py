@@ -1,12 +1,14 @@
 """Monte Carlo experiment harness: configs, sweeps, CSV output.
 
 Reproducibility contract: every trial owns a seed tree rooted at
-SeedSequence(config.seed, spawn_key=(point_index, trial_index)), spawned
-into eight child streams in a fixed order (data bits, keystream seed,
-Bob channel, Bob noise, Eve channel, Eve noise, Eve guess, channel
-estimation error).  Results therefore depend only on (seed, point, trial),
-never on worker count or completion order, and error counts are summed as
-integers before any division.
+SeedSequence(config.seed, spawn_key=(point_index, trial_index)), whose
+eight children come in a fixed order (data bits, keystream seed, Bob
+channel, Bob noise, Eve channel, Eve noise, Eve guess, channel estimation
+error).  A trial builds only the children it reads: child k alone is
+SeedSequence(config.seed, spawn_key=(point_index, trial_index, k)), the
+tree's spawn(8)[k] state for state.  Results depend only on (seed, point,
+trial), never on worker count or completion order, and error counts are
+summed as integers before any division.
 
 The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
 channel realization, the same noise vector and the same channel-estimate
@@ -96,6 +98,8 @@ except metadata.PackageNotFoundError:  # running from a source tree
     _VERSION = "0+unknown"
 
 _SEED_POLICY = "SeedSequence(seed, spawn_key=(point_index, trial_index)).spawn(8)"
+# the seed tree's children in spawn order
+_STREAMS = ("data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise", "eve_guess", "csi")
 
 # Frame samples (trials times n) per exact-CSI trial block: enough frames to
 # spread each receive-side stage's fixed cost at small n, one trial per
@@ -144,6 +148,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         for name in ("c2max", "alpha_max", "eve_bias", "csi_error_var"):
             object.__setattr__(self, name, _as_float(getattr(self, name), name))
+        if not isinstance(self.integer_doppler, (bool, np.bool_)):
+            raise ConfigError(f"integer_doppler must be true or false, got {self.integer_doppler!r}")
+        object.__setattr__(self, "integer_doppler", bool(self.integer_doppler))
         if not isinstance(self.lfsr_taps, (list, tuple, np.ndarray)):
             raise ConfigError(f"lfsr_taps must be a list of exponents, got {self.lfsr_taps!r}")
         object.__setattr__(self, "lfsr_taps", tuple(_as_int(t, "lfsr_taps entry") for t in self.lfsr_taps))
@@ -269,6 +276,11 @@ class TrialRecord:
     wall_ms: float = float("nan")
 
 
+def _seed_stream(seed: int, point_idx: int, trial_idx: int, name: str) -> np.random.SeedSequence:
+    """The named child of trial (point_idx, trial_idx)'s seed tree, built alone."""
+    return np.random.SeedSequence(seed, spawn_key=(point_idx, trial_idx, _STREAMS.index(name)))
+
+
 def _draw_lfsr_state(rng: np.random.Generator, taps: tuple[int, ...]) -> int:
     degree = max(taps)
     nbytes = (degree + 7) // 8
@@ -280,7 +292,7 @@ def _eve_guess(
     mode: str,
     alice: C2Schedule,
     book: Codebook,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     bias: float,
 ) -> C2Schedule:
     n = len(alice)
@@ -375,27 +387,26 @@ def _run_trial(
     const = config.constellation
     n = config.n
 
-    ss = np.random.SeedSequence(config.seed, spawn_key=(point_idx, trial_idx))
-    (ss_data, ss_key, ss_chb, ss_nb, ss_che, ss_ne, ss_eve, ss_csi) = ss.spawn(8)
-
-    rng_data = np.random.default_rng(ss_data)
-    bits = rng_data.integers(0, 2, size=n * const.bits_per_symbol)
+    stream = functools.partial(_seed_stream, config.seed, point_idx, trial_idx)
+    bits = np.random.default_rng(stream("data")).integers(0, 2, size=n * const.bits_per_symbol)
     x = map_bits(bits, const)
 
-    state = _draw_lfsr_state(np.random.default_rng(ss_key), config.lfsr_taps)
+    state = _draw_lfsr_state(np.random.default_rng(stream("key")), config.lfsr_taps)
     alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
 
-    def channel(ss_channel, label=""):
-        rng = np.random.default_rng(ss_channel)
-        return sample_channel(
-            config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler, label=label
-        )
+    def channel(name, label=""):
+        rng = np.random.default_rng(stream(name))
+        return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler, label=label)
 
-    realization = channel(ss_chb)
+    realization = channel("bob_channel")
+    ss_nb = stream("bob_noise")
     a0 = zero_schedule(n, "alice") if need_afdm else None
     if need_eve:
-        guess = _eve_guess(config.eve_mode, alice, book, np.random.default_rng(ss_eve), bias)
-        eve_channel = channel(ss_che, "eve")
+        # the all-zeros guess draws nothing, so its stream is not built
+        rng_guess = None if config.eve_mode == "zeros" else np.random.default_rng(stream("eve_guess"))
+        guess = _eve_guess(config.eve_mode, alice, book, rng_guess, bias)
+        eve_channel = channel("eve_channel", "eve")
+        ss_ne = stream("eve_noise")
 
     if block is not None:
         # exact CSI: the banded time-domain solve seen through the transmit
@@ -422,6 +433,7 @@ def _run_trial(
         return bob_err, eve_err, afdm_err, block.size * bits.size
 
     tx = se_afdm_modulate(x, params, alice)
+    ss_csi = stream("csi")
     rng_csi = np.random.default_rng(ss_csi)
 
     def receive(front_end, link, signal, ss_noise, sched_rx, sched_tx, rng_err):
@@ -579,7 +591,7 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
         "version": _VERSION,
         "rng": "numpy.random.default_rng (PCG64)",
         "seed_policy": _SEED_POLICY,
-        "config": None if config is None else _jsonable(asdict(config)),
+        "config": None if config is None else asdict(config),
         "provenance": _provenance(),
         "wall_ms": [rec.wall_ms for rec in records],
         "wilson_95": {
@@ -621,16 +633,6 @@ def _interval(ber: float, bits: int) -> tuple[float, float] | None:
     if not np.isfinite(ber):
         return None
     return wilson(int(round(ber * bits)), bits)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 def read_csv(path: str | Path) -> list[TrialRecord]:

@@ -21,7 +21,7 @@ from seafdm import (
     sample_channel,
     zero_schedule,
 )
-from seafdm.channel import ChannelRealization, PathSpec
+from seafdm.channel import ChannelRealization
 from seafdm.daft import daft, idaft
 from seafdm.harness import emit_csv
 from seafdm.keystream import C2Schedule
@@ -113,7 +113,7 @@ def test_a03_integer_doppler_sparsity_exhaustive():
     ok = True
     for delay in (0, 1, 2):
         for alpha in (-2, -1, 0, 1, 2):
-            real = ChannelRealization((PathSpec(1.0, delay, float(alpha)),))
+            real = ChannelRealization([1.0], [delay], [alpha])
             mags = np.abs(effective_channel(real, params, rx, tx).matrix)
             loc = (5 * delay - alpha) % n
             for p in range(n):

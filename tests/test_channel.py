@@ -21,7 +21,7 @@ from seafdm import (
     se_afdm_modulate,
     zero_schedule,
 )
-from seafdm.channel import ChannelRealization, PathSpec, _tap_diagonals, _time_domain_matrix, awgn, coupling_kernel
+from seafdm.channel import ChannelRealization, _tap_diagonals, _time_domain_matrix, _wrap_phasors, coupling_kernel
 from seafdm.daft import SignalBlock, add_cpp, daft, remove_cpp
 from seafdm.detection import banded_mmse_equalize
 from seafdm.keystream import C2Schedule
@@ -36,35 +36,60 @@ def matched_schedules(rng, n, c2max=1e-3):
     return C2Schedule(values, "bob"), C2Schedule(values, "alice")
 
 
-def circular_path_oracle(path, params):
-    """Gamma * Delta * Pi^l built from first principles."""
+def circular_oracle(real, params):
+    """Sum over paths of Gamma * Delta * Pi^l, built from first principles."""
     n = params.n
-    shift = np.roll(np.eye(n), 1, axis=0)
-    perm = np.linalg.matrix_power(shift, path.delay)
-    delta = np.diag(np.exp(2j * np.pi * path.doppler * np.arange(n) / n))
-    gamma = np.ones(n, dtype=complex)
-    for t in range(path.delay):
-        gamma[t] = np.exp(-2j * np.pi * params.c1 * (n * n - 2 * n * (path.delay - t)))
-    return path.gain * np.diag(gamma) @ delta @ perm
+    out = np.zeros((n, n), dtype=complex)
+    for gain, delay, doppler in zip(real.gains, real.delays, real.dopplers):
+        perm = np.linalg.matrix_power(np.roll(np.eye(n), 1, axis=0), delay)
+        delta = np.diag(np.exp(2j * np.pi * doppler * np.arange(n) / n))
+        gamma = np.ones(n, dtype=complex)
+        for t in range(delay):
+            gamma[t] = np.exp(-2j * np.pi * params.c1 * (n * n - 2 * n * (delay - t)))
+        out += gain * np.diag(gamma) @ delta @ perm
+    return out
 
 
-def test_path_spec_validation():
-    with pytest.raises(ContractViolation):
-        PathSpec(1.0, -1, 0.0)
-    with pytest.raises(ContractViolation):
-        PathSpec(1.0, 0, np.inf)
-    with pytest.raises(ContractViolation):
-        ChannelRealization(())
+def test_realization_validation():
+    for gains, delays, dopplers in [
+        ([], [], []),
+        ([1.0], [-1], [0.0]),
+        ([1.0], [1.5], [0.0]),
+        ([1.0], [np.nan], [0.0]),
+        ([1.0], [np.inf], [0.0]),
+        ([1.0], [1e300], [0.0]),
+        ([1.0], [0], [np.inf]),
+        ([1.0], [0], [np.nan]),
+        ([1.0, 0.5], [0, 1], [0.0]),
+        ([1.0, 0.5], [0], [0.0, 0.1]),
+        ([[1.0]], [[0]], [[0.0]]),
+    ]:
+        with pytest.raises(ContractViolation):
+            ChannelRealization(gains, delays, dopplers)
+
+
+def test_realization_holds_three_typed_arrays():
+    real = ChannelRealization([1.0, 0.5j], [0, 2.0], [0, 1], "bob")
+    assert real.gains.dtype == np.complex128 and real.gains.tolist() == [1.0, 0.5j]
+    assert real.delays.dtype == np.intp and real.delays.tolist() == [0, 2]
+    assert real.dopplers.dtype == np.float64 and real.dopplers.tolist() == [0.0, 1.0]
+    assert real.label == "bob"
+    gains = np.ones(2)
+    frozen = ChannelRealization(gains, [0, 1], [0.0, 0.0])
+    gains[0] = 5.0  # the realization holds its own copy
+    assert frozen.gains.tolist() == [1.0, 1.0]
+    for values in (frozen.gains, frozen.delays, frozen.dopplers):
+        with pytest.raises(ValueError):
+            values[0] = 2
 
 
 def test_sample_channel_geometry():
     rng = np.random.default_rng(0)
     real = sample_channel(3, 2.0, rng, n=64)
-    assert [p.delay for p in real.paths] == [0, 1, 2]
-    assert real.max_delay == 2
-    assert all(abs(p.doppler) <= 2.0 for p in real.paths)
+    assert real.delays.tolist() == [0, 1, 2]
+    assert np.all(np.abs(real.dopplers) <= 2.0)
     single = sample_channel(1, 0.0, rng, n=64)
-    assert single.paths[0].delay == 0 and single.paths[0].doppler == 0.0
+    assert single.delays.tolist() == [0] and single.dopplers.tolist() == [0.0]
 
 
 def test_sample_channel_unit_average_energy():
@@ -73,7 +98,7 @@ def test_sample_channel_unit_average_energy():
     trials = 10_000
     for _ in range(trials):
         real = sample_channel(3, 2.0, rng, n=64)
-        total += sum(abs(p.gain) ** 2 for p in real.paths)
+        total += np.sum(np.abs(real.gains) ** 2)
     assert abs(total / trials - 1.0) < 0.03
 
 
@@ -81,7 +106,7 @@ def test_doppler_follows_jakes_marginal():
     rng = np.random.default_rng(2)
     alpha = 2.0
     nu = np.array(
-        [sample_channel(1, alpha, rng, n=64).paths[0].doppler for _ in range(100_000)]
+        [sample_channel(1, alpha, rng, n=64).dopplers[0] for _ in range(100_000)]
     )
 
     def arcsine_cdf(v):
@@ -94,24 +119,27 @@ def test_doppler_follows_jakes_marginal():
 def test_integer_doppler_mode_rounds():
     rng = np.random.default_rng(3)
     real = sample_channel(4, 2.0, rng, n=64, integer_doppler=True)
-    for p in real.paths:
-        assert p.doppler == int(p.doppler)
+    assert np.all(real.dopplers == np.rint(real.dopplers))
 
 
-def test_awgn_variance_and_validation():
-    rng = np.random.default_rng(4)
-    w = awgn(rng, 200_000, 0.36)
+def test_channel_noise_variance_and_draw_order():
+    # a silent frame through a unit path comes out as the noise alone: real
+    # parts, then imaginary parts, from the row's generator
+    silent = SignalBlock(np.zeros(200_002), prefix_len=2)
+    unit = ChannelRealization([1.0], [0], [0.0])
+    w = apply_channel(silent, unit, np.random.default_rng(4), 0.36).samples
     assert abs(np.mean(np.abs(w) ** 2) - 0.36) < 0.01
-    assert np.all(awgn(rng, 8, 0.0) == 0)
-    with pytest.raises(ContractViolation):
-        awgn(rng, 8, -1.0)
+    replay = np.random.default_rng(4)
+    a, b = replay.standard_normal(w.size), replay.standard_normal(w.size)
+    assert w.tobytes() == (np.sqrt(0.18) * (a + 1j * b)).tobytes()
+    assert np.all(apply_channel(silent, unit, None, 0.0).samples == 0)
 
 
 def test_apply_channel_identity_path():
     params = FrameParams(n=16, ncp=2, c1=0.1)
     rng = np.random.default_rng(5)
     s = add_cpp(random_frame(rng, 16), params)
-    real = ChannelRealization((PathSpec(1.0, 0, 0.0),))
+    real = ChannelRealization([1.0], [0], [0.0])
     r = apply_channel(s, real, None, 0.0)
     np.testing.assert_allclose(r.samples, s.samples, atol=1e-15)
 
@@ -121,7 +149,7 @@ def test_apply_channel_pure_delay():
     rng = np.random.default_rng(6)
     s = add_cpp(random_frame(rng, 16), params)
     gain = 0.5 - 0.25j
-    r = apply_channel(s, ChannelRealization((PathSpec(gain, 2, 0.0),)), None, 0.0)
+    r = apply_channel(s, ChannelRealization([gain], [2], [0.0]), None, 0.0)
     np.testing.assert_allclose(r.samples[2:], gain * s.samples[:-2], atol=1e-15)
     np.testing.assert_allclose(r.samples[:2], 0.0, atol=1e-15)
 
@@ -131,18 +159,18 @@ def test_apply_channel_contracts():
     rng = np.random.default_rng(7)
     core = random_frame(rng, 16)
     with pytest.raises(ContractViolation):
-        apply_channel(core, ChannelRealization((PathSpec(1.0, 0, 0.0),)), rng, 0.1)
+        apply_channel(core, ChannelRealization([1.0], [0], [0.0]), rng, 0.1)
     prefixed = add_cpp(core, params)
     with pytest.raises(ContractViolation):
-        apply_channel(prefixed, ChannelRealization((PathSpec(1.0, 2, 0.0),)), rng, 0.1)
+        apply_channel(prefixed, ChannelRealization([1.0], [2], [0.0]), rng, 0.1)
     with pytest.raises(ContractViolation):
-        apply_channel(prefixed, ChannelRealization((PathSpec(1.0, 0, 0.0),)), None, 0.1)
+        apply_channel(prefixed, ChannelRealization([1.0], [0], [0.0]), None, 0.1)
 
 
 def test_stacked_channel_contracts():
     params = FrameParams(n=8, ncp=2, c1=0.1)
     rng = np.random.default_rng(8)
-    real = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 2, 0.3)))
+    real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
     x = rng.standard_normal((3, 8)) + 0j
     alice = zero_schedule(8, "alice")
     for frames, scheds in [(x, [alice, alice]), (x, alice), (x[0], [alice])]:
@@ -158,7 +186,7 @@ def test_stacked_channel_contracts():
         apply_channel(tx, [real] * 3, None, 0.1)
     with pytest.raises(ContractViolation):
         apply_channel(tx, [real] * 3, [gens[0], None, gens[2]], 0.1)
-    other = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 1, 0.3)))
+    other = ChannelRealization([1.0, 0.5], [0, 1], [0.0, 0.3])
     with pytest.raises(ContractViolation):
         apply_channel(tx, [real, other, real], gens, 0.1)  # rows share one delay profile
     assert apply_channel(tx, [real] * 3, None, 0.0).samples.shape == (3, 10)
@@ -167,7 +195,6 @@ def test_stacked_channel_contracts():
     stack = apply_channel(SignalBlock(tx.samples[1:2], 2), [real], [np.random.default_rng(5)], 0.1)
     assert lone.samples.shape == (10,)
     assert lone.samples.tobytes() == stack.samples[0].tobytes()
-    assert awgn(np.random.default_rng(6), 10, 0.1).tobytes() == awgn([np.random.default_rng(6)], 10, 0.1)[0].tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -188,8 +215,9 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     params = FrameParams(n=n, ncp=ncp, c1=rng.uniform(-1.0, 1.0))
     x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
     scheds = [C2Schedule(rng.uniform(-0.5, 0.5, size=n), "alice") for _ in range(frames)]
+    paths = len(delays)
     links = [
-        ChannelRealization(tuple(PathSpec(complex(*rng.standard_normal(2)), d, rng.uniform(-3, 3)) for d in delays))
+        ChannelRealization(rng.standard_normal(paths) + 1j * rng.standard_normal(paths), delays, rng.uniform(-3, 3, paths))
         for _ in range(3)
     ]
     streams = [np.random.SeedSequence(int(rng.integers(2**32))) for _ in range(3)]
@@ -223,30 +251,49 @@ def test_prefixed_transmission_is_circular():
         s = random_frame(rng, n)
         r = apply_channel(add_cpp(s, params), real, None, 0.0)
         got = remove_cpp(r, params)
-        oracle = sum(circular_path_oracle(p, params) for p in real.paths)
-        np.testing.assert_allclose(got, oracle @ s, atol=1e-10)
+        np.testing.assert_allclose(got, circular_oracle(real, params) @ s, atol=1e-10)
 
 
 def test_stacked_tap_diagonals_match_the_circular_oracle():
-    # stacked systems share one max_delay, not their delay sets; equal delays add up
+    # stacked systems share one delay profile, here unsorted with a repeated
+    # delay and delay 1 absent; equal delays add up in path order
     rng = np.random.default_rng(13)
     n = 12
     params = FrameParams(n=n, ncp=3, c1=0.1)
+    delays = [2, 0, 3, 2]
 
-    def path(delay):
-        return PathSpec(complex(*rng.standard_normal(2)), delay, rng.uniform(-2.0, 2.0))
+    def channel(delays):
+        paths = len(delays)
+        return ChannelRealization(rng.standard_normal(paths) + 1j * rng.standard_normal(paths), delays, rng.uniform(-2, 2, paths))
 
-    reals = [
-        ChannelRealization((path(0), path(3), path(1))),
-        ChannelRealization((path(3), path(2), path(2), path(0), path(2))),
-        ChannelRealization((path(3),)),
-    ]
+    reals = [channel(delays) for _ in range(3)]
     taps = _tap_diagonals(reals, params)
     assert taps.shape == (3, 4, n)
+    assert not np.any(taps[:, 1])
     for s, real in enumerate(reals):
-        oracle = sum(circular_path_oracle(p, params) for p in real.paths)
-        np.testing.assert_allclose(_time_domain_matrix(real, params), oracle, atol=1e-12)
+        np.testing.assert_allclose(_time_domain_matrix(real, params), circular_oracle(real, params), atol=1e-12)
         assert taps[s].tobytes() == _tap_diagonals([real], params)[0].tobytes()
+    # the same delays in another order are another profile
+    for other in ([0, 2, 3, 2], [2, 0, 3], [2, 0, 3, 1]):
+        with pytest.raises(ContractViolation, match="one delay profile"):
+            _tap_diagonals([reals[0], channel(other)], params)
+
+
+def test_wrap_rows_are_the_prefix_phasors():
+    # row l holds exp(-2j*pi*c1*(n**2 + 2*n*(k - l))) for k < l, the phasor
+    # add_cpp puts on prefix position k - l, bit for bit, then ones
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        n = int(rng.integers(2, 130))
+        max_delay = int(rng.integers(0, n + 1))
+        c1 = float(rng.choice([rng.uniform(-2, 2), (2 * rng.integers(0, 5) + 1) / (2 * n)]))
+        delay = np.arange(max_delay + 1)[:, None]
+        k = np.arange(max_delay)
+        phase = np.mod(c1 * (n * n - 2.0 * n * (delay - k)), 1.0)
+        expected = np.where(k < delay, np.exp(-2j * np.pi * phase), 1.0)
+        assert _wrap_phasors(n, max_delay, c1).tobytes() == expected.tobytes()
+        block = add_cpp(np.ones(n), FrameParams(n=n, ncp=max_delay, c1=c1))
+        assert block.samples[:max_delay].tobytes() == expected[-1].tobytes()
 
 
 def test_prefixed_transmission_is_circular_awkward_c1():
@@ -259,8 +306,7 @@ def test_prefixed_transmission_is_circular_awkward_c1():
         s = random_frame(rng, n)
         r = apply_channel(add_cpp(s, params), real, None, 0.0)
         got = remove_cpp(r, params)
-        oracle = sum(circular_path_oracle(p, params) for p in real.paths)
-        np.testing.assert_allclose(got, oracle @ s, atol=1e-10)
+        np.testing.assert_allclose(got, circular_oracle(real, params) @ s, atol=1e-10)
 
 
 def test_effective_channel_identity_case():
@@ -268,7 +314,7 @@ def test_effective_channel_identity_case():
     params = FrameParams(n=n, ncp=0, c1=0.13)
     rng = np.random.default_rng(10)
     rx, tx = matched_schedules(rng, n)
-    real = ChannelRealization((PathSpec(1.0, 0, 0.0),))
+    real = ChannelRealization([1.0], [0], [0.0])
     eff = effective_channel(real, params, rx, tx)
     np.testing.assert_allclose(eff.matrix, np.eye(n), atol=1e-10)
 
@@ -278,7 +324,7 @@ def test_single_path_effective_channel_is_unitary():
     n = 16
     params = FrameParams(n=n, ncp=3, c1=5.0 / (2 * n))
     for delay, doppler in [(0, 0.0), (2, 1.37), (3, -0.61)]:
-        real = ChannelRealization((PathSpec(1.0, delay, doppler),))
+        real = ChannelRealization([1.0], [delay], [doppler])
         rx, tx = matched_schedules(rng, n)
         sv = np.linalg.svd(effective_channel(real, params, rx, tx).matrix, compute_uv=False)
         np.testing.assert_allclose(sv, np.ones(n), atol=1e-9)
@@ -347,7 +393,7 @@ def links(draw):
 def near_integer_link():
     """n=4, c1=0, one path a hair off integer Doppler: the kernel sits just off its peak."""
     n = 4
-    real = ChannelRealization((PathSpec(1.0, 0, 9.972e-10),))
+    real = ChannelRealization([1.0], [0], [9.972e-10])
     params = FrameParams(n=n, ncp=0, c1=0.0)
     return real, params, zero_schedule(n, "bob"), None, 1.0, np.zeros(n, dtype=complex)
 
@@ -438,7 +484,7 @@ def test_kernel_near_integer_offsets_matches_direct_sum(n):
 def test_integer_doppler_single_coupling_per_row():
     n = 16
     params = FrameParams(n=n, ncp=2, c1=5.0 / (2 * n))
-    real = ChannelRealization((PathSpec(1.0, 1, 2.0),))
+    real = ChannelRealization([1.0], [1], [2.0])
     h = effective_channel(
         real, params, zero_schedule(n, "bob"), zero_schedule(n, "alice")
     ).matrix

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from seafdm import ExperimentConfig, harness
-from seafdm.channel import ChannelRealization, PathSpec
+from seafdm.channel import ChannelRealization
 from seafdm.cli import _load_config, build_parser, main
 from seafdm.harness import read_csv
 
@@ -96,6 +97,15 @@ def test_bool_float_field_exits_2(tmp_path, capsys):
     assert "c2max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["maybe", "1", "0", "[true]"])
+def test_non_boolean_integer_doppler_exits_2(value, tmp_path, capsys):
+    out = tmp_path / "doppler.csv"
+    assert main(["simulate", "--set", f"integer_doppler={value}", "--out", str(out)]) == 2
+    assert "integer_doppler" in capsys.readouterr().err
+    assert not out.exists()
+    assert load("--set", "integer_doppler=true").integer_doppler is True
+
+
 def test_bad_override_exits_2(capsys):
     assert main(["simulate", "--set", "bogus_key=1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -120,7 +130,7 @@ def test_bad_snr_or_bias_exits_2_before_any_trial(argv, capsys):
 
 def test_dead_noiseless_channel_exits_4(tmp_path, monkeypatch, capsys):
     def dead_channel(path_count, alpha_max, rng, *, n, integer_doppler=False, label=""):
-        return ChannelRealization(tuple(PathSpec(0.0, l, 0.0) for l in range(path_count)), label)
+        return ChannelRealization(np.zeros(path_count), np.arange(path_count), np.zeros(path_count), label)
 
     monkeypatch.setattr(harness, "sample_channel", dead_channel)
     argv = ["simulate", "--set", "n=16", "--set", "trials=1", "--set", "snr_db=[.inf]"]
@@ -137,7 +147,7 @@ def test_solver_error_while_a_block_finishes_exits_4(tmp_path, monkeypatch, caps
     def third_dead(path_count, alpha_max, rng, *, n, integer_doppler=False, label=""):
         calls.append(label)
         if len(calls) == 5:  # Bob's and Eve's channels alternate: this is trial 2's Bob
-            return ChannelRealization(tuple(PathSpec(0.0, l, 0.0) for l in range(path_count)), label)
+            return ChannelRealization(np.zeros(path_count), np.arange(path_count), np.zeros(path_count), label)
         return live(path_count, alpha_max, rng, n=n, integer_doppler=integer_doppler, label=label)
 
     monkeypatch.setattr(harness, "sample_channel", third_dead)

@@ -26,8 +26,8 @@ from seafdm import (
     zero_schedule,
 )
 from seafdm import detection
-from seafdm.channel import ChannelRealization, PathSpec
-from seafdm.daft import chirp_diag, daft
+from seafdm.channel import ChannelRealization
+from seafdm.daft import add_cpp, chirp_diag, daft
 from seafdm.detection import _band_plan, banded_mmse_equalize
 from seafdm.keystream import C2Schedule
 
@@ -110,12 +110,12 @@ def test_time_domain_mmse_when_cyclic_band_offsets_alias(n, paths):
 
 def test_time_domain_mmse_contracts_and_singular_channel():
     params = FrameParams(n=8, ncp=2, c1=0.1)
-    real = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 2, 0.3)))
+    real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
     with pytest.raises(ContractViolation):
         banded_mmse_equalize(np.ones((1, 1, 7), dtype=complex), [real], params, 0.1)
     with pytest.raises(ContractViolation):
         banded_mmse_equalize(np.ones((1, 1, 8), dtype=complex), [real], params, -0.1)
-    dead = ChannelRealization((PathSpec(0.0, 0, 0.0), PathSpec(0.0, 2, 1.0)))
+    dead = ChannelRealization([0.0, 0.0], [0, 2], [0.0, 1.0])
     with pytest.raises(SolverError):
         banded_mmse_equalize(np.ones((1, 1, 8), dtype=complex), [dead], params, 0.0)
 
@@ -152,9 +152,9 @@ def test_stacked_solve_equals_each_system_alone(systems, n, paths, rhs, log_sigm
             assert stacked[s, j].tobytes() == alone.tobytes()
 
 
-def test_stacked_solve_contracts():
+def test_stacked_solve_contracts(monkeypatch):
     params = FrameParams(n=8, ncp=2, c1=0.1)
-    real = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 2, 0.3)))
+    real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
     for shape in [(2, 8), (3, 1, 8), (2, 2, 2, 8), (2, 1, 7), (8,)]:
         with pytest.raises(ContractViolation):
             banded_mmse_equalize(np.ones(shape, dtype=complex), [real, real], params, 0.1)
@@ -162,12 +162,36 @@ def test_stacked_solve_contracts():
         banded_mmse_equalize(np.ones((0, 1, 8), dtype=complex), [], params, 0.1)
     with pytest.raises(TypeError):  # a lone realization is no sequence of systems
         banded_mmse_equalize(np.ones((1, 1, 8), dtype=complex), real, params, 0.1)
-    short = ChannelRealization((PathSpec(1.0, 0, 0.0), PathSpec(0.5, 1, 0.3)))
-    with pytest.raises(ContractViolation, match="max_delay"):
-        banded_mmse_equalize(np.ones((2, 1, 8), dtype=complex), [real, short], params, 0.1)
-    dead = ChannelRealization((PathSpec(0.0, 0, 0.0), PathSpec(0.0, 2, 1.0)))
+    # one delay profile per stack: an equal longest delay or the same delays reordered is another profile
+    for other in ([0, 1], [2, 0], [0, 1, 2]):
+        link = ChannelRealization(np.ones(len(other)), other, np.zeros(len(other)))
+        with pytest.raises(ContractViolation, match="one delay profile"):
+            banded_mmse_equalize(np.ones((2, 1, 8), dtype=complex), [real, link], params, 0.1)
+    # the profile holds across runs of the stack, not only within one
+    stack = [real] * 3 + [ChannelRealization([1.0, 0.5], [2, 0], [0.0, 0.3])]
+    monkeypatch.setattr(detection, "_STACK_SAMPLES", 2 * params.n)
+    with pytest.raises(ContractViolation, match="one delay profile"):
+        banded_mmse_equalize(np.ones((4, 1, 8), dtype=complex), stack, params, 0.1)
+    dead = ChannelRealization([0.0, 0.0], [0, 2], [0.0, 1.0])
     with pytest.raises(SolverError):
         banded_mmse_equalize(np.ones((2, 1, 8), dtype=complex), [real, dead], params, 0.0)
+
+
+_PARAMS = FrameParams(n=8, ncp=2, c1=0.1)
+_LINK = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
+_NOISY_STAGES = {
+    "apply_channel": lambda sigma2: apply_channel(add_cpp(np.ones(8), _PARAMS), _LINK, np.random.default_rng(0), sigma2).samples,
+    "mmse_equalize": lambda sigma2: mmse_equalize(np.ones(8), np.eye(8), sigma2),
+    "banded_mmse_equalize": lambda sigma2: banded_mmse_equalize(np.ones((1, 1, 8)), [_LINK], _PARAMS, sigma2),
+}
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, -1e-300, float("nan")])
+@pytest.mark.parametrize("stage", sorted(_NOISY_STAGES))
+def test_noise_variance_must_be_a_nonnegative_number(stage, sigma2):
+    with pytest.raises(ContractViolation, match="noise variance"):
+        _NOISY_STAGES[stage](sigma2)
+    assert np.all(np.isfinite(_NOISY_STAGES[stage](0.1)))
 
 
 def test_demap_and_count_errors_keep_leading_axes():

@@ -30,7 +30,7 @@ from seafdm import (
     se_afdm_modulate,
 )
 from seafdm import harness
-from seafdm.channel import ChannelRealization, PathSpec
+from seafdm.channel import ChannelRealization
 from seafdm.harness import (
     TrialRecord,
     _eve_guess,
@@ -119,6 +119,10 @@ def test_config_rejects_unknown_keys():
         {"c2max": [1e-4]},
         {"snr_db": (True,)},
         {"c2max_values": ("x",)},
+        {"integer_doppler": "maybe"},
+        {"integer_doppler": "false"},
+        {"integer_doppler": 1},
+        {"integer_doppler": None},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -126,6 +130,48 @@ def test_config_rejects_bad_values(overrides):
     base.update(overrides)
     with pytest.raises(ConfigError):
         ExperimentConfig(**base)
+
+
+def test_integer_doppler_is_a_plain_bool():
+    assert ExperimentConfig(integer_doppler=np.bool_(True)).integer_doppler is True
+    assert ExperimentConfig(integer_doppler=False).integer_doppler is False
+    with pytest.raises(ConfigError, match="integer_doppler"):
+        ExperimentConfig.from_dict({"integer_doppler": "maybe"})
+
+
+def test_each_seed_stream_is_its_spawned_child():
+    for seed, point, trial in [(0, 0, 0), (1, 3, 17), (2**40 + 5, 9, 123456)]:
+        tree = np.random.SeedSequence(seed, spawn_key=(point, trial)).spawn(8)
+        for k, name in enumerate(harness._STREAMS):
+            child = harness._seed_stream(seed, point, trial, name)
+            assert child.state == tree[k].state
+            assert child.generate_state(8).tobytes() == tree[k].generate_state(8).tobytes()
+            drawn = np.random.default_rng(child).standard_normal(5)
+            assert drawn.tobytes() == np.random.default_rng(tree[k]).standard_normal(5).tobytes()
+
+
+@pytest.mark.parametrize(
+    "overrides, streams",
+    [
+        ({"scenario": "bob-vs-afdm-ber"}, {"data", "key", "bob_channel", "bob_noise"}),
+        ({}, {"data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise"}),
+        ({"eve_mode": "random"}, {"data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise", "eve_guess"}),
+        ({"scenario": "csi-error-ber", "csi_error_var": 1e-3}, set(harness._STREAMS) - {"eve_guess"}),
+    ],
+    ids=["bob-vs-afdm", "eve-zeros", "eve-random", "csi-error"],
+)
+def test_a_trial_builds_only_the_streams_it_reads(overrides, streams, monkeypatch):
+    built = []
+    stream = harness._seed_stream
+
+    def recording(seed, point_idx, trial_idx, name):
+        built.append(name)
+        return stream(seed, point_idx, trial_idx, name)
+
+    monkeypatch.setattr(harness, "_seed_stream", recording)
+    run_scenario(tiny_config(trials=1, **overrides))
+    assert set(built) == streams
+    assert len(built) == len(streams)
 
 
 def test_infinite_snr_means_noiseless():
@@ -314,7 +360,7 @@ def test_awgn_reference_ber():
     n = 64
     params = FrameParams.for_profile(n, 2.0, 2)
     spec = qpsk()
-    flat = ChannelRealization((PathSpec(1.0, 0, 0.0),))
+    flat = ChannelRealization([1.0], [0], [0.0])
     snr_db = 7.0
     sigma2 = 10 ** (-snr_db / 10)
     book = build_codebook(4.88e-5, 4)
@@ -541,3 +587,82 @@ def test_identical_seeds_identical_csv_bytes(tmp_path):
     emit_csv(run_scenario(cfg), a)
     emit_csv(run_scenario(cfg), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# Integer (bob, eve, afdm, bit_count) per sweep point, None where a receiver
+# is not simulated.  Any change to a draw, its order or a stage's rounding
+# moves these counts, so a refactor that keeps them keeps the CSV bytes.
+GOLDEN_COUNTS = [
+    (
+        ExperimentConfig(scenario="eve-ber", n=64, snr_db=(5.0, 20.0), trials=24, seed=3),
+        [(322, 375, None, 3072), (0, 170, None, 3072)],
+    ),
+    (
+        ExperimentConfig(scenario="eve-ber", n=64, snr_db=(15.0,), trials=24, seed=4, eve_mode="random"),
+        [(9, 263, None, 3072)],
+    ),
+    (
+        ExperimentConfig(scenario="eve-ber", n=64, snr_db=(15.0,), trials=24, seed=5, eve_mode="biased", eve_bias=2e-4),
+        [(13, 717, None, 3072)],
+    ),
+    (
+        ExperimentConfig(scenario="bob-vs-afdm-ber", n=64, snr_db=(0.0, 10.0), trials=40, seed=6),
+        [(1039, None, 1080, 5120), (229, None, 221, 5120)],
+    ),
+    (
+        ExperimentConfig(scenario="bob-vs-afdm-ber", n=256, snr_db=(10.0,), trials=10, seed=7, integer_doppler=True),
+        [(170, None, 157, 5120)],
+    ),
+    (
+        ExperimentConfig(scenario="bob-vs-afdm-ber", n=64, snr_db=(10.0,), trials=12, seed=8, csi_error_var=1e-3),
+        [(81, None, 81, 1536)],
+    ),
+    (
+        ExperimentConfig(scenario="bob-vs-afdm-ber", n=64, snr_db=(float("inf"),), trials=8, seed=9),
+        [(0, None, 0, 1024)],
+    ),
+    (
+        ExperimentConfig(scenario="bias-sweep", n=64, snr_db=(20.0,), bias_values=(0.0, 1e-3), trials=12, seed=10),
+        [(1, 1, None, 1536), (1, 579, None, 1536)],
+    ),
+    (
+        ExperimentConfig(
+            scenario="csi-error-ber", n=64, modulation="qam16", snr_db=(20.0,), trials=10, seed=11,
+            csi_error_var=1e-3, workers=2,
+        ),
+        [(331, 484, None, 2560)],
+    ),
+    (
+        ExperimentConfig(scenario="eve-ber", n=64, snr_db=(10.0,), trials=12, seed=12, lfsr_taps=(5, 2, 0)),
+        [(52, 124, None, 1536)],
+    ),
+    (
+        ExperimentConfig(scenario="eve-ber", n=4, paths=3, snr_db=(10.0,), trials=37, seed=13),
+        [(9, 6, None, 296)],
+    ),
+    (
+        ExperimentConfig(scenario="bob-vs-afdm-ber", n=32, paths=2, ncp=1, snr_db=(10.0,), trials=20, seed=14),
+        [(34, None, 35, 1280)],
+    ),
+    (
+        ExperimentConfig(scenario="eve-ber", n=1024, snr_db=(10.0,), trials=3, seed=15),
+        [(298, 2978, None, 6144)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    GOLDEN_COUNTS,
+    ids=[
+        "eve-zeros", "eve-random", "eve-biased", "bob-vs-afdm", "integer-doppler-n256", "csi-error-afdm",
+        "noiseless", "bias-sweep", "csi-error-qam16-2-workers", "taps-5-2-0", "n4-3-paths",
+        "two-paths-ncp1", "eve-n1024",
+    ],
+)
+def test_golden_error_counts(cfg, expected):
+    got = []
+    for rec in run_scenario(cfg):
+        counts = [None if math.isnan(ber) else round(ber * rec.bit_count) for ber in (rec.bob_ber, rec.eve_ber, rec.afdm_ber)]
+        got.append((*counts, rec.bit_count))
+    assert got == expected
