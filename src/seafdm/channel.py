@@ -38,7 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """P paths as three read-only arrays of shape (P,): complex gains, integer delays, normalized Dopplers."""
+    """P paths as three read-only arrays of shape (P,): complex gains, integer delays, normalized Dopplers.
+
+    Each realization keeps its Doppler phasor rows per frame geometry once
+    they are built (see _doppler_rows), and every stage that passes a frame
+    through it reads them.
+    """
 
     gains: np.ndarray
     delays: np.ndarray
@@ -61,6 +66,25 @@ class ChannelRealization:
         for name, value in (("gains", gains), ("delays", ints), ("dopplers", dopplers)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_phasor_rows", {})
+
+
+def _doppler_rows(realizations: Sequence[ChannelRealization], n: int, prefix: int) -> np.ndarray:
+    """Row p of each realization: exp(2j*pi*dopplers[p]*t/n) on the sample clock t in [-prefix, n).
+
+    The result has shape (R, P, prefix + n).  Each realization keeps its
+    rows read-only for every later stage of the same geometry; the ones a
+    stack lacks are built in one pass.  Realizations share a path count.
+    """
+    key = (n, prefix)
+    fresh = [real for real in dict.fromkeys(realizations) if key not in real._phasor_rows]
+    if fresh:
+        t = np.arange(prefix + n, dtype=np.float64) - prefix
+        rows = np.exp(2j * np.pi * np.array([real.dopplers for real in fresh])[..., None] * t / n)
+        rows.flags.writeable = False
+        for real, own in zip(fresh, rows):
+            real._phasor_rows[key] = own
+    return np.array([real._phasor_rows[key] for real in realizations])
 
 
 def _shared_delays(realizations: Sequence[ChannelRealization]) -> list[int]:
@@ -130,17 +154,15 @@ def apply_channel(
     delays = _shared_delays(links)
     if max(delays) > s.prefix_len:
         raise ContractViolation(f"path delay {max(delays)} exceeds prefix length {s.prefix_len}")
-    n = s.n
     total = samples.shape[1]
     gains = np.array([link.gains for link in links])
-    rotations = 2j * np.pi * np.array([link.dopplers for link in links])
-    # sample clock: prefix samples sit at negative indices
-    t = np.arange(total, dtype=np.float64) - s.prefix_len
+    # frames through one realization (Bob's scrambled and plain-AFDM rows) read one set of rows
+    phasors = _doppler_rows(links, s.n, s.prefix_len)
     out = np.zeros_like(samples)
     for j, delay in enumerate(delays):
         shifted = np.zeros_like(samples)
         shifted[:, delay:] = samples[:, : total - delay]
-        out += gains[:, j, None] * shifted * np.exp(rotations[:, j, None] * t / n)
+        out += gains[:, j, None] * shifted * phasors[:, j]
     if sigma2 > 0.0:
         gens = [rng] if lone else list(rng or ())
         if len(gens) != len(links) or None in gens:
@@ -163,8 +185,8 @@ def _tap_diagonals(realizations: Sequence[ChannelRealization], params: FramePara
     n = params.n
     delays = _shared_delays(realizations)
     gains = np.concatenate([real.gains for real in realizations])
-    rotation = 2j * np.pi * np.concatenate([real.dopplers for real in realizations])
-    vals = gains[:, None] * np.exp(rotation[:, None] * np.arange(n) / n)
+    # the t >= 0 part of the rows apply_channel read on the prefixed clock
+    vals = gains[:, None] * _doppler_rows(realizations, n, params.ncp)[..., params.ncp :].reshape(len(gains), n)
     wrap = _wrap_phasors(n, max(delays), params.c1)
     # each path's wrap row, system by system; not in place: NumPy multiplies
     # length-1 complex arrays in place without FMA

@@ -29,6 +29,7 @@ from .harness import (
     run_scenario,
     run_sinr_curve,
     search_space_summary,
+    write_staged,
 )
 
 __all__ = ["main", "build_parser"]
@@ -128,10 +129,8 @@ def _cmd_sinr_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     curve = run_sinr_curve(config)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("c2max,sinr,sinr_db\n")
-            for c, s, db in zip(curve.c2max, curve.sinr, curve.sinr_db):
-                fh.write(f"{c!r},{s!r},{db!r}\n")
+        rows = [f"{c!r},{s!r},{db!r}\n" for c, s, db in zip(curve.c2max, curve.sinr, curve.sinr_db)]
+        write_staged([(Path(args.out), "".join(["c2max,sinr,sinr_db\n", *rows]))])
         print(f"wrote {args.out}")
     else:
         for c, db in zip(curve.c2max, curve.sinr_db):

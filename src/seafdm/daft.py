@@ -120,8 +120,10 @@ def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
     exponent.  The quadratic argument is reduced mod 1 before exponentiation
     so large indices keep full phase precision.
 
-    A scalar rate (the fixed c1, or a zero schedule) gives a read-only array
-    built once per (c, n, conjugate) and shared by every caller.
+    A row of rates that are all zero (a zero schedule, the all-zeros guess)
+    gives exact ones, which is what exp(0) rounds to, without exponentiating.
+    A scalar rate (the fixed c1, or zero) gives a read-only array built once
+    per (c, n, conjugate) and shared by every caller.
     """
     if np.ndim(c) == 0:
         return _scalar_chirp(float(c), int(n), bool(conjugate))
@@ -142,9 +144,15 @@ def _chirp(c, n: int, conjugate: bool) -> np.ndarray:
         raise ContractViolation(f"rate vector length {rate.shape[-1]} != n = {n}")
     if not np.all(np.isfinite(rate)):
         raise ContractViolation("chirp rate must be finite")
-    frac = np.mod(rate * idx * idx, 1.0)
+    live = rate.any(axis=-1) if rate.ndim else rate != 0.0
+    if not live.all():
+        # rows of zero rates are exact ones; only the other rows are exponentiated
+        out = np.ones(rate.shape[:-1] + (n,), dtype=np.complex128)
+        if rate.ndim:
+            out[live] = _chirp(rate[live], n, conjugate)
+        return out
     sign = 1.0 if conjugate else -1.0
-    return np.exp(sign * 2j * np.pi * frac)
+    return np.exp(sign * 2j * np.pi * np.mod(rate * idx * idx, 1.0))
 
 
 def daft(s: np.ndarray, params: FrameParams, c2) -> np.ndarray:

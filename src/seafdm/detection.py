@@ -95,28 +95,41 @@ def _banded_solve(r: np.ndarray, taps: np.ndarray, sigma2: float) -> np.ndarray:
     """The stacked solve of banded_mmse_equalize on the tap diagonals of each system."""
     count, rows, n = taps.shape
     plan = _band_plan(n, rows - 1, count)
-    taps = taps.reshape(count, -1)
-    # lower band of each folded Gram matrix, entries summed in plan order;
-    # np.take gathers along one axis row by row, which beats fancy indexing
-    # on a trailing axis when there are few systems
-    vals = np.take(taps, plan.left, axis=1) * np.conj(np.take(taps, plan.right, axis=1))
-    cols = count * n + plan.band_rows - 1
-    band = np.empty((plan.band_rows, cols), dtype=np.complex128)
-    band.real.flat = np.bincount(plan.target, vals.real.ravel(), band.size)
-    band.imag.flat = np.bincount(plan.target, vals.imag.ravel(), band.size)
-    band[0] += sigma2
-    band[0, count * n :] = 1.0
     try:
-        factor = cholesky_banded(band, lower=True, check_finite=False)
+        factor = cholesky_banded(_gram_band(taps, sigma2), lower=True, check_finite=False)
     except LinAlgError as exc:
         raise SolverError(f"MMSE Gram matrix is not positive definite: {exc}") from exc
     rhs = np.take(r, plan.order, axis=2)
-    folded = np.zeros((cols, rhs.shape[1]), dtype=np.complex128)
+    folded = np.zeros((factor.shape[1], rhs.shape[1]), dtype=np.complex128)
     folded[: count * n] = rhs.transpose(0, 2, 1).reshape(count * n, -1)
     z = cho_solve_banded((factor, True), folded, check_finite=False)[: count * n].reshape(count, n, -1)
     # (H_t^H z)[k] = sum_l conj(taps[l, j]) * z[j] with j = (k + l) mod n, read from its folded position
+    taps = taps.reshape(count, -1)
     adjoint = np.conj(np.take(taps, plan.adjoint_taps, axis=1))[..., None] * np.take(z, plan.adjoint_rows, axis=1)
     return np.sum(adjoint, axis=1).transpose(0, 2, 1)
+
+
+def _gram_band(taps: np.ndarray, sigma2: float) -> np.ndarray:
+    """Lower band of the stacked folded Gram matrices plus sigma2 on the diagonal, then the identity block.
+
+    Every band cell sums its terms taps[l, k] * conj(taps[m, j]) in plan
+    order, starting from zero: the cells are accumulated rank by rank, the
+    cells with a term of rank r first, then placed in the band.
+    """
+    count, rows, n = taps.shape
+    plan = _band_plan(n, rows - 1, count)
+    flat = taps.reshape(-1)
+    terms = np.take(flat, plan.left) * np.conj(np.take(flat, plan.right))
+    sums = np.zeros(plan.cells.size, dtype=np.complex128)
+    start = 0
+    for size in plan.rank_sizes:
+        sums[:size] += terms[start : start + size]
+        start += size
+    band = np.zeros((plan.band_rows, count * n + plan.band_rows - 1), dtype=np.complex128)
+    band.reshape(-1)[plan.cells] = sums
+    band[0] += sigma2
+    band[0, count * n :] = 1.0
+    return band
 
 
 class _BandPlan(NamedTuple):
@@ -127,13 +140,19 @@ class _BandPlan(NamedTuple):
     as the band follows the last system, so the triangular solves run the
     same kernel lengths on every system's tail whether another system
     follows it or not.
+
+    The Gram terms are listed rank by rank: first the first term of every
+    band cell that has one, then the second term of every cell that has
+    two, and so on, each rank's cells in the order of cells.  A cell's terms
+    keep their (l, m, k) order, so its sum adds them as it always has.
     """
 
     order: np.ndarray  # folded position -> frame index
     band_rows: int
-    left: np.ndarray  # flat tap index l*n + k of each kept Gram term
-    right: np.ndarray  # flat tap index m*n + j of the same term
-    target: np.ndarray  # flat stacked-band index of each system's terms, shape (S * terms,)
+    left: np.ndarray  # flat stacked tap index s*(L + 1)*n + l*n + k of each term
+    right: np.ndarray  # flat stacked tap index s*(L + 1)*n + m*n + j of the same term
+    cells: np.ndarray  # flat band index of each cell that has terms, by falling term count
+    rank_sizes: tuple[int, ...]  # terms of each rank: the cells that have at least r + 1 terms
     adjoint_taps: np.ndarray  # flat tap index l*n + (k + l) mod n, shape (L + 1, n)
     adjoint_rows: np.ndarray  # folded position of (k + l) mod n, shape (L + 1, n)
 
@@ -152,18 +171,32 @@ def _band_plan(n: int, max_delay: int, systems: int = 1) -> _BandPlan:
     cols = (idx + delays[None, :, None] - delays[:, None, None]) % n
     left = np.broadcast_to(delays[:, None, None] * n + idx, cols.shape)
     right = delays[None, :, None] * n + cols
-    # lower band storage of the folded Gram matrix: band[a - b, b] = G'[a, b] for a >= b
+    # lower band storage of the folded Gram matrix: band[a - b, b] = G'[a, b] for a >= b;
+    # when n <= 2 * max_delay several delay pairs land on one entry
     a, b = pos, pos[cols]
     keep = a >= b
-    rows = (idx[None, :] + delays[:, None]) % n
     band_rows = min(2 * max_delay, n - 1) + 1
-    width = systems * n + band_rows - 1
+    stack = np.arange(systems)[:, None]
+    cell = ((((a - b) * (systems * n + band_rows - 1) + b)[keep]) + stack * n).reshape(-1)
+    left = (left[keep] + stack * delays.size * n).reshape(-1)
+    right = (right[keep] + stack * delays.size * n).reshape(-1)
+    # a term's rank is its place among its cell's terms; cells go by falling term count
+    by_cell = np.argsort(cell, kind="stable")
+    cells, first, counts = np.unique(cell[by_cell], return_index=True, return_counts=True)
+    rank = np.arange(cell.size) - np.repeat(first, counts)
+    busy = np.argsort(-counts, kind="stable")
+    place = np.empty_like(busy)
+    place[busy] = np.arange(busy.size)
+    terms = by_cell[np.lexsort((np.repeat(place, counts), rank))]
+
+    rows = (idx[None, :] + delays[:, None]) % n
     plan = _BandPlan(
         order=order,
         band_rows=band_rows,
-        left=left[keep],
-        right=right[keep],
-        target=(((a - b) * width + b)[keep] + (np.arange(systems) * n)[:, None]).reshape(-1),
+        left=left[terms],
+        right=right[terms],
+        cells=cells[busy],
+        rank_sizes=tuple(np.bincount(rank).tolist()),
         adjoint_taps=delays[:, None] * n + rows,
         adjoint_rows=pos[rows],
     )
@@ -176,15 +209,19 @@ def _band_plan(n: int, max_delay: int, systems: int = 1) -> _BandPlan:
 def demap(x_hat: np.ndarray, spec: Constellation) -> np.ndarray:
     """Nearest-point hard decision back to bits, MSB first per symbol.
 
+    The alphabet is a product grid, so the nearest point is the nearest
+    level on each axis: each coordinate is compared with the midpoints
+    between levels, and a coordinate exactly on a midpoint takes the lower
+    of the two labels.  This is the first-index argmin over the distances
+    to every point, except within a few ulp of a midpoint, where those
+    rounded distances can tie or order the two points the other way.
     Leading axes of x_hat are kept: each row of symbols becomes a row of bits.
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
-    dist = np.abs(x_hat[..., None] - spec.points)
-    labels = np.argmin(dist, axis=-1)
-    k = spec.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1)
-    bits = (labels[..., None] >> shifts) & 1
-    return bits.reshape(*labels.shape[:-1], -1).astype(np.uint8)
+    slicer = spec._slicer
+    point = np.searchsorted(slicer.re_cuts, x_hat.real) * (slicer.im_cuts.size + 1)
+    point += np.searchsorted(slicer.im_cuts, x_hat.imag)
+    return np.take(slicer.bits, point, axis=0).reshape(*x_hat.shape[:-1], -1)
 
 
 def count_errors(sent: np.ndarray, received: np.ndarray) -> int | np.ndarray:

@@ -75,6 +75,7 @@ __all__ = [
     "run_sinr_curve",
     "search_space_summary",
     "emit_csv",
+    "write_staged",
     "read_csv",
     "wilson",
 ]
@@ -599,10 +600,20 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
             "eve": [_interval(rec.eve_ber, rec.bit_count) for rec in records],
         },
     }
-    targets = (
-        (path, table.getvalue()),
-        (Path(f"{path}.meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n"),
+    write_staged(
+        [
+            (path, table.getvalue()),
+            (Path(f"{path}.meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n"),
+        ]
     )
+
+
+def write_staged(targets: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) in full to a temporary file next to it, then rename every one into place.
+
+    A failure while writing leaves the earlier files intact and no
+    temporary file behind.
+    """
     # named by hand, not by tempfile, so the files get the umask's permissions
     staged = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target, _ in targets]
     try:

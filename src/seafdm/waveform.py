@@ -13,6 +13,7 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +35,59 @@ __all__ = [
 ]
 
 
+class _AxisSlicer(NamedTuple):
+    """Per-axis hard-decision tables of a product-grid alphabet.
+
+    A coordinate's level index is the number of cuts below it.  Each cut is
+    the midpoint between two adjacent levels, or the float just below it
+    where the upper level carries the lower labels, so a coordinate on a
+    midpoint takes the lower label, as a first-index argmin does on a tie.
+    """
+
+    re_cuts: np.ndarray
+    im_cuts: np.ndarray
+    bits: np.ndarray  # row i * (len(im_cuts) + 1) + q: label bits, MSB first, of the point (re level i, im level q)
+
+
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-average-energy alphabet indexed by the integer value of its Gray label."""
+    """Unit-average-energy alphabet indexed by the integer value of its Gray label.
+
+    The points must form a product grid, every real level paired once with
+    every imaginary level, whose labels break each midpoint tie the same
+    way along the other axis; demap then decides each axis on its own.
+    points is stored as a read-only copy, so its decision tables, built
+    here once, stay valid.
+    """
 
     name: str
     points: np.ndarray
     bits_per_symbol: int
+
+    def __post_init__(self) -> None:
+        points = np.array(self.points, dtype=np.complex128)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        if points.shape != (1 << self.bits_per_symbol,) or not np.isfinite(points).all():
+            raise ContractViolation(f"{self.name}: need 2**bits_per_symbol finite points, got shape {points.shape}")
+        re_levels, re_idx = np.unique(points.real, return_inverse=True)
+        im_levels, im_idx = np.unique(points.imag, return_inverse=True)
+        labels = np.full((re_levels.size, im_levels.size), -1)
+        labels[re_idx, im_idx] = np.arange(points.size)
+        if (labels < 0).any() or labels.size != points.size:
+            raise ContractViolation(f"{self.name}: points do not form a product grid of real and imaginary levels")
+        cuts = []
+        for levels, table in ((re_levels, labels), (im_levels, labels.T)):
+            up = table[1:] < table[:-1]  # the upper level of a midpoint carries the lower label
+            if (up.any(axis=1) != up.all(axis=1)).any():
+                raise ContractViolation(f"{self.name}: a midpoint tie breaks differently along the other axis")
+            mid = (levels[:-1] + levels[1:]) / 2.0
+            cuts.append(np.where(up[:, 0], np.nextafter(mid, -np.inf), mid))
+        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
+        slicer = _AxisSlicer(*cuts, ((labels.reshape(-1, 1) >> shifts) & 1).astype(np.uint8))
+        for table in slicer:
+            table.flags.writeable = False
+        object.__setattr__(self, "_slicer", slicer)
 
 
 def qpsk() -> Constellation:

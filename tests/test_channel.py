@@ -21,7 +21,14 @@ from seafdm import (
     se_afdm_modulate,
     zero_schedule,
 )
-from seafdm.channel import ChannelRealization, _tap_diagonals, _time_domain_matrix, _wrap_phasors, coupling_kernel
+from seafdm.channel import (
+    ChannelRealization,
+    _doppler_rows,
+    _tap_diagonals,
+    _time_domain_matrix,
+    _wrap_phasors,
+    coupling_kernel,
+)
 from seafdm.daft import SignalBlock, add_cpp, daft, remove_cpp
 from seafdm.detection import banded_mmse_equalize
 from seafdm.keystream import C2Schedule
@@ -294,6 +301,45 @@ def test_wrap_rows_are_the_prefix_phasors():
         assert _wrap_phasors(n, max_delay, c1).tobytes() == expected.tobytes()
         block = add_cpp(np.ones(n), FrameParams(n=n, ncp=max_delay, c1=c1))
         assert block.samples[:max_delay].tobytes() == expected[-1].tobytes()
+
+
+def test_doppler_phasor_rows_are_built_once_and_read_only():
+    # row p holds exp(2j*pi*nu_p*t/n) for t in [-prefix, n), as the channel
+    # formula evaluates it on the sample clock; a realization keeps its rows
+    # and every stage that passes a frame through it reads them
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(2, 100))
+        paths = int(rng.integers(1, min(n, 4) + 1))
+        prefix = int(rng.integers(paths - 1, n))
+        reals = [sample_channel(paths, float(rng.uniform(0.0, 4.0)), rng, n=n) for _ in range(3)]
+        # a stack that repeats a realization and meets one that already has its rows
+        _doppler_rows(reals[1:2], n, prefix)
+        kept = reals[1]._phasor_rows[n, prefix]
+        rows = _doppler_rows([reals[0], reals[1], reals[0], reals[2]], n, prefix)
+        assert rows.shape == (4, paths, prefix + n)
+        for real, stacked in zip([reals[0], reals[1], reals[0], reals[2]], rows):
+            own = real._phasor_rows[n, prefix]
+            assert stacked.tobytes() == own.tobytes()
+            with pytest.raises(ValueError):
+                own[0, 0] = 0.0
+            for p, rotation in enumerate(2j * np.pi * real.dopplers):
+                formula = np.exp(rotation * np.arange(-prefix, n, dtype=np.float64) / n)
+                assert own[p].tobytes() == formula.tobytes()
+                # the tap diagonals' clock t in [0, n) on integers reads the same bytes
+                assert own[p, prefix:].tobytes() == np.exp(rotation * np.arange(n) / n).tobytes()
+        assert reals[1]._phasor_rows[n, prefix] is kept
+    # the channel and the tap diagonals use the rows; one zero-delay path shows them
+    params = FrameParams(n=16, ncp=2, c1=0.1)
+    real = ChannelRealization([0.5 - 0.25j], [0], [1.3])
+    block = add_cpp(random_frame(rng, 16), params)
+    out = apply_channel(block, real, None, 0.0).samples
+    rows = real._phasor_rows[16, 2]
+    assert out.tobytes() == (real.gains[:, None] * block.samples[None] * rows)[0].tobytes()
+    assert _tap_diagonals([real], params)[0, 0].tobytes() == (real.gains[:, None] * rows[:, 2:])[0].tobytes()
+    assert real._phasor_rows[16, 2] is rows
+    # another geometry gets its own rows and leaves the first ones alone
+    assert _doppler_rows([real], 16, 0).shape == (1, 1, 16) and real._phasor_rows[16, 2] is rows
 
 
 def test_prefixed_transmission_is_circular_awkward_c1():

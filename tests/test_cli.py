@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,40 @@ def test_sinr_curve_table_and_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "c2max,sinr,sinr_db"
     assert len(lines) == 3
+
+
+def test_failed_sinr_curve_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["sinr-curve", "--set", "c2max_values=[1.0e-6, 1.0e-4]", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    real_open = Path.open
+
+    class FullDisk:
+        """A staged file that takes half of what is written, then runs out of space."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def full_disk_for_staged_files(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        return FullDisk(fh) if self.name.endswith(".tmp") else fh
+
+    monkeypatch.setattr(Path, "open", full_disk_for_staged_files)
+    assert main(["sinr-curve", "--set", "c2max_values=[1.0e-5, 1.0e-3, 1.0e-2]", "--out", str(out)]) == 3
+    monkeypatch.undo()
+    assert "No space left" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 def test_search_space_report(capsys):

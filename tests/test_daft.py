@@ -122,6 +122,29 @@ def test_scalar_chirp_is_built_once_and_read_only():
     assert chirp_diag(np.full(16, 0.37), 16)[3] == a[3]
 
 
+def test_zero_rate_rows_are_exact_ones_and_mixed_stacks_keep_their_bytes():
+    # the exp formula rounds a zero rate to exactly 1+0j, so skipping it
+    # changes no byte; any nonzero row of a stack is built as it is alone
+    rng = np.random.default_rng(19)
+    n = 24
+    idx = np.arange(n, dtype=np.float64)
+    rates = rng.uniform(-1e-3, 1e-3, size=(2, 3, n))
+    rates[0, 1] = 0.0
+    rates[1, 0] = -0.0
+    rates[1, 2, 5:] = 0.0  # one nonzero rate keeps its row exponentiated
+    for conjugate, sign in ((False, -1.0), (True, 1.0)):
+        out = chirp_diag(rates, n, conjugate=conjugate)
+        assert out.shape == rates.shape and out.flags.writeable
+        for row in np.ndindex(rates.shape[:-1]):
+            formula = np.exp(sign * 2j * np.pi * np.mod(rates[row] * idx * idx, 1.0))
+            assert out[row].tobytes() == formula.tobytes()
+            assert out[row].tobytes() == chirp_diag(rates[row], n, conjugate=conjugate).tobytes()
+        for row in ((0, 1), (1, 0)):
+            assert out[row].tobytes() == np.full(n, 1.0 + 0.0j).tobytes()
+        assert chirp_diag(0.0, n, conjugate=conjugate).tobytes() == np.full(n, 1.0 + 0.0j).tobytes()
+        assert chirp_diag(np.zeros((0, n)), n, conjugate=conjugate).shape == (0, n)
+
+
 def test_frames_of_equal_size_keep_their_own_c1():
     rng = np.random.default_rng(17)
     n = 16

@@ -26,10 +26,13 @@ from seafdm import (
     zero_schedule,
 )
 from seafdm import detection
-from seafdm.channel import ChannelRealization
+from seafdm.channel import ChannelRealization, _tap_diagonals
 from seafdm.daft import add_cpp, chirp_diag, daft
 from seafdm.detection import _band_plan, banded_mmse_equalize
 from seafdm.keystream import C2Schedule
+from seafdm.waveform import Constellation, constellation_by_name
+
+from oracles import demap_argmin, gram_band
 
 
 def mmse_oracle(y, h, sigma2):
@@ -222,6 +225,9 @@ def test_band_plan_is_shared_and_read_only():
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1
+    # the term list runs rank by rank, each rank over a prefix of the cells
+    assert isinstance(plan.rank_sizes, tuple) and sum(plan.rank_sizes) == plan.left.size == plan.right.size
+    assert list(plan.rank_sizes) == sorted(plan.rank_sizes, reverse=True) and plan.rank_sizes[0] == plan.cells.size
     np.testing.assert_array_equal(banded_mmse_equalize(r, [real], params, 0.1), first)
     # a second geometry gets its own tables and the first one's are untouched
     assert _band_plan(12, 1) is not plan
@@ -249,6 +255,114 @@ def test_demap_tie_breaks_to_first_point():
     # the origin is equidistant from every constellation point
     spec = qpsk()
     np.testing.assert_array_equal(demap(np.array([0.0 + 0.0j]), spec), [0, 0])
+
+
+def _labels(bits: np.ndarray, k: int) -> np.ndarray:
+    return bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+
+
+def _midpoints(spec: Constellation) -> list[np.ndarray]:
+    return [(lv[:-1] + lv[1:]) / 2.0 for lv in (np.unique(spec.points.real), np.unique(spec.points.imag))]
+
+
+def _coordinates(mids: np.ndarray):
+    return st.one_of(
+        st.floats(-4.0, 4.0),
+        st.sampled_from([0.0, -0.0, *mids.tolist()]),
+        st.floats(-1e-300, 1e-300),
+        st.floats(1e6, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+    )
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(name=st.sampled_from(["qpsk", "qam16"]), data=st.data())
+def test_slicer_matches_the_argmin_demapper(name, data):
+    spec = constellation_by_name(name)
+    re_mids, im_mids = _midpoints(spec)
+    pairs = data.draw(st.lists(st.tuples(_coordinates(re_mids), _coordinates(im_mids)), min_size=1, max_size=12))
+    x = np.array([complex(a, b) for a, b in pairs])
+    k = spec.bits_per_symbol
+    got = _labels(demap(x, spec), k)
+    want = _labels(demap_argmin(x, spec), k)
+    dist = np.abs(x[:, None] - spec.points)
+    for i, (a, b) in enumerate(pairs):
+        nearest = dist[i].min()
+        # the slicer's point is a nearest one, up to the rounding of the distances
+        assert dist[i, got[i]] <= nearest + 4 * np.spacing(nearest)
+        # and argmin's own pick (first index on a tie) wherever the distances do not round
+        # into a tie: an exact midpoint or a coordinate clear of every midpoint, with
+        # coordinates of the alphabet's scale or a unique nearest point
+        on_or_clear = all(c in mids or np.abs(c - mids).min() > 1e-15 for c, mids in ((a, re_mids), (b, im_mids)))
+        unique = np.count_nonzero(dist[i] == nearest) == 1
+        if on_or_clear and (max(abs(a), abs(b)) <= 4.0 or unique):
+            assert got[i] == want[i], (a, b)
+
+
+@pytest.mark.parametrize("name", ["qpsk", "qam16"])
+def test_slicer_takes_the_lower_label_on_a_midpoint(name):
+    spec = constellation_by_name(name)
+    levels = np.unique(spec.points.real)
+    for lo, hi, mid in zip(levels[:-1], levels[1:], _midpoints(spec)[0]):
+        for other in levels:
+            for x, below, above in (
+                (complex(mid, other), complex(lo, other), complex(hi, other)),
+                (complex(other, mid), complex(other, lo), complex(other, hi)),
+            ):
+                got = _labels(demap(np.array([x]), spec), spec.bits_per_symbol)[0]
+                assert got == min(np.flatnonzero(spec.points == below)[0], np.flatnonzero(spec.points == above)[0])
+                assert got == _labels(demap_argmin(np.array([x]), spec), spec.bits_per_symbol)[0]
+
+
+def test_constellation_that_is_no_product_grid_raises():
+    rotated = np.array([1, 1j, -1, -1j], dtype=complex)
+    with pytest.raises(ContractViolation, match="product grid"):
+        Constellation("rotated", rotated, 2)
+    with pytest.raises(ContractViolation, match="2\\*\\*bits_per_symbol"):
+        Constellation("three", rotated[:3], 2)
+    with pytest.raises(ContractViolation):
+        Constellation("nan", np.array([1, np.nan, -1, -1j]), 2)
+    # a grid whose labels break the real midpoint's tie one way at Im -1 and the other at Im +1
+    with pytest.raises(ContractViolation, match="tie"):
+        Constellation("twisted", np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j]), 2)
+    spec = constellation_by_name("qam16")
+    with pytest.raises(ValueError):
+        spec.points[0] = 0.0
+    for table in spec._slicer:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    systems=st.integers(1, 4),
+    n=st.one_of(st.integers(2, 70), st.sampled_from([256, 1024])),
+    delays=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    log_sigma2=st.floats(-4.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_band_and_solutions_equal_the_bincount_oracle(systems, n, delays, log_sigma2, seed):
+    # random delay profiles, repeated delays and holes included; small n puts n <= 2 * max_delay in play
+    rng = np.random.default_rng(seed)
+    delays = [d % n for d in delays]
+    params = FrameParams(n=n, ncp=max(delays), c1=rng.uniform(-1.0, 1.0))
+    sigma2 = 10.0**log_sigma2
+    reals = [
+        ChannelRealization(
+            rng.standard_normal(len(delays)) + 1j * rng.standard_normal(len(delays)), delays, rng.uniform(-3.0, 3.0, len(delays))
+        )
+        for _ in range(systems)
+    ]
+    taps = _tap_diagonals(reals, params)
+    assert detection._gram_band(taps, sigma2).tobytes() == gram_band(taps, sigma2).tobytes()
+    r = rng.standard_normal((systems, 2, n)) + 1j * rng.standard_normal((systems, 2, n))
+    fast = banded_mmse_equalize(r, reals, params, sigma2)
+    assembly = detection._gram_band
+    try:
+        detection._gram_band = gram_band
+        slow = banded_mmse_equalize(r, reals, params, sigma2)
+    finally:
+        detection._gram_band = assembly
+    assert fast.tobytes() == slow.tobytes()
 
 
 def test_count_errors():
