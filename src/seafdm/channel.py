@@ -228,14 +228,16 @@ class EffectiveChannel:
 
 
 def _apply_schedules(acc: np.ndarray, sched_rx: C2Schedule, sched_tx: C2Schedule | None) -> EffectiveChannel:
-    """Receive schedule phasors on rows, conjugate transmit schedule phasors on columns.
+    """Receive schedule phasors on rows, conjugate transmit schedule phasors on columns, in place.
 
-    chirp_diag rejects a schedule whose length is not the frame size.
+    Each product keeps its operand order: with FMA, swapping a complex
+    product's factors can change its bytes.  chirp_diag rejects a schedule
+    whose length is not the frame size.
     """
     n = acc.shape[0]
-    acc = chirp_diag(sched_rx.values, n)[:, None] * acc
+    np.multiply(chirp_diag(sched_rx.values, n)[:, None], acc, out=acc)
     if sched_tx is not None:
-        acc = acc * np.conj(chirp_diag(sched_tx.values, n))[None, :]
+        np.multiply(acc, np.conj(chirp_diag(sched_tx.values, n))[None, :], out=acc)
     return EffectiveChannel(acc)
 
 
@@ -254,11 +256,13 @@ def effective_channel(
     (her own front-end guess is hers to undo losslessly, so it drops out).
     """
     n = params.n
-    ht = _time_domain_matrix(realization, params)
+    # every stage writes into the matrix _time_domain_matrix returns
+    work = _time_domain_matrix(realization, params)
     lam1 = chirp_diag(params.c1, n)
-    work = lam1[:, None] * ht * np.conj(lam1)[None, :]
-    work = np.fft.fft(work, axis=0, norm="ortho")
-    work = np.fft.ifft(work, axis=1, norm="ortho")
+    np.multiply(lam1[:, None], work, out=work)
+    np.multiply(work, np.conj(lam1)[None, :], out=work)
+    np.fft.fft(work, axis=0, norm="ortho", out=work)
+    np.fft.ifft(work, axis=1, norm="ortho", out=work)
     return _apply_schedules(work, sched_rx, sched_tx)
 
 

@@ -7,6 +7,7 @@ form of something the package computes another way.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from seafdm.daft import chirp_diag
 
@@ -41,6 +42,17 @@ def sinr_eve_saturated(n: int, gamma: float) -> float:
     """
     floor = gamma / (2.0 * gamma + 1.0)
     return float((gamma + (n - 1) * floor) / n)
+
+
+def mmse_f2py(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
+    """Counterpart of ``seafdm.detection.mmse_equalize``: a matmul Gram and scipy's f2py Cholesky.
+
+    cho_factor and cho_solve run LAPACK zpotrf/zpotrs while holding the GIL.
+    """
+    gram = h @ h.conj().T
+    gram[np.diag_indices_from(gram)] += sigma2
+    factor = cho_factor(gram, lower=True, check_finite=False)
+    return h.conj().T @ cho_solve(factor, y, check_finite=False)
 
 
 def demap_argmin(x_hat: np.ndarray, spec) -> np.ndarray:

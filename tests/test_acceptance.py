@@ -345,6 +345,17 @@ def test_a08_guess_error_thresholds():
     assert ok
 
 
+def _within_budget(rec, ref) -> tuple[bool, float]:
+    """A9's budget check on the intended receiver: its BER with CSI error
+    against the clean BER 2 dB lower, within twice the combined standard
+    error; also the slack left, in combined standard errors."""
+    comb = np.hypot(
+        _binomial_se(rec.bob_ber, rec.bit_count), _binomial_se(ref.bob_ber, ref.bit_count)
+    )
+    bound = ref.bob_ber + 2.0 * comb
+    return rec.bob_ber <= bound, (bound - rec.bob_ber) / comb if comb else 0.0
+
+
 def test_a09_csi_error_robustness():
     start = time.perf_counter()
     # csi_error_var = 5e-7 puts n*var ~ 1.0e-3 of mismatch interference under
@@ -367,10 +378,7 @@ def test_a09_csi_error_robustness():
         seed=1, c2max=4.88e-6, m=4,
     )
     ref = run_scenario(clean)[0]
-    comb = np.hypot(
-        _binomial_se(rec.bob_ber, rec.bit_count), _binomial_se(ref.bob_ber, ref.bit_count)
-    )
-    bob_within_budget = rec.bob_ber <= ref.bob_ber + 2.0 * comb
+    bob_within_budget, _ = _within_budget(rec, ref)
     eve_collapsed = 0.45 <= rec.eve_ber <= 0.55
     elapsed = time.perf_counter() - start
     ok = bob_within_budget and eve_collapsed and elapsed < 300
@@ -381,6 +389,53 @@ def test_a09_csi_error_robustness():
         f"within a 2 dB budget (ber {rec.bob_ber:.2e} vs {ref.bob_ber:.2e} "
         f"clean at 23 dB) while the interceptor holds {rec.eve_ber:.4f} in "
         f"[0.45, 0.55] ({elapsed:.1f}s)",
+    )
+    assert ok
+
+
+def _budget_point(csi_error_var: float):
+    """The intended receiver at n=256, 10 dB with CSI error, and clean at 8 dB.
+
+    The clean BER is well above zero here.  sigma2 = 0.1, so
+    csi_error_var = 1.25e-4 gives n*var / sigma2 = 0.32, A9's ratio.
+    """
+    common = dict(n=256, paths=3, trials=40, seed=1, m=4)
+    rec = run_scenario(
+        ExperimentConfig(scenario="csi-error-ber", snr_db=(10.0,), csi_error_var=csi_error_var, workers=2, **common)
+    )[0]
+    ref = run_scenario(ExperimentConfig(scenario="bob-vs-afdm-ber", snr_db=(8.0,), **common))[0]
+    return rec, ref
+
+
+def test_a09_companion_budget_with_errors_to_count():
+    # A9's ratio of mismatch interference to noise costs about 1.2 dB, so the
+    # check holds, and with slack, at a point where both BERs are counted
+    start = time.perf_counter()
+    rec, ref = _budget_point(1.25e-4)
+    ok, slack = _within_budget(rec, ref)
+    elapsed = time.perf_counter() - start
+    ok = ok and ref.bob_ber > 0.01 and rec.bob_ber < ref.bob_ber and elapsed < 60
+    _verdict(
+        ok,
+        "A9-companion",
+        f"at n*var/sigma2 = 0.32 the intended receiver's ber {rec.bob_ber:.4f} "
+        f"is within 2 dB of the clean {ref.bob_ber:.4f}, {slack:.1f} SE to spare ({elapsed:.1f}s)",
+    )
+    assert ok
+
+
+def test_a09_negative_control_fails_the_budget():
+    # n*var = 0.1024 = 1.02 sigma2 doubles the effective noise, about 3 dB
+    start = time.perf_counter()
+    rec, ref = _budget_point(4e-4)
+    within, slack = _within_budget(rec, ref)
+    elapsed = time.perf_counter() - start
+    ok = not within and elapsed < 60
+    _verdict(
+        ok,
+        "A9-negative",
+        f"at n*var/sigma2 = 1.02 the intended receiver's ber {rec.bob_ber:.4f} "
+        f"misses the 2 dB budget against the clean {ref.bob_ber:.4f} by {-slack:.1f} SE ({elapsed:.1f}s)",
     )
     assert ok
 
@@ -403,5 +458,29 @@ def test_a10_deterministic_csv_across_worker_counts(tmp_path):
         "A10",
         f"byte-identical CSV data rows across repeat runs and worker counts "
         f"1 vs 4 ({elapsed:.1f}s)",
+    )
+    assert ok
+
+
+def test_a10_companion_csi_error_pool(tmp_path):
+    # exact-CSI runs ignore workers; CSI-error runs map trials over the pool,
+    # whose threads run their BLAS/LAPACK solves at the same time
+    start = time.perf_counter()
+    outputs = []
+    for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
+        cfg = ExperimentConfig(
+            scenario="csi-error-ber", n=64, paths=3, modulation="qam16", snr_db=(15.0, 25.0), trials=20,
+            seed=11, c2max=4.88e-5, m=4, csi_error_var=1e-3, workers=workers,
+        )
+        path = tmp_path / f"run_{tag}.csv"
+        emit_csv(run_scenario(cfg), path, cfg)
+        outputs.append(path.read_bytes())
+    elapsed = time.perf_counter() - start
+    ok = outputs[0] == outputs[1] == outputs[2] and elapsed < 60
+    _verdict(
+        ok,
+        "A10-companion",
+        f"byte-identical CSI-error CSV data rows across repeat runs and worker "
+        f"counts 1 vs 4 ({elapsed:.1f}s)",
     )
     assert ok

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +36,7 @@ from seafdm.detection import _band_plan, banded_mmse_equalize
 from seafdm.keystream import C2Schedule
 from seafdm.waveform import Constellation, constellation_by_name
 
-from oracles import demap_argmin, gram_band
+from oracles import demap_argmin, gram_band, mmse_f2py
 
 
 def mmse_oracle(y, h, sigma2):
@@ -92,6 +96,92 @@ def test_singular_system_raises():
     h = np.zeros((4, 4), dtype=complex)
     with pytest.raises(SolverError):
         mmse_equalize(np.ones(4, dtype=complex), h, 0.0)
+
+
+@pytest.mark.parametrize("n, dead", [(3, 1), (96, 70), (200, 199)])
+def test_rank_deficient_gram_raises(n, dead):
+    # a zero row makes a zero pivot; n = 96 and 200 factor in blocks
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h[dead] = 0.0
+    with pytest.raises(SolverError, match=f"order {dead + 1} is not"):
+        mmse_equalize(np.ones(n, dtype=complex), h, 0.0)
+    assert np.isfinite(mmse_equalize(np.ones(n, dtype=complex), h, 1e-3)).all()
+
+
+def _dense_system(n: int, seed: int):
+    """A well-conditioned channel (singular values in [0.5, 1.5]), QPSK symbols and the noisy observation."""
+    rng = np.random.default_rng(seed)
+    spread = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    h = np.eye(n) + 0.25 * spread
+    x = (rng.choice([-1.0, 1.0], n) + 1j * rng.choice([-1.0, 1.0], n)) / np.sqrt(2)
+    y = h @ x + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return y, h
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), log_sigma2=st.floats(-4.0, 0.0))
+def test_dense_solve_matches_the_f2py_oracle(n, seed, log_sigma2):
+    # the zpotrf/zpotrs calls are the oracle's; the zherk Gram equals its
+    # matmul Gram bit for bit when n is a multiple of 8 (OpenBLAS 0.3.31,
+    # Haswell kernels); at other n their roundings differ
+    y, h = _dense_system(n, seed)
+    sigma2 = 10.0**log_sigma2
+    got, want = mmse_equalize(y, h, sigma2), mmse_f2py(y, h, sigma2)
+    if n % 8 == 0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(demap(got, qpsk()), demap(want, qpsk()))
+
+
+@pytest.mark.parametrize("n", [5, 64, 131])
+def test_dense_solve_reads_any_layout(n):
+    # LAPACK reads raw memory: a Fortran-ordered conj(h) would solve the transposed system
+    y, h = _dense_system(n, n)
+    big = np.zeros((2 * n, 3 * n), dtype=complex)
+    big[::2, ::3] = h
+    want = mmse_equalize(y, h, 0.1).tobytes()
+    for layout in (np.asfortranarray(h), np.ascontiguousarray(h.T).T, big[::2, ::3]):
+        assert mmse_equalize(y, layout, 0.1).tobytes() == want
+    assert np.array_equal(y, _dense_system(n, n)[0])  # the observation is not overwritten
+
+
+def test_dense_solves_on_a_thread_pool_equal_serial_ones():
+    systems = [_dense_system(n, seed) for seed, n in enumerate([64, 96, 128, 200] * 4)]
+    serial = [mmse_equalize(y, h, 0.05).tobytes() for y, h in systems]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pooled = list(pool.map(lambda sys: mmse_equalize(*sys, 0.05).tobytes(), systems))
+    assert pooled == serial
+
+
+def _longest_stall(solve, y, h) -> float:
+    """Longest gap in seconds between the ticks of a Python thread while solve runs in this one."""
+    ticks, stop = [], threading.Event()
+
+    def tick():
+        while not stop.is_set():
+            ticks.append(time.perf_counter())
+
+    counter = threading.Thread(target=tick)
+    counter.start()
+    time.sleep(0.01)
+    start = time.perf_counter()
+    solve(y, h, 0.1)
+    end = time.perf_counter()
+    stop.set()
+    counter.join()
+    inside = [t for t in ticks if start <= t <= end]
+    return float(np.max(np.diff([start, *inside, end])))
+
+
+def test_dense_solve_releases_the_gil():
+    # the f2py Cholesky of an n=1024 Gram holds the GIL for tens of ms,
+    # so a counting thread stalls for that long; the ctypes calls let it run
+    y, h = _dense_system(1024, 0)
+    ours = min(_longest_stall(mmse_equalize, y, h) for _ in range(2))
+    f2py = min(_longest_stall(mmse_f2py, y, h) for _ in range(2))
+    assert ours < 0.5 * f2py, (ours, f2py)
 
 
 @pytest.mark.parametrize("n, paths", [(2, 2), (3, 3), (4, 3), (4, 4), (5, 4), (6, 4)])
