@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands mirror the harness entry points: ``simulate`` runs a Monte
-Carlo sweep to CSV, ``sinr-curve`` evaluates the closed-form eavesdropper
-SINR, ``bias-sweep`` is simulate with the guess-error sweep preset,
-``search-space`` prints the keyspace summary, and ``selftest`` runs a tiny
-deterministic end-to-end check.
+Subcommands mirror the harness entry points: ``simulate`` runs the
+config's Monte Carlo scenario to CSV, ``sinr-curve`` evaluates the
+closed-form eavesdropper SINR over ``c2max_values``, ``search-space``
+prints the keyspace summary, and ``selftest`` runs a tiny deterministic
+end-to-end check.  A run is described by its config alone: ``--config``
+and ``--set`` are the only ways to set a field.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 file I/O failure,
 4 numeric failure inside a run.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ import yaml
 
 from .exceptions import ConfigError, ContractViolation, SolverError
 from .harness import (
-    MONTE_CARLO_SCENARIOS,
     ExperimentConfig,
     emit_csv,
     run_scenario,
@@ -41,23 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo BER sweep and write CSV")
     _add_config_args(sim)
-    sim.add_argument("--scenario", choices=MONTE_CARLO_SCENARIOS, help="override the scenario")
     sim.add_argument("--out", default="results.csv", help="output CSV path (default %(default)s)")
 
     curve = sub.add_parser("sinr-curve", help="closed-form eavesdropper SINR vs c2max")
     _add_config_args(curve)
     curve.add_argument("--out", default=None, help="optional CSV path; prints a table otherwise")
-
-    bias = sub.add_parser("bias-sweep", help="eavesdropper BER vs schedule guess error")
-    _add_config_args(bias)
-    bias.add_argument(
-        "--bias",
-        type=float,
-        nargs="+",
-        default=None,
-        help="sup-norm guess errors to sweep (overrides bias_values)",
-    )
-    bias.add_argument("--out", default="bias.csv", help="output CSV path (default %(default)s)")
 
     space = sub.add_parser("search-space", help="print the schedule keyspace summary")
     _add_config_args(space)
@@ -93,13 +80,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not sep:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
         raw[key.strip()] = _parse_yaml(value, f"--set {item}")
-    config = ExperimentConfig.from_dict(raw)
-    if getattr(args, "scenario", None):
-        config = replace(config, scenario=args.scenario)
-    if args.command == "bias-sweep":
-        values = tuple(args.bias) if args.bias else config.bias_values
-        config = replace(config, scenario="bias-sweep", bias_values=values)
-    return config
+    return ExperimentConfig.from_dict(raw)
 
 
 def _parse_yaml(text: str, source: str):
@@ -166,7 +147,6 @@ def main(argv=None) -> int:
     handlers = {
         "simulate": _cmd_simulate,
         "sinr-curve": _cmd_sinr_curve,
-        "bias-sweep": _cmd_simulate,
         "search-space": _cmd_search_space,
         "selftest": _cmd_selftest,
     }

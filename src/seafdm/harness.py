@@ -85,11 +85,7 @@ SCENARIOS = (
     "eve-ber",
     "csi-error-ber",
     "bias-sweep",
-    "sinr-vs-c2max",
-    "search-space",
 )
-
-MONTE_CARLO_SCENARIOS = SCENARIOS[:4]
 
 EVE_MODES = ("zeros", "random", "biased")
 
@@ -115,7 +111,9 @@ class ExperimentConfig:
     snr_db is the sweep axis for the BER scenarios; bias-sweep sweeps
     bias_values at snr_db[0] instead.  csi_error_var is the per-entry
     variance of the complex Gaussian error added to every receiver's
-    channel estimate (zero means genie CSI).
+    channel estimate (zero means genie CSI).  Construction coerces and
+    checks every field, and builds the tables every trial shares:
+    frame_params, codebook and constellation.
     """
 
     scenario: str = "eve-ber"
@@ -139,87 +137,54 @@ class ExperimentConfig:
     c2max_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
-        object.__setattr__(self, "bias_values", _as_float_tuple(self.bias_values, "bias_values", empty_ok=True))
-        object.__setattr__(self, "c2max_values", _as_float_tuple(self.c2max_values, "c2max_values", empty_ok=True))
+        set_ = functools.partial(object.__setattr__, self)
         counts = ["seed", "n", "m", "paths", "trials", "workers"]
         if self.ncp is not None:
             counts.append("ncp")
         for name in counts:
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        for name in ("c2max", "alpha_max", "eve_bias", "csi_error_var"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        if not isinstance(self.integer_doppler, (bool, np.bool_)):
-            raise ConfigError(f"integer_doppler must be true or false, got {self.integer_doppler!r}")
-        object.__setattr__(self, "integer_doppler", bool(self.integer_doppler))
+            set_(name, _as_int(getattr(self, name), name))
         if not isinstance(self.lfsr_taps, (list, tuple, np.ndarray)):
             raise ConfigError(f"lfsr_taps must be a list of exponents, got {self.lfsr_taps!r}")
-        object.__setattr__(self, "lfsr_taps", tuple(_as_int(t, "lfsr_taps entry") for t in self.lfsr_taps))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        try:
-            Lfsr(self.lfsr_taps)
-        except ContractViolation as exc:
-            raise ConfigError(f"lfsr_taps {self.lfsr_taps}: {exc}") from exc
+        set_("lfsr_taps", tuple(_as_int(t, "lfsr_taps entry") for t in self.lfsr_taps))
+        for name in ("c2max", "alpha_max", "eve_bias", "csi_error_var"):
+            set_(name, _as_float(getattr(self, name), name))
+        set_("snr_db", _as_float_tuple(self.snr_db, "snr_db"))
+        for name in ("bias_values", "c2max_values"):
+            set_(name, _as_float_tuple(getattr(self, name), name, empty_ok=True))
+        if not isinstance(self.integer_doppler, (bool, np.bool_)):
+            raise ConfigError(f"integer_doppler must be true or false, got {self.integer_doppler!r}")
+        set_("integer_doppler", bool(self.integer_doppler))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; known: {SCENARIOS}")
         if self.eve_mode not in EVE_MODES:
             raise ConfigError(f"unknown eve_mode {self.eve_mode!r}; known: {EVE_MODES}")
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
-        if self.paths < 1 or self.paths > self.n:
-            raise ConfigError("paths must lie in [1, n]")
-        if self.ncp is not None and self.ncp < self.paths - 1:
-            raise ConfigError(f"ncp={self.ncp} is shorter than the longest path delay {self.paths - 1}")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
-        if not self.snr_db:
-            raise ConfigError("snr_db sweep must not be empty")
+        if not isinstance(self.modulation, str):
+            raise ConfigError(f"modulation must be a name, got {self.modulation!r}")
+        # n, m, c2max, modulation and the taps are checked by the constructors below
+        for name, least in {"seed": 0, "paths": 1, "trials": 1, "workers": 1, "ncp": self.paths - 1}.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name}={value} is below its least value {least}")
+        for name in ("alpha_max", "eve_bias", "csi_error_var", "bias_values", "c2max_values"):
+            value = getattr(self, name)
+            if not all(0 <= v < np.inf for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
         if not all(v > -np.inf for v in self.snr_db):
             # rejects NaN and -inf; +inf is legal, it means a noiseless link
             raise ConfigError(f"snr_db values must be numbers or +inf, got {self.snr_db}")
-        if self.c2max < 0 or not np.isfinite(self.c2max):
-            raise ConfigError("c2max must be finite and nonnegative")
-        if not 0 <= self.eve_bias < np.inf:
-            raise ConfigError("eve_bias must be finite and nonnegative")
-        if not all(0 <= v < np.inf for v in self.bias_values):
-            raise ConfigError(f"bias_values must be finite and nonnegative, got {self.bias_values}")
-        if not 0 <= self.csi_error_var < np.inf:
-            raise ConfigError("csi_error_var must be finite and nonnegative")
-        if not 0 <= self.alpha_max < np.inf:
-            raise ConfigError("alpha_max must be finite and nonnegative")
+        if self.paths > self.n:
+            raise ConfigError(f"paths={self.paths} exceeds n={self.n}")
         if self.scenario == "bias-sweep" and not self.bias_values:
             raise ConfigError("bias-sweep needs a nonempty bias_values list")
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
-        # fail fast on geometry the properties would reject later; each is
-        # then resolved once per config and shared by every trial
-        self.frame_params
-        self.codebook
-        self.constellation
-
-    @functools.cached_property
-    def frame_params(self) -> FrameParams:
-        ncp = self.ncp if self.ncp is not None else self.paths - 1
+        ncp = self.paths - 1 if self.ncp is None else self.ncp
         try:
-            return FrameParams.for_profile(self.n, self.alpha_max, ncp, self.modulation)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @functools.cached_property
-    def codebook(self) -> Codebook:
-        try:
-            return build_codebook(self.c2max, self.m)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @functools.cached_property
-    def constellation(self) -> Constellation:
-        try:
-            return constellation_by_name(self.modulation)
-        except Exception as exc:
+            Lfsr(self.lfsr_taps)
+            set_("frame_params", FrameParams.for_profile(self.n, self.alpha_max, ncp, self.modulation))
+            set_("codebook", build_codebook(self.c2max, self.m))
+            set_("constellation", constellation_by_name(self.modulation))
+        except ContractViolation as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -515,11 +480,6 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
 
 def run_scenario(config: ExperimentConfig) -> list[TrialRecord]:
     """Run a Monte Carlo scenario, one aggregated record per sweep point."""
-    if config.scenario not in MONTE_CARLO_SCENARIOS:
-        raise ConfigError(
-            f"run_scenario handles {MONTE_CARLO_SCENARIOS}; "
-            f"use run_sinr_curve or search_space_summary for {config.scenario!r}"
-        )
     if config.scenario == "bias-sweep":
         config = replace(config, eve_mode="biased")
         points = config.bias_values

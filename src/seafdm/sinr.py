@@ -48,8 +48,8 @@ def sinr_eve_symbol(p, gamma: float, c2max: float) -> np.ndarray:
     average of the descrambling residual.
     """
     _check_gamma(gamma)
-    if c2max < 0:
-        raise ContractViolation("c2max must be nonnegative")
+    if not 0 <= c2max < np.inf:
+        raise ContractViolation(f"c2max must be finite and nonnegative, got {c2max!r}")
     p = np.asarray(p, dtype=np.float64)
     leak = 1.0 - sa(2.0 * np.pi * p * p * c2max)
     return gamma / (2.0 * gamma * leak + 1.0)

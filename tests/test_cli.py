@@ -41,17 +41,11 @@ def test_simulate_writes_csv_and_sidecar(tmp_path, capsys):
 
 
 def test_simulate_scenario_flag_overrides_config(tmp_path):
+    # the scenario is a config field like any other: --set overrides the file's
+    cfg = tmp_path / "eve.yaml"
+    cfg.write_text("scenario: eve-ber\nn: 32\npaths: 2\ntrials: 3\n")
     out = tmp_path / "ref.csv"
-    code = main(
-        [
-            "simulate",
-            "--scenario", "bob-vs-afdm-ber",
-            "--set", "n=32",
-            "--set", "paths=2",
-            "--set", "trials=3",
-            "--out", str(out),
-        ]
-    )
+    code = main(["simulate", "--config", str(cfg), "--set", "scenario=bob-vs-afdm-ber", "--out", str(out)])
     assert code == 0
     rec = read_csv(out)[0]
     assert rec.afdm_ber == rec.afdm_ber  # reference branch actually ran
@@ -113,15 +107,18 @@ def test_bad_override_exits_2(capsys):
     assert main(["simulate", "--set", "no-equals-sign"]) == 2
 
 
+BIAS_SWEEP = ["simulate", "--set", "scenario=bias-sweep", "--set", "n=32", "--set", "paths=2"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--set", "snr_db=[.nan]"],
         ["simulate", "--set", "snr_db=[20, -.inf]"],
         ["simulate", "--set", "eve_bias=.inf"],
-        ["bias-sweep", "--set", "n=32", "--set", "paths=2", "--bias", "0.0", "-0.001"],
-        ["bias-sweep", "--set", "n=32", "--set", "paths=2", "--set", "bias_values=[1.0e-6, -1.0e-6]"],
-        ["bias-sweep", "--set", "n=32", "--set", "paths=2", "--bias", "nan"],
+        [*BIAS_SWEEP, "--set", "bias_values=[0.0, -0.001]"],
+        [*BIAS_SWEEP, "--set", "bias_values=[1.0e-6, -1.0e-6]"],
+        [*BIAS_SWEEP, "--set", "bias_values=[.nan]"],
     ],
 )
 def test_bad_snr_or_bias_exits_2_before_any_trial(argv, capsys):
@@ -187,12 +184,13 @@ def test_bias_sweep_command(tmp_path):
     out = tmp_path / "bias.csv"
     code = main(
         [
-            "bias-sweep",
+            "simulate",
+            "--set", "scenario=bias-sweep",
             "--set", "n=32",
             "--set", "paths=2",
             "--set", "trials=3",
             "--set", "snr_db=[60]",
-            "--bias", "0.0", "0.3",
+            "--set", "bias_values=[0.0, 0.3]",
             "--out", str(out),
         ]
     )
@@ -204,8 +202,16 @@ def test_bias_sweep_command(tmp_path):
 
 
 def test_bias_sweep_without_values_exits_2(capsys):
-    assert main(["bias-sweep", "--set", "n=32", "--set", "paths=2"]) == 2
-    assert "bias" in capsys.readouterr().err
+    assert main(BIAS_SWEEP) == 2
+    assert "bias_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--scenario", "eve-ber"], ["bias-sweep", "--bias", "0.0"]])
+def test_second_spellings_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sinr_curve_table_and_csv(tmp_path, capsys):
@@ -217,6 +223,14 @@ def test_sinr_curve_table_and_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "c2max,sinr,sinr_db"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("values", ["[.nan]", "[.inf]", "[1.0e-4, -1.0e-4]"])
+def test_sinr_curve_rejects_non_finite_or_negative_c2max(values, capsys):
+    assert main(["sinr-curve", "--set", f"c2max_values={values}"]) == 2
+    captured = capsys.readouterr()
+    assert "c2max_values" in captured.err
+    assert captured.out == ""
 
 
 def test_failed_sinr_curve_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):

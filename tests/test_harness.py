@@ -6,11 +6,12 @@ import json
 import math
 import os
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from seafdm import (
@@ -123,6 +124,10 @@ def test_config_rejects_unknown_keys():
         {"integer_doppler": "false"},
         {"integer_doppler": 1},
         {"integer_doppler": None},
+        {"c2max_values": (float("nan"),)},
+        {"c2max_values": (1e-4, float("inf"))},
+        {"c2max_values": (-1e-4,)},
+        {"modulation": ["qpsk"]},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -212,6 +217,64 @@ def test_config_coerces_scalar_sweeps():
     cfg = ExperimentConfig(snr_db=20, n=32, paths=2)
     assert cfg.snr_db == (20.0,)
     assert isinstance(cfg.lfsr_taps, tuple)
+
+
+# The config echo the sidecar stores, pinned for configs whose values need
+# coercion: YAML 1.1 strings, NumPy scalars and arrays, scalar sweeps, list
+# taps, a set ncp and a seed past 32 bits.
+CONFIG_ECHOES = {
+    "yaml-strings": (
+        lambda: ExperimentConfig.from_dict(
+            yaml.safe_load(
+                "scenario: csi-error-ber\nn: 32\npaths: 2\nc2max: 1e-3\ncsi_error_var: 1e-4\n"
+                "alpha_max: 1\nsnr_db: [1e1, 20]\n"
+            )
+        ),
+        '{"alpha_max": 1.0, "bias_values": [], "c2max": 0.001, "c2max_values": [], "csi_error_var": 0.0001, '
+        '"eve_bias": 0.0, "eve_mode": "zeros", "integer_doppler": false, "lfsr_taps": [32, 22, 2, 1, 0], "m": 4, '
+        '"modulation": "qpsk", "n": 32, "ncp": null, "paths": 2, "scenario": "csi-error-ber", "seed": 1, '
+        '"snr_db": [10.0, 20.0], "trials": 200, "workers": 1}',
+    ),
+    "numpy-scalars": (
+        lambda: ExperimentConfig(
+            scenario="bob-vs-afdm-ber", n=np.int64(64), m=np.int32(8), paths=np.uint8(3), trials=np.int16(5),
+            workers=np.int64(2), integer_doppler=np.bool_(True), snr_db=np.array([5.0, 10.0]), c2max=np.float32(0.5),
+        ),
+        '{"alpha_max": 2.0, "bias_values": [], "c2max": 0.5, "c2max_values": [], "csi_error_var": 0.0, '
+        '"eve_bias": 0.0, "eve_mode": "zeros", "integer_doppler": true, "lfsr_taps": [32, 22, 2, 1, 0], "m": 8, '
+        '"modulation": "qpsk", "n": 64, "ncp": null, "paths": 3, "scenario": "bob-vs-afdm-ber", "seed": 1, '
+        '"snr_db": [5.0, 10.0], "trials": 5, "workers": 2}',
+    ),
+    "scalar-sweeps-list-taps-ncp": (
+        lambda: ExperimentConfig(
+            scenario="bias-sweep", n=16, paths=2, ncp=4, snr_db=20, bias_values=1e-3, c2max_values=[1e-6, 1e-4],
+            lfsr_taps=[5, 2, 0], eve_bias=0,
+        ),
+        '{"alpha_max": 2.0, "bias_values": [0.001], "c2max": 4.88e-05, "c2max_values": [1e-06, 0.0001], '
+        '"csi_error_var": 0.0, "eve_bias": 0.0, "eve_mode": "zeros", "integer_doppler": false, '
+        '"lfsr_taps": [5, 2, 0], "m": 4, "modulation": "qpsk", "n": 16, "ncp": 4, "paths": 2, '
+        '"scenario": "bias-sweep", "seed": 1, "snr_db": [20.0], "trials": 200, "workers": 1}',
+    ),
+    "big-seed": (
+        lambda: ExperimentConfig(
+            seed=2**40, modulation="qam16", eve_mode="biased", eve_bias="2e-4", lfsr_taps=np.array([7, 6, 0]),
+            snr_db=(float("inf"), -3), alpha_max=0.0,
+        ),
+        '{"alpha_max": 0.0, "bias_values": [], "c2max": 4.88e-05, "c2max_values": [], "csi_error_var": 0.0, '
+        '"eve_bias": 0.0002, "eve_mode": "biased", "integer_doppler": false, "lfsr_taps": [7, 6, 0], "m": 4, '
+        '"modulation": "qam16", "n": 64, "ncp": null, "paths": 3, "scenario": "eve-ber", "seed": 1099511627776, '
+        '"snr_db": [Infinity, -3.0], "trials": 200, "workers": 1}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_ECHOES)
+def test_config_echo_is_pinned(name, tmp_path):
+    make, echo = CONFIG_ECHOES[name]
+    cfg = make()
+    assert json.dumps(asdict(cfg), sort_keys=True) == echo
+    emit_csv([], tmp_path / "echo.csv", cfg)
+    assert json.loads((tmp_path / "echo.csv.meta.json").read_text())["config"] == json.loads(echo)
 
 
 def test_config_rejects_prefix_shorter_than_delay_spread():
@@ -347,10 +410,11 @@ def test_eve_ber_nan_outside_eve_scenarios():
     assert not math.isnan(rec.eve_ber)
 
 
-def test_run_scenario_rejects_analytic_scenarios():
+def test_config_rejects_analytic_scenario_names():
+    # the sinr-curve and search-space subcommands never read the scenario
     for scenario in ("sinr-vs-c2max", "search-space"):
-        with pytest.raises(ConfigError):
-            run_scenario(tiny_config(scenario=scenario))
+        with pytest.raises(ConfigError, match="unknown scenario"):
+            ExperimentConfig.from_dict({"scenario": scenario})
 
 
 def test_awgn_reference_ber():
@@ -465,11 +529,11 @@ def test_time_domain_solve_matches_dense_replay(cfg, monkeypatch):
 
 
 def test_run_sinr_curve_matches_analytics():
-    cfg = tiny_config(scenario="sinr-vs-c2max", c2max_values=(1e-6, 1e-5, 1e-4))
+    cfg = tiny_config(c2max_values=(1e-6, 1e-5, 1e-4))
     curve = run_sinr_curve(cfg)
     direct = eve_sinr_curve(32, 10**2.5, (1e-6, 1e-5, 1e-4))
     np.testing.assert_allclose(curve.sinr, direct.sinr, rtol=1e-12)
-    default = run_sinr_curve(tiny_config(scenario="sinr-vs-c2max"))
+    default = run_sinr_curve(tiny_config())
     assert default.c2max.size == 17
     assert default.c2max[0] == pytest.approx(0.05 * 1e-2)
     assert default.c2max[-1] == pytest.approx(0.05 * 1e2)

@@ -2,23 +2,45 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import shlex
 from pathlib import Path
+
+from seafdm import ExperimentConfig
+from seafdm.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def python_block_after(marker: str) -> str:
-    """Source of the first fenced Python block that follows ``marker``."""
+def fenced_block_after(marker: str, lang: str = "python") -> str:
+    """Source of the first fenced ``lang`` block that follows ``marker``."""
     text = README.read_text()
-    match = re.search(r"```python\n(.*?)```", text[text.index(marker):], re.S)
-    assert match, f"no python block after {marker!r}"
+    match = re.search(rf"```{lang}\n(.*?)```", text[text.index(marker):], re.S)
+    assert match, f"no {lang} block after {marker!r}"
     return match.group(1)
 
 
 def test_low_level_quickstart_runs(capsys):
-    source = python_block_after("Low level, one frame end to end")
+    source = fenced_block_after("Low level, one frame end to end")
     exec(compile(source, str(README), "exec"), {})
     ber = float(capsys.readouterr().out)
     # one 25 dB frame of 128 bits through the synchronized receiver
     assert 0.0 <= ber <= 0.05
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = fenced_block_after("## Command line", "sh").replace("\\\n", " ").splitlines()
+    assert len(commands) == 5
+    for command in commands:
+        program, *argv = shlex.split(command)
+        assert program == "seafdm"
+        assert main(argv) == 0, command
+
+
+def test_config_table_lists_every_field_in_order():
+    text = README.read_text()
+    table = text[text.index("Config fields"):text.index("Scenarios, the values")]
+    keys = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]

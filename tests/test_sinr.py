@@ -44,8 +44,10 @@ def test_symbol_sinr_validation():
         sinr_eve_symbol(1, 0.0, 1e-5)
     with pytest.raises(ContractViolation):
         sinr_eve_symbol(1, np.inf, 1e-5)
-    with pytest.raises(ContractViolation):
-        sinr_eve_symbol(1, 100.0, -1e-5)
+    # NaN slips past a bare c2max < 0 test, and inf turns Sa into NaN
+    for c2max in (-1e-4, np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="c2max"):
+            sinr_eve_symbol(np.arange(4), 100.0, c2max)
 
 
 @pytest.mark.parametrize("c2max", [7.5, 50.0])
