@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 
-# Frame samples per stacked banded solve.  Its temporaries take about half a
-# kilobyte per sample with three paths.  Larger stacks measured hundreds of
-# page faults per call, as freed temporaries went back to the system, and ran
-# slower than separate solves.
-_STACK_SAMPLES = 1024
-
-
 def _routine(module, name: str, nargs: int):
     """The Fortran routine that a scipy.linalg.cython_* module exports, as a ctypes function.
 
@@ -115,8 +108,7 @@ def banded_mmse_equalize(
     (S, k, n), k right-hand sides per system; the result has the shape of r.
     Every system is solved at once: their folded bands sit side by side in
     one band whose entries across a seam are zero, so each system's
-    solution is, bit for bit, the one it gets alone.  Long stacks are
-    solved in runs of at most _STACK_SAMPLES // n systems.
+    solution is, bit for bit, the one it gets alone.
     """
     n = params.n
     systems = tuple(realizations)
@@ -126,13 +118,7 @@ def banded_mmse_equalize(
     if not sigma2 >= 0:
         raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
     taps = _tap_diagonals(systems, params)
-    step = max(1, _STACK_SAMPLES // n)
-    return np.concatenate([_banded_solve(r[i : i + step], taps[i : i + step], sigma2) for i in range(0, len(systems), step)])
-
-
-def _banded_solve(r: np.ndarray, taps: np.ndarray, sigma2: float) -> np.ndarray:
-    """The stacked solve of banded_mmse_equalize on the tap diagonals of each system."""
-    count, rows, n = taps.shape
+    count, rows, _ = taps.shape
     plan = _band_plan(n, rows - 1, count)
     try:
         factor = cholesky_banded(_gram_band(taps, sigma2), lower=True, check_finite=False)

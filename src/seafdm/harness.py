@@ -52,7 +52,6 @@ from .keystream import (
     Lfsr,
     build_codebook,
     generate_schedule,
-    search_space_bits,
     zero_schedule,
 )
 from .sinr import SinrCurve, eve_sinr_curve
@@ -489,18 +488,26 @@ def run_scenario(config: ExperimentConfig) -> list[TrialRecord]:
 
 
 def run_sinr_curve(config: ExperimentConfig) -> SinrCurve:
-    """Closed-form eavesdropper SINR over the configured c2max sweep."""
+    """Closed-form eavesdropper SINR over the configured c2max sweep.
+
+    The closed form needs a finite snr_db[0]; without c2max_values it sweeps
+    four decades around c2max, which must then be positive.
+    """
+    snr_db = config.snr_db[0]
+    if snr_db == np.inf:
+        raise ConfigError(f"sinr-curve needs a finite snr_db[0], got {snr_db}")
     values = config.c2max_values
     if not values:
-        # four decades around the configured operating point
+        if config.c2max == 0.0:
+            raise ConfigError("sinr-curve with c2max=0 needs explicit c2max_values: the default sweep scales c2max")
         values = tuple(config.c2max * 10.0 ** e for e in np.linspace(-2, 2, 17))
-    gamma = 10.0 ** (config.snr_db[0] / 10.0)
+    gamma = 10.0 ** (snr_db / 10.0)
     return eve_sinr_curve(config.n, gamma, values)
 
 
 def search_space_summary(config: ExperimentConfig) -> dict:
-    """Exhaustive-search size of the schedule space for this geometry."""
-    bits = search_space_bits(config.codebook, config.n)
+    """Exhaustive-search size of the schedule space: n * log2(m) bits per frame."""
+    bits = config.n * config.codebook.bits_per_subcarrier
     return {
         "n": config.n,
         "codebook_size": config.m,

@@ -24,7 +24,6 @@ __all__ = [
     "C2Schedule",
     "zero_schedule",
     "generate_schedule",
-    "search_space_bits",
 ]
 
 # Primitive characteristic polynomial x^32 + x^22 + x^2 + x + 1, written as
@@ -172,10 +171,3 @@ def generate_schedule(state: Lfsr, book: Codebook, n: int, owner: str = "alice")
     bits = state.next_bits(n * k).reshape(n, k).astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1)
     return C2Schedule(book.levels[bits @ weights], owner)
-
-
-def search_space_bits(book: Codebook, n: int) -> int:
-    """Bits an exhaustive attacker must resolve per frame: n * log2(m)."""
-    if n < 1:
-        raise ContractViolation("subcarrier count must be positive")
-    return n * book.bits_per_subcarrier

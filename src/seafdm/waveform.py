@@ -27,7 +27,6 @@ __all__ = [
     "qam16",
     "constellation_by_name",
     "map_bits",
-    "schedule_phases",
     "descramble",
     "se_afdm_modulate",
     "bob_front_end",
@@ -132,21 +131,17 @@ def map_bits(bits, spec: Constellation) -> np.ndarray:
     return spec.points[groups @ weights]
 
 
-def schedule_phases(sched: C2Schedule) -> np.ndarray:
-    """Unit phasors exp(2j*pi*c2[q]*q**2) the schedule imprints on symbol q."""
-    return chirp_diag(sched.values, len(sched), conjugate=True)
-
-
 def descramble(x_hat: np.ndarray, guess: C2Schedule) -> np.ndarray:
     """Strip a (possibly wrong) schedule's phasors from a symbol estimate.
 
+    The schedule imprints the unit phasor exp(2j*pi*c2[q]*q**2) on symbol q.
     With the exact transmit schedule this inverts the scrambling; with a
     guess it leaves the residual phasor exp(2j*pi*(c2_true - c2_guess)*q**2).
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     if x_hat.shape != (len(guess),):
         raise ContractViolation("estimate and schedule lengths differ")
-    return x_hat * np.conj(schedule_phases(guess))
+    return x_hat * np.conj(chirp_diag(guess.values, len(guess), conjugate=True))
 
 
 def _check_schedule(sched: C2Schedule, owner: str, params: FrameParams, who: str) -> None:

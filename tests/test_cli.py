@@ -233,6 +233,24 @@ def test_sinr_curve_rejects_non_finite_or_negative_c2max(values, capsys):
     assert captured.out == ""
 
 
+def test_sinr_curve_with_infinite_snr_exits_2(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["sinr-curve", "--set", "snr_db=[.inf]", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "snr_db[0]" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sinr_curve_with_zero_c2max_needs_explicit_values(capsys):
+    assert main(["sinr-curve", "--set", "c2max=0"]) == 2
+    captured = capsys.readouterr()
+    assert "c2max=0" in captured.err and "c2max_values" in captured.err
+    assert captured.out == ""
+    assert main(["sinr-curve", "--set", "c2max=0", "--set", "c2max_values=[0.0, 1.0e-4]"]) == 0
+    assert capsys.readouterr().out.count("c2max=") == 2
+
+
 def test_failed_sinr_curve_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "curve.csv"
     assert main(["sinr-curve", "--set", "c2max_values=[1.0e-6, 1.0e-4]", "--out", str(out)]) == 0

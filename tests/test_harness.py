@@ -30,7 +30,7 @@ from seafdm import (
     run_scenario,
     se_afdm_modulate,
 )
-from seafdm import harness
+from seafdm import detection, harness
 from seafdm.channel import ChannelRealization
 from seafdm.harness import (
     TrialRecord,
@@ -387,6 +387,21 @@ def test_trial_blocks_do_not_change_records(cfg, monkeypatch):
     assert any(r.bob_ber > 0 for r in records[1])
 
 
+def test_one_banded_factorization_per_block(monkeypatch):
+    cfg = BLOCK_SCENARIOS[0]  # eve-ber, n=32: all 20 trials of a point in one block of 40 systems
+    assert cfg.trials <= harness._block_size(cfg.n)
+    calls = []
+    factor = detection.cholesky_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(detection, "cholesky_banded", counted)
+    run_scenario(cfg)
+    assert len(calls) == len(cfg.snr_db)
+
+
 def test_bit_count_accounting():
     cfg = tiny_config(trials=8)
     rec = run_scenario(cfg)[0]
@@ -544,6 +559,8 @@ def test_search_space_summary():
     assert out["search_space_bits"] == 128
     assert out["bits_per_subcarrier"] == 2
     assert out["log10_schedules"] == pytest.approx(128 * np.log10(2))
+    assert search_space_summary(tiny_config(n=64, m=2, c2max=1e-4))["search_space_bits"] == 64
+    assert search_space_summary(tiny_config(n=1024, m=4, c2max=4.88e-5))["search_space_bits"] == 2048
 
 
 def test_wilson_interval():

@@ -18,7 +18,6 @@ from seafdm import (
     generate_schedule,
     zero_schedule,
 )
-from seafdm.keystream import search_space_bits
 
 
 def test_degree_three_m_sequence():
@@ -207,11 +206,6 @@ def test_bias_between_anti_aligned_two_level():
     plus = C2Schedule(np.full(16, book.levels[1]), "alice")
     minus = C2Schedule(np.full(16, book.levels[0]), "eve")
     np.testing.assert_allclose(np.max(np.abs(plus.values - minus.values)), 9.76e-5)
-
-
-def test_search_space_sizes():
-    assert search_space_bits(build_codebook(1e-4, 2), 64) == 64
-    assert search_space_bits(build_codebook(4.88e-5, 4), 1024) == 2048
 
 
 def test_schedule_owner_validation():

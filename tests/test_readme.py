@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from seafdm import ExperimentConfig
+from seafdm import ExperimentConfig, harness
 from seafdm.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +44,9 @@ def test_config_table_lists_every_field_in_order():
     table = text[text.index("Config fields"):text.index("Scenarios, the values")]
     keys = re.findall(r"^\| `(\w+)` \|", table, re.M)
     assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+
+def test_block_rule_is_the_harness_rule():
+    rule = re.search(r"run in blocks of `B = ([^`]+)` trials", README.read_text()).group(1)
+    for n in (16, 64, 256, 1024, 2048, 4096):
+        assert eval(rule, {"max": max, "n": n}) == harness._block_size(n), (rule, n)

@@ -20,7 +20,7 @@ from seafdm import (
 )
 from seafdm.daft import chirp_diag, idaft, remove_cpp
 from seafdm.detection import demap
-from seafdm.waveform import constellation_by_name, qam16, schedule_phases
+from seafdm.waveform import constellation_by_name, qam16
 
 
 def random_bits(rng, count):
@@ -139,10 +139,10 @@ def test_map_bits_accepts_what_isin_accepts(bits):
             map_bits(bits, qpsk())
 
 
-def test_schedule_phases_definition():
+def test_descramble_strips_the_schedule_phasors():
     sched = C2Schedule(np.array([0.3, -0.1, 0.25, 0.07]), "alice")
-    got = schedule_phases(sched)
-    expected = np.exp(2j * np.pi * sched.values * np.arange(4) ** 2)
+    got = descramble(np.ones(4), sched)
+    expected = np.exp(-2j * np.pi * sched.values * np.arange(4) ** 2)
     np.testing.assert_allclose(got, expected, atol=1e-12)
     assert got[0] == 1.0 + 0.0j
     np.testing.assert_allclose(np.abs(got), 1.0, atol=1e-14)
