@@ -13,11 +13,13 @@ from seafdm import (
     DEFAULT_TAPS,
     C2Schedule,
     ContractViolation,
+    ExperimentConfig,
     Lfsr,
     build_codebook,
     generate_schedule,
     zero_schedule,
 )
+from seafdm.harness import search_space_summary
 
 
 def test_degree_three_m_sequence():
@@ -206,6 +208,12 @@ def test_bias_between_anti_aligned_two_level():
     plus = C2Schedule(np.full(16, book.levels[1]), "alice")
     minus = C2Schedule(np.full(16, book.levels[0]), "eve")
     np.testing.assert_allclose(np.max(np.abs(plus.values - minus.values)), 9.76e-5)
+
+
+def test_search_space_sizes():
+    # n * log2(m) schedule bits per frame, for the two codebooks of the paper
+    assert search_space_summary(ExperimentConfig(n=64, m=2, c2max=1e-4))["search_space_bits"] == 64
+    assert search_space_summary(ExperimentConfig(n=1024, m=4, c2max=4.88e-5))["search_space_bits"] == 2048
 
 
 def test_schedule_owner_validation():
