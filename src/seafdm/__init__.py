@@ -12,6 +12,8 @@ chain that the README walks through; everything else is imported from
 its submodule.
 """
 
+__version__ = "0.1.0"
+
 from .channel import apply_channel, effective_channel, effective_channel_closed_form, sample_channel
 from .daft import FrameParams
 from .detection import count_errors, demap, mmse_equalize
@@ -19,8 +21,6 @@ from .exceptions import ConfigError, ContractViolation, SolverError
 from .harness import ExperimentConfig, run_scenario
 from .keystream import DEFAULT_TAPS, C2Schedule, Lfsr, build_codebook, generate_schedule, zero_schedule
 from .waveform import bob_front_end, descramble, eve_front_end, map_bits, qpsk, se_afdm_modulate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",

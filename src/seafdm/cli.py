@@ -108,13 +108,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sinr_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    curve = run_sinr_curve(config)
+    c2max, sinr = run_sinr_curve(config)
+    sinr_db = 10.0 * np.log10(sinr)
     if args.out:
-        rows = [f"{c!r},{s!r},{db!r}\n" for c, s, db in zip(curve.c2max, curve.sinr, curve.sinr_db)]
+        rows = [",".join(repr(float(v)) for v in row) + "\n" for row in zip(c2max, sinr, sinr_db)]
         write_staged([(Path(args.out), "".join(["c2max,sinr,sinr_db\n", *rows]))])
         print(f"wrote {args.out}")
     else:
-        for c, db in zip(curve.c2max, curve.sinr_db):
+        for c, db in zip(c2max, sinr_db):
             print(f"c2max={c:.4e}  eve_sinr={db:+7.3f} dB")
     return 0
 

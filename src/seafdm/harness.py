@@ -34,13 +34,13 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from importlib import metadata
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+from . import __version__
 from .channel import ChannelRealization, apply_channel, effective_channel, sample_channel
 from .daft import FrameParams, SignalBlock, daft, remove_cpp
 from .detection import banded_mmse_equalize, count_errors, demap, mmse_equalize
@@ -54,7 +54,7 @@ from .keystream import (
     generate_schedule,
     zero_schedule,
 )
-from .sinr import SinrCurve, eve_sinr_curve
+from .sinr import sinr_eve_average
 from .waveform import (
     Constellation,
     bob_front_end,
@@ -88,11 +88,6 @@ SCENARIOS = (
 
 EVE_MODES = ("zeros", "random", "biased")
 
-try:
-    _VERSION = metadata.version("seafdm")
-except metadata.PackageNotFoundError:  # running from a source tree
-    _VERSION = "0+unknown"
-
 _SEED_POLICY = "SeedSequence(seed, spawn_key=(point_index, trial_index)).spawn(8)"
 # the seed tree's children in spawn order
 _STREAMS = ("data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise", "eve_guess", "csi")
@@ -108,11 +103,11 @@ class ExperimentConfig:
     """One experiment: link geometry, adversary model, sweep, and budget.
 
     snr_db is the sweep axis for the BER scenarios; bias-sweep sweeps
-    bias_values at snr_db[0] instead.  csi_error_var is the per-entry
-    variance of the complex Gaussian error added to every receiver's
-    channel estimate (zero means genie CSI).  Construction coerces and
-    checks every field, and builds the tables every trial shares:
-    frame_params, codebook and constellation.
+    bias_values at snr_db[0] instead, with the biased guess.
+    csi_error_var is the per-entry variance of the complex Gaussian error
+    added to every receiver's channel estimate (zero means genie CSI).
+    Construction coerces and checks every field, and builds the tables
+    every trial shares: frame_params, codebook and constellation.
     """
 
     scenario: str = "eve-ber"
@@ -173,8 +168,11 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db values must be numbers or +inf, got {self.snr_db}")
         if self.paths > self.n:
             raise ConfigError(f"paths={self.paths} exceeds n={self.n}")
-        if self.scenario == "bias-sweep" and not self.bias_values:
-            raise ConfigError("bias-sweep needs a nonempty bias_values list")
+        if self.scenario == "bias-sweep":
+            if not self.bias_values:
+                raise ConfigError("bias-sweep needs a nonempty bias_values list")
+            # the sweep varies the biased guess's error, so that is the guess it runs
+            set_("eve_mode", "biased")
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
         ncp = self.paths - 1 if self.ncp is None else self.ncp
@@ -479,17 +477,14 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
 
 def run_scenario(config: ExperimentConfig) -> list[TrialRecord]:
     """Run a Monte Carlo scenario, one aggregated record per sweep point."""
-    if config.scenario == "bias-sweep":
-        config = replace(config, eve_mode="biased")
-        points = config.bias_values
-    else:
-        points = config.snr_db
+    points = config.bias_values if config.scenario == "bias-sweep" else config.snr_db
     return [_run_point(config, i, p) for i, p in enumerate(points)]
 
 
-def run_sinr_curve(config: ExperimentConfig) -> SinrCurve:
+def run_sinr_curve(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eavesdropper SINR over the configured c2max sweep.
 
+    Returns the sweep and the frame-averaged SINR as two float64 arrays.
     The closed form needs a finite snr_db[0]; without c2max_values it sweeps
     four decades around c2max, which must then be positive.
     """
@@ -501,8 +496,9 @@ def run_sinr_curve(config: ExperimentConfig) -> SinrCurve:
         if config.c2max == 0.0:
             raise ConfigError("sinr-curve with c2max=0 needs explicit c2max_values: the default sweep scales c2max")
         values = tuple(config.c2max * 10.0 ** e for e in np.linspace(-2, 2, 17))
+    c2max = np.array(values, dtype=np.float64)
     gamma = 10.0 ** (snr_db / 10.0)
-    return eve_sinr_curve(config.n, gamma, values)
+    return c2max, np.array([sinr_eve_average(config.n, gamma, v) for v in c2max])
 
 
 def search_space_summary(config: ExperimentConfig) -> dict:
@@ -556,15 +552,15 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
             ]
         )
     meta = {
-        "version": _VERSION,
+        "version": __version__,
         "rng": "numpy.random.default_rng (PCG64)",
         "seed_policy": _SEED_POLICY,
         "config": None if config is None else asdict(config),
         "provenance": _provenance(),
         "wall_ms": [rec.wall_ms for rec in records],
         "wilson_95": {
-            "bob": [_interval(rec.bob_ber, rec.bit_count) for rec in records],
-            "eve": [_interval(rec.eve_ber, rec.bit_count) for rec in records],
+            name: [_interval(getattr(rec, f"{name}_ber"), rec.bit_count) for rec in records]
+            for name in ("bob", "eve", "afdm")
         },
     }
     write_staged(

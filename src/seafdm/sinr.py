@@ -11,8 +11,6 @@ q = 0 symbol never gets scrambled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ContractViolation
@@ -22,8 +20,6 @@ __all__ = [
     "sinr_eve_symbol",
     "sinr_eve_symbol_discrete",
     "sinr_eve_average",
-    "SinrCurve",
-    "eve_sinr_curve",
 ]
 
 
@@ -80,22 +76,3 @@ def sinr_eve_average(n: int, gamma: float, c2max: float) -> float:
         # perturb the mean of a constant vector away from the receive SNR
         return float(values[0])
     return float(np.mean(values))
-
-
-@dataclass(frozen=True)
-class SinrCurve:
-    c2max: np.ndarray
-    sinr: np.ndarray
-
-    @property
-    def sinr_db(self) -> np.ndarray:
-        return 10.0 * np.log10(self.sinr)
-
-
-def eve_sinr_curve(n: int, gamma: float, c2max_values) -> SinrCurve:
-    """Frame-averaged eavesdropper SINR swept over scrambling strength."""
-    values = np.asarray(c2max_values, dtype=np.float64)
-    if values.ndim != 1 or not values.size:
-        raise ContractViolation("c2max sweep must be a nonempty vector")
-    out = np.array([sinr_eve_average(n, gamma, v) for v in values])
-    return SinrCurve(c2max=values, sinr=out)

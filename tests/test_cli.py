@@ -223,6 +223,11 @@ def test_sinr_curve_table_and_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "c2max,sinr,sinr_db"
     assert len(lines) == 3
+    # every cell is a plain float, and the dB column is the SINR column in dB
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [1.0e-6, 1.0e-4]
+    for _, sinr, sinr_db in rows:
+        assert sinr_db == 10.0 * np.log10(sinr)
 
 
 @pytest.mark.parametrize("values", ["[.nan]", "[.inf]", "[1.0e-4, -1.0e-4]"])

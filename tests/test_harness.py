@@ -30,6 +30,7 @@ from seafdm import (
     run_scenario,
     se_afdm_modulate,
 )
+import seafdm
 from seafdm import detection, harness
 from seafdm.channel import ChannelRealization
 from seafdm.harness import (
@@ -42,7 +43,7 @@ from seafdm.harness import (
     wilson,
 )
 from seafdm.keystream import C2Schedule
-from seafdm.sinr import eve_sinr_curve
+from seafdm.sinr import sinr_eve_average
 
 
 def tiny_config(**overrides):
@@ -251,7 +252,7 @@ CONFIG_ECHOES = {
             lfsr_taps=[5, 2, 0], eve_bias=0,
         ),
         '{"alpha_max": 2.0, "bias_values": [0.001], "c2max": 4.88e-05, "c2max_values": [1e-06, 0.0001], '
-        '"csi_error_var": 0.0, "eve_bias": 0.0, "eve_mode": "zeros", "integer_doppler": false, '
+        '"csi_error_var": 0.0, "eve_bias": 0.0, "eve_mode": "biased", "integer_doppler": false, '
         '"lfsr_taps": [5, 2, 0], "m": 4, "modulation": "qpsk", "n": 16, "ncp": 4, "paths": 2, '
         '"scenario": "bias-sweep", "seed": 1, "snr_db": [20.0], "trials": 200, "workers": 1}',
     ),
@@ -361,7 +362,19 @@ BLOCK_SCENARIOS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", BLOCK_SCENARIOS, ids=lambda c: f"{c.scenario}-{c.eve_mode}-n{c.n}")
+# Ids name each case by its config as written: bias-sweep's "zeros" is the default it was
+# built with, before the config turns it into the biased guess that bias-sweep runs.
+BLOCK_IDS = [
+    "eve-ber-zeros-n32",
+    "eve-ber-random-n32",
+    "eve-ber-biased-n32",
+    "bob-vs-afdm-ber-zeros-n32",
+    "bias-sweep-zeros-n32",
+    "eve-ber-zeros-n1024",
+]
+
+
+@pytest.mark.parametrize("cfg", BLOCK_SCENARIOS, ids=BLOCK_IDS)
 def test_trial_blocks_do_not_change_records(cfg, monkeypatch):
     default = harness._block_size(cfg.n)
     assert cfg.trials % default and cfg.trials % 3  # a short last block at every size
@@ -491,8 +504,9 @@ def test_bias_sweep_scenario():
         snr_db=(60.0,),
         bias_values=(0.0, 0.3),
         trials=6,
-        eve_mode="zeros",  # forced to biased internally
+        eve_mode="zeros",  # bias-sweep runs the biased guess whatever the config says
     )
+    assert cfg.eve_mode == "biased"
     recs = run_scenario(cfg)
     assert [r.point for r in recs] == [0.0, 0.3]
     assert recs[0].eve_ber == 0.0  # exact schedule knowledge, no noise
@@ -544,14 +558,14 @@ def test_time_domain_solve_matches_dense_replay(cfg, monkeypatch):
 
 
 def test_run_sinr_curve_matches_analytics():
-    cfg = tiny_config(c2max_values=(1e-6, 1e-5, 1e-4))
-    curve = run_sinr_curve(cfg)
-    direct = eve_sinr_curve(32, 10**2.5, (1e-6, 1e-5, 1e-4))
-    np.testing.assert_allclose(curve.sinr, direct.sinr, rtol=1e-12)
-    default = run_sinr_curve(tiny_config())
-    assert default.c2max.size == 17
-    assert default.c2max[0] == pytest.approx(0.05 * 1e-2)
-    assert default.c2max[-1] == pytest.approx(0.05 * 1e2)
+    c2max, sinr = run_sinr_curve(tiny_config(c2max_values=(1e-6, 1e-5, 1e-4)))
+    assert c2max.dtype == sinr.dtype == np.float64
+    assert c2max.tolist() == [1e-6, 1e-5, 1e-4]
+    assert sinr.tolist() == [sinr_eve_average(32, 10**2.5, c) for c in (1e-6, 1e-5, 1e-4)]
+    default, _ = run_sinr_curve(tiny_config())
+    assert default.size == 17
+    assert default[0] == pytest.approx(0.05 * 1e-2)
+    assert default[-1] == pytest.approx(0.05 * 1e2)
 
 
 def test_search_space_summary():
@@ -595,6 +609,27 @@ def test_csv_round_trip(tmp_path):
     assert meta["config"]["snr_db"] == [10.0, 20.0]
     assert len(meta["wilson_95"]["bob"]) == 2
     assert meta["wilson_95"]["eve"] == [None, None]
+
+
+@pytest.mark.parametrize("scenario", ["bob-vs-afdm-ber", "eve-ber"])
+def test_sidecar_intervals_cover_every_receiver(scenario, tmp_path):
+    cfg = tiny_config(scenario=scenario, trials=4, snr_db=(10.0, 20.0))
+    recs = run_scenario(cfg)
+    emit_csv(recs, tmp_path / "sweep.csv", cfg)
+    intervals = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["wilson_95"]
+    assert set(intervals) == {"bob", "eve", "afdm"}
+    for name in intervals:
+        simulated = [not math.isnan(getattr(rec, f"{name}_ber")) for rec in recs]
+        assert [iv is not None for iv in intervals[name]] == simulated
+        assert all(lo <= hi for lo, hi in filter(None, intervals[name]))
+
+
+def test_sidecar_records_the_package_version_and_the_guess_that_ran(tmp_path):
+    cfg = tiny_config(scenario="bias-sweep", trials=2, bias_values=(0.0, 1e-3))
+    emit_csv(run_scenario(cfg), tmp_path / "sweep.csv", cfg)
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    assert meta["version"] == seafdm.__version__
+    assert meta["config"]["eve_mode"] == "biased"
 
 
 def test_sidecar_records_provenance_and_leaves_the_csv_alone(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from seafdm import ContractViolation, build_codebook
-from seafdm.sinr import eve_sinr_curve, sa, sinr_eve_average, sinr_eve_symbol, sinr_eve_symbol_discrete
+from seafdm.sinr import sa, sinr_eve_average, sinr_eve_symbol, sinr_eve_symbol_discrete
 
 from oracles import sinr_eve_measured, sinr_eve_saturated
 
@@ -127,10 +127,3 @@ def test_measured_sinr_matches_closed_form():
         want = float(sinr_eve_symbol(p, gamma, c2max))
         np.testing.assert_allclose(got, want, rtol=0.02)
 
-
-def test_sinr_curve_units_agree():
-    curve = eve_sinr_curve(64, 10**2.5, [1e-6, 1e-5, 1e-4])
-    assert curve.c2max.shape == curve.sinr.shape == (3,)
-    np.testing.assert_allclose(10 ** (curve.sinr_db / 10), curve.sinr, rtol=1e-12)
-    with pytest.raises(ContractViolation):
-        eve_sinr_curve(64, 10**2.5, [])
