@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 from .channel import apply_channel, effective_channel, effective_channel_closed_form, sample_channel
 from .daft import FrameParams
-from .detection import count_errors, demap, mmse_equalize
+from .detection import mmse_equalize
 from .exceptions import ConfigError, ContractViolation, SolverError
 from .harness import ExperimentConfig, run_scenario
 from .keystream import DEFAULT_TAPS, C2Schedule, Lfsr, build_codebook, generate_schedule, zero_schedule
-from .waveform import bob_front_end, descramble, eve_front_end, map_bits, qpsk, se_afdm_modulate
+from .waveform import bob_front_end, count_errors, demap, descramble, eve_front_end, map_bits, qpsk, se_afdm_modulate
 
 __all__ = [
     "ExperimentConfig",

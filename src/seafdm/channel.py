@@ -11,6 +11,8 @@ exact end-to-end subcarrier coupling matrix from FFTs of the circularized
 time response.  The closed form evaluates the same matrix entrywise from
 the Dirichlet kernel, which is what the sparsity and eavesdropper-SINR
 analysis rest on.  They agree to machine precision and tests pin that.
+The banded time-domain solver takes circular_taps instead: the per-delay
+diagonals of the circular channel, which are all its nonzeros.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "ChannelRealization",
     "sample_channel",
     "apply_channel",
+    "circular_taps",
     "EffectiveChannel",
     "effective_channel",
     "effective_channel_closed_form",
@@ -160,9 +163,7 @@ def apply_channel(
     phasors = _doppler_rows(links, s.n, s.prefix_len)
     out = np.zeros_like(samples)
     for j, delay in enumerate(delays):
-        shifted = np.zeros_like(samples)
-        shifted[:, delay:] = samples[:, : total - delay]
-        out += gains[:, j, None] * shifted * phasors[:, j]
+        out[:, delay:] += gains[:, j, None] * samples[:, : total - delay] * phasors[:, j, delay:]
     if sigma2 > 0.0:
         gens = [rng] if lone else list(rng or ())
         if len(gens) != len(links) or None in gens:
@@ -174,7 +175,7 @@ def apply_channel(
     return SignalBlock(out.reshape(s.samples.shape), prefix_len=s.prefix_len)
 
 
-def _tap_diagonals(realizations: Sequence[ChannelRealization], params: FrameParams) -> np.ndarray:
+def circular_taps(realizations: Sequence[ChannelRealization], params: FrameParams) -> np.ndarray:
     """Per-delay diagonals of each circular channel: taps[s, l, k] multiplies s[(k - l) mod n].
 
     The chirp-periodic prefix turns each delayed echo into a circular shift
@@ -215,7 +216,7 @@ def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) ->
     n = params.n
     rows = np.arange(n)
     mat = np.zeros((n, n), dtype=np.complex128)
-    for delay, diagonal in enumerate(_tap_diagonals([realization], params)[0]):
+    for delay, diagonal in enumerate(circular_taps([realization], params)[0]):
         mat[rows, (rows - delay) % n] += diagonal
     return mat
 

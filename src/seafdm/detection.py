@@ -1,25 +1,19 @@
-"""Linear MMSE symbol detection and hard demapping."""
+"""Linear MMSE symbol detection: the dense subcarrier-domain solve and the banded time-domain solve."""
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, cython_blas, cython_lapack
 
-from .channel import ChannelRealization, _tap_diagonals
-from .daft import FrameParams
 from .exceptions import ContractViolation, SolverError
-from .waveform import Constellation
 
 __all__ = [
     "mmse_equalize",
     "banded_mmse_equalize",
-    "demap",
-    "count_errors",
 ]
 
 
@@ -85,12 +79,7 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
     return h_conj.T @ z
 
 
-def banded_mmse_equalize(
-    r: np.ndarray,
-    realizations: Sequence[ChannelRealization],
-    params: FrameParams,
-    sigma2: float,
-) -> np.ndarray:
+def banded_mmse_equalize(r: np.ndarray, taps: np.ndarray, sigma2: float) -> np.ndarray:
     """s_hat = H_t^H (H_t H_t^H + sigma2 I)^{-1} r on prefix-free received cores r.
 
     H_t is the circular time-domain channel, so with exact channel knowledge
@@ -104,21 +93,20 @@ def banded_mmse_equalize(
     a banded Cholesky factors in O(L^2 n).  When n <= 2L several cyclic
     offsets land on the same entry, so entries are accumulated.
 
-    realizations holds S channels of one delay profile and r has shape
-    (S, k, n), k right-hand sides per system; the result has the shape of r.
+    taps holds S channels as circular taps of shape (S, L + 1, n), the form
+    channel.circular_taps builds, and r has shape (S, k, n), k right-hand
+    sides per system; the result has the shape of r.
     Every system is solved at once: their folded bands sit side by side in
     one band whose entries across a seam are zero, so each system's
     solution is, bit for bit, the one it gets alone.
     """
-    n = params.n
-    systems = tuple(realizations)
+    taps = np.asarray(taps, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
-    if not systems or r.ndim != 3 or r.shape[0] != len(systems) or r.shape[2] != n:
-        raise ContractViolation(f"received cores must have shape ({len(systems)}, k, {n}), got {r.shape}")
+    if taps.ndim != 3 or 0 in taps.shape or r.ndim != 3 or r.shape[::2] != taps.shape[::2]:
+        raise ContractViolation(f"need cores (S, k, n) and taps (S, L + 1, n), got {r.shape} and {taps.shape}")
     if not sigma2 >= 0:
         raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
-    taps = _tap_diagonals(systems, params)
-    count, rows, _ = taps.shape
+    count, rows, n = taps.shape
     plan = _band_plan(n, rows - 1, count)
     try:
         factor = cholesky_banded(_gram_band(taps, sigma2), lower=True, check_finite=False)
@@ -229,32 +217,3 @@ def _band_plan(n: int, max_delay: int, systems: int = 1) -> _BandPlan:
         if isinstance(table, np.ndarray):
             table.flags.writeable = False
     return plan
-
-
-def demap(x_hat: np.ndarray, spec: Constellation) -> np.ndarray:
-    """Nearest-point hard decision back to bits, MSB first per symbol.
-
-    The alphabet is a product grid, so the nearest point is the nearest
-    level on each axis: each coordinate is compared with the midpoints
-    between levels, and a coordinate exactly on a midpoint takes the lower
-    of the two labels.  This is the first-index argmin over the distances
-    to every point, except within a few ulp of a midpoint, where those
-    rounded distances can tie or order the two points the other way.
-    Leading axes of x_hat are kept: each row of symbols becomes a row of bits.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.complex128)
-    slicer = spec._slicer
-    point = np.searchsorted(slicer.re_cuts, x_hat.real) * (slicer.im_cuts.size + 1)
-    point += np.searchsorted(slicer.im_cuts, x_hat.imag)
-    return np.take(slicer.bits, point, axis=0).reshape(*x_hat.shape[:-1], -1)
-
-
-def count_errors(sent: np.ndarray, received: np.ndarray) -> int | np.ndarray:
-    """Differing bits of two bit vectors, or per row of two equal-shape stacks."""
-    sent = np.asarray(sent)
-    received = np.asarray(received)
-    if sent.shape != received.shape:
-        raise ContractViolation("bit vectors must have equal length")
-    if sent.ndim < 2:
-        return int(np.count_nonzero(sent != received))
-    return np.count_nonzero(sent != received, axis=-1)

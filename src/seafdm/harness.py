@@ -41,9 +41,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import ChannelRealization, apply_channel, effective_channel, sample_channel
+from .channel import ChannelRealization, apply_channel, circular_taps, effective_channel, sample_channel
 from .daft import FrameParams, SignalBlock, daft, remove_cpp
-from .detection import banded_mmse_equalize, count_errors, demap, mmse_equalize
+from .detection import banded_mmse_equalize, mmse_equalize
 from .exceptions import ConfigError, ContractViolation
 from .keystream import (
     DEFAULT_TAPS,
@@ -59,6 +59,8 @@ from .waveform import (
     Constellation,
     bob_front_end,
     constellation_by_name,
+    count_errors,
+    demap,
     descramble,
     eve_front_end,
     map_bits,
@@ -103,7 +105,8 @@ class ExperimentConfig:
     """One experiment: link geometry, adversary model, sweep, and budget.
 
     snr_db is the sweep axis for the BER scenarios; bias-sweep sweeps
-    bias_values at snr_db[0] instead, with the biased guess.
+    bias_values at snr_db[0] instead, with the biased guess.  An unset
+    eve_mode is biased for bias-sweep and zeros for every other scenario.
     csi_error_var is the per-entry variance of the complex Gaussian error
     added to every receiver's channel estimate (zero means genie CSI).
     Construction coerces and checks every field, and builds the tables
@@ -122,7 +125,7 @@ class ExperimentConfig:
     snr_db: tuple[float, ...] = (25.0,)
     trials: int = 200
     seed: int = 1
-    eve_mode: str = "zeros"
+    eve_mode: str | None = None
     eve_bias: float = 0.0
     csi_error_var: float = 0.0
     workers: int = 1
@@ -150,6 +153,9 @@ class ExperimentConfig:
         set_("integer_doppler", bool(self.integer_doppler))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; known: {SCENARIOS}")
+        if self.eve_mode is None:
+            # the sweep varies the biased guess's error, so that is the guess it runs
+            set_("eve_mode", "biased" if self.scenario == "bias-sweep" else "zeros")
         if self.eve_mode not in EVE_MODES:
             raise ConfigError(f"unknown eve_mode {self.eve_mode!r}; known: {EVE_MODES}")
         if not isinstance(self.modulation, str):
@@ -171,8 +177,8 @@ class ExperimentConfig:
         if self.scenario == "bias-sweep":
             if not self.bias_values:
                 raise ConfigError("bias-sweep needs a nonempty bias_values list")
-            # the sweep varies the biased guess's error, so that is the guess it runs
-            set_("eve_mode", "biased")
+            if self.eve_mode != "biased":
+                raise ConfigError(f"bias-sweep runs the biased guess; eve_mode={self.eve_mode!r} contradicts it")
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
         ncp = self.paths - 1 if self.ncp is None else self.ncp
@@ -212,13 +218,13 @@ def _as_float(value, name: str) -> float:
     if not isinstance(value, (bool, np.bool_)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _as_float_tuple(value, name: str, empty_ok: bool = False) -> tuple[float, ...]:
-    if np.isscalar(value):
+    if np.isscalar(value) or not hasattr(value, "__iter__"):  # a lone number, or None from an empty YAML value
         value = (value,)
     out = tuple(_as_float(v, f"{name} entry") for v in value)
     if not empty_ok and not out:
@@ -322,7 +328,7 @@ class _Block:
         tx = se_afdm_modulate(np.array(symbols), params, schedules)
         rx = apply_channel(SignalBlock(tx.samples[list(sources)], tx.prefix_len), links, gens, sigma2)
         cores = remove_cpp(rx, params).reshape(len(self.realizations), -1, params.n)
-        s_hat = banded_mmse_equalize(cores, self.realizations, params, sigma2)
+        s_hat = banded_mmse_equalize(cores, circular_taps(self.realizations, params), sigma2)
         received = demap(daft(s_hat, params, np.array(rates).reshape(cores.shape)), const)
         received = received.reshape(self.size, -1, received.shape[-1])
         sent = np.broadcast_to(np.array(self.bits)[:, None, :], received.shape)

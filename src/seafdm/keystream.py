@@ -52,8 +52,6 @@ class Lfsr:
         degree = taps[0]
         if not 2 <= degree <= 64:
             raise ContractViolation(f"supported register degrees are 2..64, got {degree}")
-        if any(t >= degree for t in taps[1:]):
-            raise ContractViolation("intermediate taps must be below the degree")
         seed = int(seed)
         if not 1 <= seed < (1 << degree):
             raise ContractViolation(f"seed must be a nonzero {degree}-bit state, got {seed}")

@@ -8,6 +8,9 @@ an ordinary AFDM link.  A receiver without it sees every symbol multiplied
 by the unknown unit phasor exp(2j*pi*c2[q]*q**2), which is the entire
 security mechanism: magnitudes, spectra, and noise statistics are
 untouched.
+
+Hard decisions live next to their alphabet: each Constellation builds its
+per-axis decision tables once, and demap reads them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ __all__ = [
     "qam16",
     "constellation_by_name",
     "map_bits",
+    "demap",
+    "count_errors",
     "descramble",
     "se_afdm_modulate",
     "bob_front_end",
@@ -129,6 +134,35 @@ def map_bits(bits, spec: Constellation) -> np.ndarray:
     groups = bits.reshape(-1, spec.bits_per_symbol).astype(np.int64)
     weights = 1 << np.arange(spec.bits_per_symbol - 1, -1, -1)
     return spec.points[groups @ weights]
+
+
+def demap(x_hat: np.ndarray, spec: Constellation) -> np.ndarray:
+    """Nearest-point hard decision back to bits, MSB first per symbol.
+
+    The alphabet is a product grid, so the nearest point is the nearest
+    level on each axis: each coordinate is compared with the midpoints
+    between levels, and a coordinate exactly on a midpoint takes the lower
+    of the two labels.  This is the first-index argmin over the distances
+    to every point, except within a few ulp of a midpoint, where those
+    rounded distances can tie or order the two points the other way.
+    Leading axes of x_hat are kept: each row of symbols becomes a row of bits.
+    """
+    x_hat = np.asarray(x_hat, dtype=np.complex128)
+    slicer = spec._slicer
+    point = np.searchsorted(slicer.re_cuts, x_hat.real) * (slicer.im_cuts.size + 1)
+    point += np.searchsorted(slicer.im_cuts, x_hat.imag)
+    return np.take(slicer.bits, point, axis=0).reshape(*x_hat.shape[:-1], -1)
+
+
+def count_errors(sent: np.ndarray, received: np.ndarray) -> int | np.ndarray:
+    """Differing bits of two bit vectors, or per row of two equal-shape stacks."""
+    sent = np.asarray(sent)
+    received = np.asarray(received)
+    if sent.shape != received.shape:
+        raise ContractViolation("bit vectors must have equal length")
+    if sent.ndim < 2:
+        return int(np.count_nonzero(sent != received))
+    return np.count_nonzero(sent != received, axis=-1)
 
 
 def descramble(x_hat: np.ndarray, guess: C2Schedule) -> np.ndarray:

@@ -56,7 +56,7 @@ def mmse_f2py(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
 
 
 def demap_argmin(x_hat: np.ndarray, spec) -> np.ndarray:
-    """Counterpart of ``seafdm.detection.demap``: the distance to every point, first-index argmin."""
+    """Counterpart of ``seafdm.waveform.demap``: the distance to every point, first-index argmin."""
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     dist = np.abs(x_hat[..., None] - spec.points)
     labels = np.argmin(dist, axis=-1)

@@ -24,9 +24,9 @@ from seafdm import (
 from seafdm.channel import (
     ChannelRealization,
     _doppler_rows,
-    _tap_diagonals,
     _time_domain_matrix,
     _wrap_phasors,
+    circular_taps,
     coupling_kernel,
 )
 from seafdm.daft import SignalBlock, add_cpp, daft, remove_cpp
@@ -97,6 +97,9 @@ def test_sample_channel_geometry():
     assert np.all(np.abs(real.dopplers) <= 2.0)
     single = sample_channel(1, 0.0, rng, n=64)
     assert single.delays.tolist() == [0] and single.dopplers.tolist() == [0.0]
+    for args, match in [((0, 2.0), "path_count"), ((65, 2.0), "more paths"), ((3, -0.5), "alpha_max")]:
+        with pytest.raises(ContractViolation, match=match):
+            sample_channel(*args, rng, n=64)
 
 
 def test_sample_channel_unit_average_energy():
@@ -274,16 +277,16 @@ def test_stacked_tap_diagonals_match_the_circular_oracle():
         return ChannelRealization(rng.standard_normal(paths) + 1j * rng.standard_normal(paths), delays, rng.uniform(-2, 2, paths))
 
     reals = [channel(delays) for _ in range(3)]
-    taps = _tap_diagonals(reals, params)
+    taps = circular_taps(reals, params)
     assert taps.shape == (3, 4, n)
     assert not np.any(taps[:, 1])
     for s, real in enumerate(reals):
         np.testing.assert_allclose(_time_domain_matrix(real, params), circular_oracle(real, params), atol=1e-12)
-        assert taps[s].tobytes() == _tap_diagonals([real], params)[0].tobytes()
+        assert taps[s].tobytes() == circular_taps([real], params)[0].tobytes()
     # the same delays in another order are another profile
     for other in ([0, 2, 3, 2], [2, 0, 3], [2, 0, 3, 1]):
         with pytest.raises(ContractViolation, match="one delay profile"):
-            _tap_diagonals([reals[0], channel(other)], params)
+            circular_taps([reals[0], channel(other)], params)
 
 
 def test_wrap_rows_are_the_prefix_phasors():
@@ -336,7 +339,7 @@ def test_doppler_phasor_rows_are_built_once_and_read_only():
     out = apply_channel(block, real, None, 0.0).samples
     rows = real._phasor_rows[16, 2]
     assert out.tobytes() == (real.gains[:, None] * block.samples[None] * rows)[0].tobytes()
-    assert _tap_diagonals([real], params)[0, 0].tobytes() == (real.gains[:, None] * rows[:, 2:])[0].tobytes()
+    assert circular_taps([real], params)[0, 0].tobytes() == (real.gains[:, None] * rows[:, 2:])[0].tobytes()
     assert real._phasor_rows[16, 2] is rows
     # another geometry gets its own rows and leaves the first ones alone
     assert _doppler_rows([real], 16, 0).shape == (1, 1, 16) and real._phasor_rows[16, 2] is rows
@@ -460,7 +463,7 @@ def test_time_domain_mmse_matches_dense_subcarrier_mmse_on_random_links(link):
     real, params, rx, tx, sigma2, r = link
     h = effective_channel(real, params, rx, tx).matrix
     dense = mmse_equalize(daft(r, params, rx.values), h, sigma2)
-    fast = daft(banded_mmse_equalize(r[None, None], [real], params, sigma2)[0, 0], params, 0.0 if tx is None else tx.values)
+    fast = daft(banded_mmse_equalize(r[None, None], circular_taps([real], params), sigma2)[0, 0], params, 0.0 if tx is None else tx.values)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 
 

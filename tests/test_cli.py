@@ -159,7 +159,10 @@ def test_solver_error_while_a_block_finishes_exits_4(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "override",
-    ["seed=-1", "seed=1.5", "trials=2.5", "paths=2.5", "workers=2.5", "ncp=true", "lfsr_taps=[5, 2]"],
+    [
+        "seed=-1", "seed=1.5", "trials=2.5", "paths=2.5", "workers=2.5", "ncp=true", "lfsr_taps=[5, 2]",
+        f"m={2**64}",  # a codebook numpy cannot size: the from_dict rescue turns its ValueError into a ConfigError
+    ],
 )
 def test_bad_integer_field_exits_2(override, capsys):
     assert main(["simulate", "--set", "n=32", "--set", override]) == 2
@@ -173,6 +176,9 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", "--set", "snr_db=[10, 20"]) == 2
     assert "error:" in capsys.readouterr().err
+    cfg.write_text("- n: 32\n- paths: 2\n")  # well-formed YAML, but a list
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "must contain a mapping" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_3(capsys):
@@ -204,6 +210,23 @@ def test_bias_sweep_command(tmp_path):
 def test_bias_sweep_without_values_exits_2(capsys):
     assert main(BIAS_SWEEP) == 2
     assert "bias_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("snr_db=", "snr_db"),
+        ("bias_values=", "bias_values"),
+        ("c2max_values=", "c2max_values"),
+        (f"c2max={10**400}", "c2max"),
+        ("eve_mode=random", "eve_mode"),
+        ("eve_mode=zeros", "eve_mode"),
+    ],
+)
+def test_bad_value_exits_2_naming_its_field(override, field, capsys):
+    assert main([*BIAS_SWEEP, "--set", "bias_values=[0.001]", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--scenario", "eve-ber"], ["bias-sweep", "--bias", "0.0"]])

@@ -213,6 +213,9 @@ def test_daft_rejects_prefixed_block():
         daft(block, params, 0.0)
     with pytest.raises(ContractViolation):
         add_cpp(block, params)
+    # a bare core of the wrong length is no frame either
+    with pytest.raises(ContractViolation, match="cores of length n = 8"):
+        daft(np.ones(7, dtype=complex), params, 0.0)
 
 
 def test_add_cpp_zero_length_prefix():

@@ -67,6 +67,17 @@ def records_equal(a: TrialRecord, b: TrialRecord) -> bool:
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"scenario": "eve-ber", "turbo": True})
+    with pytest.raises(ConfigError, match="must be a mapping"):
+        ExperimentConfig.from_dict([("scenario", "eve-ber")])
+
+
+def test_unset_eve_mode_is_the_scenario_default():
+    assert ExperimentConfig().eve_mode == "zeros"
+    assert ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,)).eve_mode == "biased"
+    assert ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,), eve_mode="biased").eve_mode == "biased"
+    assert ExperimentConfig.from_dict({"eve_mode": None, "scenario": "bias-sweep", "bias_values": [0.0]}).eve_mode == "biased"
+    with pytest.raises(ConfigError, match="eve_mode='random'"):
+        ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,), eve_mode="random")
 
 
 @pytest.mark.parametrize(
@@ -129,6 +140,10 @@ def test_config_rejects_unknown_keys():
         {"c2max_values": (1e-4, float("inf"))},
         {"c2max_values": (-1e-4,)},
         {"modulation": ["qpsk"]},
+        {"snr_db": None},
+        {"scenario": "bias-sweep", "bias_values": None},
+        {"c2max_values": None},
+        {"c2max": 10**400},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -381,9 +396,9 @@ def test_trial_blocks_do_not_change_records(cfg, monkeypatch):
     solves = []
     banded = harness.banded_mmse_equalize
 
-    def counted(r, realizations, params, sigma2):
-        solves.append(len(realizations))
-        return banded(r, realizations, params, sigma2)
+    def counted(r, taps, sigma2):
+        solves.append(len(taps))
+        return banded(r, taps, sigma2)
 
     monkeypatch.setattr(harness, "banded_mmse_equalize", counted)
     records = {}
@@ -504,9 +519,8 @@ def test_bias_sweep_scenario():
         snr_db=(60.0,),
         bias_values=(0.0, 0.3),
         trials=6,
-        eve_mode="zeros",  # bias-sweep runs the biased guess whatever the config says
     )
-    assert cfg.eve_mode == "biased"
+    assert cfg.eve_mode == "biased"  # the guess an unset eve_mode means for bias-sweep
     recs = run_scenario(cfg)
     assert [r.point for r in recs] == [0.0, 0.3]
     assert recs[0].eve_ber == 0.0  # exact schedule knowledge, no noise

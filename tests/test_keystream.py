@@ -219,5 +219,7 @@ def test_search_space_sizes():
 def test_schedule_owner_validation():
     with pytest.raises(ContractViolation):
         zero_schedule(4, "mallory")
+    with pytest.raises(ContractViolation, match="length must be positive"):
+        generate_schedule(Lfsr(), build_codebook(1e-3, 4), 0, "alice")
     with pytest.raises(ContractViolation):
         C2Schedule(np.array([np.nan]), "alice")

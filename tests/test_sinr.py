@@ -48,6 +48,8 @@ def test_symbol_sinr_validation():
     for c2max in (-1e-4, np.nan, np.inf):
         with pytest.raises(ContractViolation, match="c2max"):
             sinr_eve_symbol(np.arange(4), 100.0, c2max)
+    with pytest.raises(ContractViolation, match="frame size"):
+        sinr_eve_average(0, 100.0, 1e-5)
 
 
 @pytest.mark.parametrize("c2max", [7.5, 50.0])

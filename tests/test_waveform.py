@@ -19,8 +19,7 @@ from seafdm import (
     zero_schedule,
 )
 from seafdm.daft import chirp_diag, idaft, remove_cpp
-from seafdm.detection import demap
-from seafdm.waveform import constellation_by_name, qam16
+from seafdm.waveform import constellation_by_name, demap, qam16
 
 
 def random_bits(rng, count):
@@ -146,6 +145,8 @@ def test_descramble_strips_the_schedule_phasors():
     np.testing.assert_allclose(got, expected, atol=1e-12)
     assert got[0] == 1.0 + 0.0j
     np.testing.assert_allclose(np.abs(got), 1.0, atol=1e-14)
+    with pytest.raises(ContractViolation, match="lengths differ"):
+        descramble(np.ones(3), sched)
 
 
 def test_descramble_inverts_known_schedule():
