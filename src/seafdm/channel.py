@@ -30,6 +30,8 @@ from .keystream import C2Schedule
 __all__ = [
     "ChannelRealization",
     "sample_channel",
+    "draw_paths",
+    "paths_from_draws",
     "apply_channel",
     "circular_taps",
     "EffectiveChannel",
@@ -60,9 +62,14 @@ class ChannelRealization:
         if gains.ndim != 1 or not gains.size or not gains.shape == delays.shape == dopplers.shape:
             shapes = f"{gains.shape}, {delays.shape}, {dopplers.shape}"
             raise ContractViolation(f"need P >= 1 gains, delays and dopplers of shape (P,), got {shapes}")
-        with np.errstate(invalid="ignore"):  # a NaN or infinite delay casts to some integer unequal to it
+        if delays.dtype.kind in "iu":
             ints = delays.astype(np.intp)
-        if delays.dtype.kind not in "iu" and not np.array_equal(ints, delays) or min(ints.tolist()) < 0:
+            integral = True
+        else:
+            with np.errstate(invalid="ignore"):  # a NaN or infinite delay casts to some integer unequal to it
+                ints = delays.astype(np.intp)
+            integral = np.array_equal(ints, delays)
+        if not integral or min(ints.tolist()) < 0:
             raise ContractViolation(f"delays must be nonnegative integers, got {delays}")
         if not np.isfinite(dopplers).all():
             raise ContractViolation("dopplers must be finite")
@@ -111,23 +118,47 @@ def sample_channel(
 
     Path i sits at delay i, its Doppler is alpha_max * cos(theta) with theta
     uniform on [-pi, pi], and gains are i.i.d. CN(0, 1/path_count) so the
-    average channel energy is one regardless of the path count.
+    average channel energy is one regardless of the path count.  This is
+    paths_from_draws on the draw_paths of one generator.
     """
+    draws = draw_paths(rng, path_count)[None]
+    gains, dopplers = paths_from_draws(draws, alpha_max, n=n, integer_doppler=integer_doppler)
+    return ChannelRealization(gains[0], np.arange(path_count), dopplers[0], label)
+
+
+def draw_paths(rng: np.random.Generator, path_count: int) -> np.ndarray:
+    """One link's draws, shape (3, P): the angles theta, then the real and imaginary gain parts."""
+    out = np.empty((3, max(path_count, 0)))
+    out[0] = rng.uniform(-np.pi, np.pi, size=out.shape[1])
+    rng.standard_normal(out=out[1:])  # one call draws the real parts, then the imaginary ones
+    return out
+
+
+def paths_from_draws(
+    draws: np.ndarray, alpha_max: float, *, n: int, integer_doppler: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex gains and Dopplers, each (R, P), of R links from their stacked draw_paths, (R, 3, P).
+
+    Each row gets the bytes sample_channel gives its link alone.
+    """
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 3 or draws.shape[1] != 3:
+        raise ContractViolation(f"need stacked path draws of shape (R, 3, P), got {draws.shape}")
+    path_count = draws.shape[2]
     if path_count < 1:
         raise ContractViolation("path_count must be positive")
     if path_count > n:
         raise ContractViolation("more paths than samples in a frame")
     if alpha_max < 0:
         raise ContractViolation("alpha_max must be nonnegative")
-    theta = rng.uniform(-np.pi, np.pi, size=path_count)
+    theta, re, im = draws[:, 0], draws[:, 1], draws[:, 2]
     nu = alpha_max * np.cos(theta)
     if integer_doppler:
         nu = np.rint(nu)
     scale = np.sqrt(0.5 / path_count)
-    h = scale * (rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count))
+    h = scale * (re + 1j * im)
     delays = np.arange(path_count)
-    gains = h * np.exp(-2j * np.pi * nu * delays / n)
-    return ChannelRealization(gains, delays, nu, label)
+    return h * np.exp(-2j * np.pi * nu * delays / n), nu
 
 
 def apply_channel(

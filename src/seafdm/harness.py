@@ -4,23 +4,26 @@ Reproducibility contract: every trial owns a seed tree rooted at
 SeedSequence(config.seed, spawn_key=(point_index, trial_index)), whose
 eight children come in a fixed order (data bits, keystream seed, Bob
 channel, Bob noise, Eve channel, Eve noise, Eve guess, channel estimation
-error).  A trial builds only the children it reads: child k alone is
-SeedSequence(config.seed, spawn_key=(point_index, trial_index, k)), the
-tree's spawn(8)[k] state for state.  Results depend only on (seed, point,
-trial), never on worker count or completion order, and error counts are
-summed as integers before any division.
+error).  A trial builds only the children it reads.  Child k's generator is
+PCG64 on the four words SeedSequence(config.seed, spawn_key=(point_index,
+trial_index, k)).generate_state(4, uint64), the tree's spawn(8)[k] state
+for state; _stream_words computes them for many trials and children at
+once with SeedSequence's own mix on uint32 arrays.  Results depend only on
+(seed, point, trial), never on worker count or completion order, and error
+counts are summed as integers before any division.
 
 The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
 channel realization, the same noise vector and the same channel-estimate
-error as the scrambled frame (two generators built from one child sequence
+error as the scrambled frame (two generators built from one child's words
 replay identical draws), so the comparison isolates the scrambling itself.
 
 With exact channel knowledge the trials of a point run serially in blocks:
-each trial makes its draws on its own, and the trial that completes a
-block modulates, passes through the channel, equalizes, transforms and
-demaps the whole block at once.  Every draw still comes from the trial's
-own seed tree, and every stacked stage gives each frame the bytes it gets
-alone, so the block size changes no count.
+each trial makes only the draws of its own generators, and the trial that
+completes a block maps every draw at once (symbols, schedule rates, Eve's
+guess, path gains and Dopplers), then modulates, passes through the
+channel, equalizes, transforms and demaps the whole block.  Every draw
+still comes from the trial's own seed tree, and every stacked stage gives
+each frame the bytes it gets alone, so the block size changes no count.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import ChannelRealization, apply_channel, circular_taps, effective_channel, sample_channel
+from .channel import (
+    ChannelRealization,
+    apply_channel,
+    circular_taps,
+    draw_paths,
+    effective_channel,
+    paths_from_draws,
+    sample_channel,
+)
 from .daft import FrameParams, SignalBlock, daft, remove_cpp
 from .detection import banded_mmse_equalize, mmse_equalize
 from .exceptions import ConfigError, ContractViolation
@@ -52,11 +63,11 @@ from .keystream import (
     Lfsr,
     build_codebook,
     generate_schedule,
+    schedule_rates,
     zero_schedule,
 )
 from .sinr import sinr_eve_average
 from .waveform import (
-    Constellation,
     bob_front_end,
     constellation_by_name,
     count_errors,
@@ -93,6 +104,10 @@ EVE_MODES = ("zeros", "random", "biased")
 _SEED_POLICY = "SeedSequence(seed, spawn_key=(point_index, trial_index)).spawn(8)"
 # the seed tree's children in spawn order
 _STREAMS = ("data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise", "eve_guess", "csi")
+
+# Largest counts a config takes: a trial index is one uint32 word of its
+# seed tree's spawn key, and n and m bound the frame and codebook tables
+_LARGEST = {"n": 2**16, "m": 2**16, "trials": 2**32 - 1}
 
 # Frame samples (trials times n) per exact-CSI trial block: enough frames to
 # spread each receive-side stage's fixed cost at small n, one trial per
@@ -165,6 +180,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ConfigError(f"{name}={value} is below its least value {least}")
+        for name, most in _LARGEST.items():
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name}={getattr(self, name)} exceeds its largest value {most}")
         for name in ("alpha_max", "eve_bias", "csi_error_var", "bias_values", "c2max_values"):
             value = getattr(self, name)
             if not all(0 <= v < np.inf for v in (value if isinstance(value, tuple) else (value,))):
@@ -245,9 +263,113 @@ class TrialRecord:
     wall_ms: float = float("nan")
 
 
-def _seed_stream(seed: int, point_idx: int, trial_idx: int, name: str) -> np.random.SeedSequence:
-    """The named child of trial (point_idx, trial_idx)'s seed tree, built alone."""
-    return np.random.SeedSequence(seed, spawn_key=(point_idx, trial_idx, _STREAMS.index(name)))
+# numpy.random.SeedSequence's entropy mix and state output, on uint32 arrays
+_MASK32 = 0xFFFFFFFF
+_MULT_A = 0x931E8875
+_MIX_MULT = np.array([[0xCA01F9DD], [0x4973F715]], dtype=np.uint32)
+_XSHIFT = np.array([16], dtype=np.uint32)
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """Row 0: the constant each hashed word is XORed with; row 1: the next one, which multiplies it."""
+    out = np.empty((2, count), dtype=np.uint32)
+    for i in range(count):
+        out[0, i] = start
+        start = start * mult & _MASK32
+        out[1, i] = start
+    return out
+
+
+# the first four entropy words and their cross mix use the first 16 mixing constants
+_POOL_CONST = _hash_constants(0x43B0D7E5, _MULT_A, 16)
+# pool word s goes into every other pool word in turn, each with the next constant
+_CROSS_CONST = np.zeros((4, 2, 4), dtype=np.uint32)
+for _src in range(4):
+    _CROSS_CONST[_src][:, [dst for dst in range(4) if dst != _src]] = _POOL_CONST[:, 4 + 3 * _src : 7 + 3 * _src]
+# generate_state(4, uint64) hashes the pool, cycled twice, into eight uint32 words
+_STATE_CONST = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    value = (value ^ const[0]) * const[1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT[0] * pool - _MIX_MULT[1] * hashed
+    return out ^ (out >> _XSHIFT)
+
+
+@functools.lru_cache(maxsize=16)
+def _point_pool(seed: int, point_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entropy pool once the seed and the point index are mixed in, and the trial and child words' constants.
+
+    The seed's uint32 words, least significant first, are padded to four.
+    """
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words = np.array(words + [0] * (4 - len(words)) + [point_idx], dtype=np.uint32)
+    pool = _hashmix(words[:4], _POOL_CONST[:, :4])
+    for src in range(4):
+        kept = pool[src]
+        pool = _mix(pool, _hashmix(pool[src : src + 1], _CROSS_CONST[src]))
+        pool[src] = kept
+    const = _hash_constants(int(_POOL_CONST[1, -1]), _MULT_A, 4 * len(words) - 8)
+    for j, word in enumerate(words[4:]):
+        pool = _mix(pool, _hashmix(word, const[:, 4 * j : 4 * j + 4]))
+    out = (pool, const[:, -8:-4], const[:, None, -4:])
+    for table in out:
+        table.flags.writeable = False
+    return out
+
+
+def _stream_words(seed: int, point_idx: int, trials, children) -> np.ndarray:
+    """PCG64 seed words of the given children of the given trials' seed trees, shape (T, K, 4) uint64.
+
+    Entry [t, k] equals SeedSequence(seed, spawn_key=(point_idx,
+    trials[t], children[k])).generate_state(4, np.uint64), computed for
+    every (trial, child) pair at once; the seed and point part is shared
+    by every trial of a point.  Each spawn-key entry must fit one uint32
+    word, so numpy raises OverflowError for a trial or point index of
+    2**32 or more.
+    """
+    pool, trial_const, child_const = _point_pool(seed, point_idx)
+    pool = _mix(pool, _hashmix(np.array(trials, dtype=np.uint32)[:, None], trial_const))
+    pool = _mix(pool[:, None], _hashmix(np.array(children, dtype=np.uint32)[:, None], child_const))
+    state = _hashmix(np.concatenate((pool, pool), axis=-1), _STATE_CONST)
+    # SeedSequence reads the uint32 words as little-endian pairs
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose PCG64 state words _stream_words already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ContractViolation(f"hashed seed words serve PCG64's four uint64 words, not {n_words} {dtype}")
+        return self.words
+
+
+def _rng(words: np.ndarray) -> np.random.Generator:
+    """A fresh generator on one child's seed words: two from one child replay identical draws."""
+    return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+
+
+def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> list[dict[str, np.ndarray]]:
+    """Seed words by child name of each trial, for the children a trial of this config reads."""
+    skip = {"csi"} if config.csi_error_var == 0.0 else set()
+    if config.scenario == "bob-vs-afdm-ber":
+        skip |= {"eve_channel", "eve_noise", "eve_guess"}
+    if config.eve_mode == "zeros":
+        skip.add("eve_guess")  # the all-zeros guess draws nothing
+    names = [name for name in _STREAMS if name not in skip]
+    words = _stream_words(config.seed, point_idx, trials, [_STREAMS.index(name) for name in names])
+    return [dict(zip(names, row)) for row in words]
 
 
 def _draw_lfsr_state(rng: np.random.Generator, taps: tuple[int, ...]) -> int:
@@ -264,18 +386,30 @@ def _eve_guess(
     rng: np.random.Generator | None,
     bias: float,
 ) -> C2Schedule:
-    n = len(alice)
+    return C2Schedule(_guess_rates(mode, alice.values, book, _draw_guess(mode, rng, len(alice), book.m, bias)), "eve")
+
+
+def _draw_guess(mode: str, rng: np.random.Generator | None, n: int, m: int, bias: float) -> np.ndarray | None:
+    """Eve's draws for one frame: none for zeros, level indices for random, offsets from Alice's rates for biased."""
     if mode == "zeros":
-        return zero_schedule(n, "eve")
+        return None
     if mode == "random":
-        idx = rng.integers(0, book.m, size=n)
-        return C2Schedule(book.levels[idx], "eve")
+        return rng.integers(0, m, size=n)
     offset = rng.uniform(-bias, bias, size=n)
     if bias > 0.0:
         # pin one entry to the boundary so the guess error sup-norm is exact
         j = int(rng.integers(0, n))
         offset[j] = bias if rng.integers(0, 2) else -bias
-    return C2Schedule(alice.values + offset, "eve")
+    return offset
+
+
+def _guess_rates(mode: str, alice: np.ndarray, book: Codebook, draws) -> np.ndarray:
+    """Eve's guessed rates, shaped like alice: one frame's, or a stack's from the stacked draws."""
+    if mode == "zeros":
+        return np.zeros_like(alice)
+    if mode == "random":
+        return book.levels[draws]
+    return alice + draws
 
 
 def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.ndarray:
@@ -298,40 +432,72 @@ def _block_size(n: int) -> int:
 class _Block:
     """Exact-CSI trials of one sweep point whose chain runs as one stack.
 
-    Each trial parks its own draws: its data bits, its (symbols, schedule)
-    frames, and one system per channel it sampled.  A system is the
-    realization plus one row per frame sent through it: the frame's index
-    within the trial, the generator of the row's noise, and the DAFT rate
-    that maps the row's solution to the receiver's symbols.  The trial that
-    fills the block modulates, passes through the channel, equalizes,
-    transforms and demaps every parked frame at once.
+    The first trial to ask computes the seed words of every trial of the
+    block at once.  Each trial parks only the draws of its own generators:
+    data bits, keystream bits, the path draws of each channel it samples,
+    Eve's guess draws and one noise generator per received row.  Every
+    trial has two rows: Bob's, then the plain-AFDM frame through his
+    channel or Eve's row through hers.  The trial that fills the block maps
+    all the draws at once (symbols, rates, guesses, path gains and
+    Dopplers), then modulates, passes through the channel, equalizes,
+    transforms and demaps every row.
     """
 
-    def __init__(self, size: int):
-        self.size = size
-        self.bits, self.frames, self.realizations, self.rows = [], [], [], []
+    def __init__(self, config: ExperimentConfig, point_idx: int, trials: range):
+        self.config = config
+        self.point_idx = point_idx
+        self.trials = trials
+        self.size = len(trials)
+        self.bits, self.keys, self.guesses, self.links, self.noise = [], [], [], [], []
+        self._seeds = None
 
-    def park(self, bits: np.ndarray, frames: list, systems: list) -> bool:
-        """Add one trial; True once the block is full."""
-        first = len(self.frames)
+    def seeds(self, trial_idx: int) -> dict[str, np.ndarray]:
+        """Seed words by child name of one of the block's trials."""
+        if self._seeds is None:
+            self._seeds = _trial_seeds(self.config, self.point_idx, self.trials)
+        return self._seeds[trial_idx - self.trials.start]
+
+    def park(self, bits: np.ndarray, keys: np.ndarray, guess, links: list, noise: list) -> bool:
+        """Add one trial's draws; True once the block is full."""
         self.bits.append(bits)
-        self.frames += frames
-        for realization, rows in systems:
-            self.realizations.append(realization)
-            self.rows += [(first + frame, realization, rng, rate) for frame, rng, rate in rows]
+        self.keys.append(keys)
+        self.guesses.append(guess)
+        self.links += links
+        self.noise += noise
         return len(self.bits) == self.size
 
-    def finish(self, params: FrameParams, const: Constellation, sigma2: float) -> list[int]:
-        """Bit errors per receiver summed over the block, in the order each trial parked its rows."""
-        symbols, schedules = zip(*self.frames)
-        sources, links, gens, rates = zip(*self.rows)
-        tx = se_afdm_modulate(np.array(symbols), params, schedules)
-        rx = apply_channel(SignalBlock(tx.samples[list(sources)], tx.prefix_len), links, gens, sigma2)
-        cores = remove_cpp(rx, params).reshape(len(self.realizations), -1, params.n)
-        s_hat = banded_mmse_equalize(cores, circular_taps(self.realizations, params), sigma2)
-        received = demap(daft(s_hat, params, np.array(rates).reshape(cores.shape)), const)
-        received = received.reshape(self.size, -1, received.shape[-1])
-        sent = np.broadcast_to(np.array(self.bits)[:, None, :], received.shape)
+    def finish(self, sigma2: float, afdm: bool) -> list[int]:
+        """Bit errors of each trial's two rows, each summed over the block."""
+        config = self.config
+        params, const, n = config.frame_params, config.constellation, config.n
+        bits = np.array(self.bits)
+        x = map_bits(bits.ravel(), const).reshape(self.size, n)
+        alice = schedule_rates(np.array(self.keys), config.codebook)
+        gains, dopplers = paths_from_draws(
+            np.array(self.links), config.alpha_max, n=n, integer_doppler=config.integer_doppler
+        )
+        delays = np.arange(config.paths)
+        links = [ChannelRealization(g, delays, nu) for g, nu in zip(gains, dopplers)]
+        if afdm:
+            # the plain-AFDM frame is a second right-hand side of Bob's system
+            rates = np.stack((alice, np.zeros_like(alice)), axis=1)
+            tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
+            samples, row_links = tx.samples, [link for link in links for _ in range(2)]
+        else:
+            # she does not undo the transmit schedule; her DAFT at rate zero
+            # followed by descramble(guess) is her DAFT at the guessed rates
+            guesses = _guess_rates(config.eve_mode, alice, config.codebook, np.array(self.guesses))
+            rates = np.stack((alice, guesses), axis=1)
+            tx = se_afdm_modulate(x, params, C2Schedule(alice, "alice"))
+            samples, row_links = np.repeat(tx.samples, 2, axis=0), links
+        rx = apply_channel(SignalBlock(samples, tx.prefix_len), row_links, self.noise, sigma2)
+        cores = remove_cpp(rx, params).reshape(len(links), -1, n)
+        # the banded time-domain solve seen through the transmit DAFT equals
+        # the subcarrier-domain MMSE (the receiver's own DAFT cancels), so
+        # each row's solution goes through the DAFT at its row's rates
+        s_hat = banded_mmse_equalize(cores, circular_taps(links, params), sigma2)
+        received = demap(daft(s_hat, params, rates.reshape(cores.shape)), const).reshape(self.size, 2, -1)
+        sent = np.broadcast_to(bits[:, None, :], received.shape)
         return count_errors(sent, received).sum(axis=0).tolist()
 
 
@@ -356,59 +522,48 @@ def _run_trial(
     const = config.constellation
     n = config.n
 
-    stream = functools.partial(_seed_stream, config.seed, point_idx, trial_idx)
-    bits = np.random.default_rng(stream("data")).integers(0, 2, size=n * const.bits_per_symbol)
-    x = map_bits(bits, const)
+    seeds = _trial_seeds(config, point_idx, (trial_idx,))[0] if block is None else block.seeds(trial_idx)
+    bits = _rng(seeds["data"]).integers(0, 2, size=n * const.bits_per_symbol)
+    keystream = Lfsr(config.lfsr_taps, _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps))
+    rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
 
-    state = _draw_lfsr_state(np.random.default_rng(stream("key")), config.lfsr_taps)
-    alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
+    if block is not None:
+        # the trial's own draws; the block maps them once it is full
+        links = [draw_paths(_rng(seeds["bob_channel"]), config.paths)]
+        noise = [_rng(seeds["bob_noise"])]
+        guess = None
+        if need_afdm:
+            # the plain-AFDM frame replays Bob's noise through Bob's channel
+            noise.append(_rng(seeds["bob_noise"]))
+        if need_eve:
+            guess = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)
+            links.append(draw_paths(_rng(seeds["eve_channel"]), config.paths))
+            noise.append(_rng(seeds["eve_noise"]))
+        if not block.park(bits, keystream.next_bits(n * book.bits_per_subcarrier), guess, links, noise):
+            return 0, 0, 0, 0
+        bob_err, other_err = block.finish(sigma2, need_afdm)
+        if need_afdm:
+            return bob_err, 0, other_err, block.size * bits.size
+        return bob_err, other_err, 0, block.size * bits.size
+
+    x = map_bits(bits, const)
+    alice = generate_schedule(keystream, book, n, "alice")
 
     def channel(name, label=""):
-        rng = np.random.default_rng(stream(name))
+        rng = _rng(seeds[name])
         return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler, label=label)
 
     realization = channel("bob_channel")
-    ss_nb = stream("bob_noise")
-    a0 = zero_schedule(n, "alice") if need_afdm else None
     if need_eve:
-        # the all-zeros guess draws nothing, so its stream is not built
-        rng_guess = None if config.eve_mode == "zeros" else np.random.default_rng(stream("eve_guess"))
         guess = _eve_guess(config.eve_mode, alice, book, rng_guess, bias)
         eve_channel = channel("eve_channel", "eve")
-        ss_ne = stream("eve_noise")
-
-    if block is not None:
-        # exact CSI: the banded time-domain solve seen through the transmit
-        # DAFT equals the subcarrier-domain MMSE (the receiver's own DAFT
-        # cancels), so each row's solution goes through the transmit DAFT
-        frames = [(x, alice)]
-        bob_rows = [(0, np.random.default_rng(ss_nb), alice.values)]
-        if need_afdm:
-            # the plain-AFDM frame replays Bob's noise through Bob's channel:
-            # a second right-hand side of his system
-            frames.append((x, a0))
-            bob_rows.append((1, np.random.default_rng(ss_nb), a0.values))
-        systems = [(realization, bob_rows)]
-        if need_eve:
-            # she does not undo the transmit schedule; her DAFT at rate zero
-            # followed by descramble(guess) is her DAFT at the guessed rates
-            systems.append((eve_channel, [(0, np.random.default_rng(ss_ne), guess.values)]))
-        if not block.park(bits, frames, systems):
-            return 0, 0, 0, 0
-        counts = iter(block.finish(params, const, sigma2))
-        bob_err = next(counts)
-        afdm_err = next(counts) if need_afdm else 0
-        eve_err = next(counts) if need_eve else 0
-        return bob_err, eve_err, afdm_err, block.size * bits.size
-
     tx = se_afdm_modulate(x, params, alice)
-    ss_csi = stream("csi")
-    rng_csi = np.random.default_rng(ss_csi)
+    rng_csi = _rng(seeds["csi"])
 
-    def receive(front_end, link, signal, ss_noise, sched_rx, sched_tx, rng_err):
+    def receive(front_end, link, signal, noise, sched_rx, sched_tx, rng_err):
         """Imperfect CSI perturbs the dense subcarrier matrix, so it runs
         front end, effective matrix, CSI error and dense MMSE."""
-        r = apply_channel(signal, link, np.random.default_rng(ss_noise), sigma2)
+        r = apply_channel(signal, link, _rng(seeds[noise]), sigma2)
         y = front_end(r, params, sched_rx)
         h = effective_channel(link, params, sched_rx, sched_tx).matrix
         h = _perturb(h, rng_err, config.csi_error_var)  # frees the exact matrix before the solve
@@ -418,19 +573,20 @@ def _run_trial(
         return count_errors(bits, demap(x_hat, const))
 
     bob = C2Schedule(alice.values, "bob")
-    bob_err = errors(receive(bob_front_end, realization, tx, ss_nb, bob, alice, rng_csi))
+    bob_err = errors(receive(bob_front_end, realization, tx, "bob_noise", bob, alice, rng_csi))
 
     eve_err = 0
     if need_eve:
         # she knows her own front end, not the transmit schedule
-        scrambled_hat = receive(eve_front_end, eve_channel, tx, ss_ne, guess, None, rng_csi)
+        scrambled_hat = receive(eve_front_end, eve_channel, tx, "eve_noise", guess, None, rng_csi)
         eve_err = errors(descramble(scrambled_hat, guess))
 
     afdm_err = 0
     if need_afdm:
-        # fresh generators from Bob's child sequences replay his noise and CSI error
+        # fresh generators from Bob's seed words replay his noise and CSI error
+        a0 = zero_schedule(n, "alice")
         tx0 = se_afdm_modulate(x, params, a0)
-        x0 = receive(bob_front_end, realization, tx0, ss_nb, zero_schedule(n, "bob"), a0, np.random.default_rng(ss_csi))
+        x0 = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, _rng(seeds["csi"]))
         afdm_err = errors(x0)
 
     return bob_err, eve_err, afdm_err, bits.size
@@ -456,8 +612,8 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
         outcomes = []
         size = _block_size(config.n)
         for first in range(0, config.trials, size):
-            block = _Block(min(size, config.trials - first))
-            outcomes += [one(t, block) for t in range(first, first + block.size)]
+            block = _Block(config, point_idx, range(first, min(first + size, config.trials)))
+            outcomes += [one(t, block) for t in block.trials]
     elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(config.trials)))

@@ -24,6 +24,7 @@ __all__ = [
     "C2Schedule",
     "zero_schedule",
     "generate_schedule",
+    "schedule_rates",
 ]
 
 # Primitive characteristic polynomial x^32 + x^22 + x^2 + x + 1, written as
@@ -134,7 +135,11 @@ def build_codebook(c2max: float, m: int) -> Codebook:
 
 @dataclass(frozen=True)
 class C2Schedule:
-    """Per-subcarrier chirp rates plus the end that holds them."""
+    """Per-subcarrier chirp rates plus the end that holds them.
+
+    values is one frame's rates, shape (n,), or a stack of F frames' rates,
+    shape (F, n), held by one end; the length is n either way.
+    """
 
     values: np.ndarray
     owner: str
@@ -142,13 +147,13 @@ class C2Schedule:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or not np.all(np.isfinite(values)):
-            raise ContractViolation("schedule values must be a finite one-dimensional vector")
+        if values.ndim not in (1, 2) or not np.all(np.isfinite(values)):
+            raise ContractViolation("schedule values must be a finite vector, or a stack of them")
         if self.owner not in SCHEDULE_OWNERS:
             raise ContractViolation(f"schedule owner must be one of {SCHEDULE_OWNERS}, got {self.owner!r}")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 def zero_schedule(n: int, owner: str) -> C2Schedule:
@@ -165,7 +170,18 @@ def generate_schedule(state: Lfsr, book: Codebook, n: int, owner: str = "alice")
     """
     if n < 1:
         raise ContractViolation("schedule length must be positive")
+    return C2Schedule(schedule_rates(state.next_bits(n * book.bits_per_subcarrier), book), owner)
+
+
+def schedule_rates(bits: np.ndarray, book: Codebook) -> np.ndarray:
+    """Codebook level of each subcarrier from its log2(m) keystream bits, MSB first.
+
+    bits has shape (..., n * log2(m)), one frame's keystream per row of any
+    leading axes, and the rates have shape (..., n).
+    """
     k = book.bits_per_subcarrier
-    bits = state.next_bits(n * k).reshape(n, k).astype(np.int64)
+    bits = np.asarray(bits)
+    if bits.ndim < 1 or bits.shape[-1] % k:
+        raise ContractViolation(f"keystream rows of shape {bits.shape} do not split into {k}-bit levels")
     weights = 1 << np.arange(k - 1, -1, -1)
-    return C2Schedule(book.levels[bits @ weights], owner)
+    return book.levels[bits.reshape(*bits.shape[:-1], -1, k).astype(np.int64) @ weights]

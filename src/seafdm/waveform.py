@@ -173,7 +173,7 @@ def descramble(x_hat: np.ndarray, guess: C2Schedule) -> np.ndarray:
     guess it leaves the residual phasor exp(2j*pi*(c2_true - c2_guess)*q**2).
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
-    if x_hat.shape != (len(guess),):
+    if x_hat.shape != guess.values.shape:
         raise ContractViolation("estimate and schedule lengths differ")
     return x_hat * np.conj(chirp_diag(guess.values, len(guess), conjugate=True))
 
@@ -185,22 +185,19 @@ def _check_schedule(sched: C2Schedule, owner: str, params: FrameParams, who: str
         raise ContractViolation(f"schedule length {len(sched)} != n = {params.n}")
 
 
-def se_afdm_modulate(x: np.ndarray, params: FrameParams, sched) -> SignalBlock:
+def se_afdm_modulate(x: np.ndarray, params: FrameParams, sched: C2Schedule) -> SignalBlock:
     """Transmit chain: schedule-varied inverse DAFT plus chirp-periodic prefix.
 
-    x is one symbol frame with one schedule, or F frames of shape (F, n)
-    with F schedules.  The prefix-free part of each output frame keeps its
-    symbol energy exactly (the transform is unitary for any schedule).
+    x is one symbol frame, shape (n,), or F frames, shape (F, n), and the
+    schedule's values have x's shape: one frame's rates, or a stack of F.
+    The prefix-free part of each output frame keeps its symbol energy
+    exactly (the transform is unitary for any schedule).
     """
     x = np.asarray(x, dtype=np.complex128)
-    lone = isinstance(sched, C2Schedule)
-    scheds = [sched] if lone else list(sched)
-    if x.shape != ((params.n,) if lone else (len(scheds), params.n)):
-        raise ContractViolation(f"{len(scheds)} schedules do not fit symbol frames of shape {x.shape}")
-    for one in scheds:
-        _check_schedule(one, "alice", params, "se_afdm_modulate")
-    rates = sched.values if lone else np.array([one.values for one in scheds])
-    return add_cpp(idaft(x, params, rates), params)
+    _check_schedule(sched, "alice", params, "se_afdm_modulate")
+    if sched.values.shape != x.shape:
+        raise ContractViolation(f"a schedule of shape {sched.values.shape} does not fit frames of shape {x.shape}")
+    return add_cpp(idaft(x, params, sched.values), params)
 
 
 def bob_front_end(r: SignalBlock, params: FrameParams, sched: C2Schedule) -> np.ndarray:

@@ -28,6 +28,8 @@ from seafdm.channel import (
     _wrap_phasors,
     circular_taps,
     coupling_kernel,
+    draw_paths,
+    paths_from_draws,
 )
 from seafdm.daft import SignalBlock, add_cpp, daft, remove_cpp
 from seafdm.detection import banded_mmse_equalize
@@ -73,6 +75,30 @@ def test_realization_validation():
     ]:
         with pytest.raises(ContractViolation):
             ChannelRealization(gains, delays, dopplers)
+
+
+@pytest.mark.parametrize(
+    "delays",
+    [
+        np.array([0.0, np.nan]),
+        np.array([np.inf, 1.0]),
+        np.array([-np.inf]),
+        np.array([0.5]),
+        np.array([1.0, 2.25], dtype=np.float32),
+        np.array([-1], dtype=np.int8),
+        np.array([2**63], dtype=np.uint64),
+    ],
+    ids=["nan", "inf", "-inf", "half", "float32-fraction", "negative-int8", "uint64-past-intp"],
+)
+def test_non_integral_or_negative_delay_arrays_raise(delays):
+    with pytest.raises(ContractViolation, match="nonnegative integers"):
+        ChannelRealization(np.ones(delays.size), delays, np.zeros(delays.size))
+
+
+def test_integral_delays_of_any_dtype_are_stored_as_intp():
+    for delays in (np.array([0, 3], dtype=np.int8), np.array([0, 3], dtype=np.uint64), np.array([0.0, 3.0])):
+        real = ChannelRealization([1.0, 0.5], delays, [0.0, 0.1])
+        assert real.delays.dtype == np.intp and real.delays.tolist() == [0, 3]
 
 
 def test_realization_holds_three_typed_arrays():
@@ -124,6 +150,50 @@ def test_doppler_follows_jakes_marginal():
 
     result = stats.kstest(nu, arcsine_cdf)
     assert result.pvalue > 0.01
+
+
+def _lone_paths(rng, path_count, alpha_max, n, integer_doppler):
+    """sample_channel's gains and Dopplers drawn and computed on one link's arrays, the reference form."""
+    theta = rng.uniform(-np.pi, np.pi, size=path_count)
+    nu = alpha_max * np.cos(theta)
+    if integer_doppler:
+        nu = np.rint(nu)
+    h = np.sqrt(0.5 / path_count) * (rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count))
+    return h * np.exp(-2j * np.pi * nu * np.arange(path_count) / n), nu
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    paths=st.integers(1, 8),
+    links=st.integers(1, 40),
+    n=st.integers(1, 4096),
+    alpha_max=st.floats(0.0, 8.0),
+    integer_doppler=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_path_draws_equal_each_link_sampled_alone(paths, links, n, alpha_max, integer_doppler, seed):
+    n = max(n, paths)
+    draws = np.array([draw_paths(np.random.default_rng([seed, i]), paths) for i in range(links)])
+    gains, dopplers = paths_from_draws(draws, alpha_max, n=n, integer_doppler=integer_doppler)
+    assert gains.shape == dopplers.shape == (links, paths)
+    for i in range(links):
+        ref_gains, ref_nu = _lone_paths(np.random.default_rng([seed, i]), paths, alpha_max, n, integer_doppler)
+        alone = sample_channel(paths, alpha_max, np.random.default_rng([seed, i]), n=n, integer_doppler=integer_doppler)
+        for got in (gains[i], alone.gains):
+            assert got.tobytes() == ref_gains.tobytes()
+        for got in (dopplers[i], alone.dopplers):
+            assert got.tobytes() == ref_nu.tobytes()
+
+
+def test_path_draw_contracts():
+    draws = draw_paths(np.random.default_rng(0), 3)[None]
+    for bad in (draws[0], draws[:, :2], draws[..., :0]):
+        with pytest.raises(ContractViolation):
+            paths_from_draws(bad, 2.0, n=8)
+    with pytest.raises(ContractViolation, match="more paths"):
+        paths_from_draws(draws, 2.0, n=2)
+    with pytest.raises(ContractViolation, match="alpha_max"):
+        paths_from_draws(draws, -1.0, n=8)
 
 
 def test_integer_doppler_mode_rounds():
@@ -183,10 +253,11 @@ def test_stacked_channel_contracts():
     real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
     x = rng.standard_normal((3, 8)) + 0j
     alice = zero_schedule(8, "alice")
-    for frames, scheds in [(x, [alice, alice]), (x, alice), (x[0], [alice])]:
+    one, two, three = (C2Schedule(np.zeros((count, 8)), "alice") for count in (1, 2, 3))
+    for frames, scheds in [(x, two), (x, alice), (x[0], one), (x, zero_schedule(9, "alice"))]:
         with pytest.raises(ContractViolation):
             se_afdm_modulate(frames, params, scheds)
-    tx = se_afdm_modulate(x, params, [alice] * 3)
+    tx = se_afdm_modulate(x, params, three)
     gens = [np.random.default_rng(k) for k in range(3)]
     with pytest.raises(ContractViolation):
         apply_channel(tx, [real, real], gens, 0.1)  # one realization short
@@ -224,7 +295,7 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     params = FrameParams(n=n, ncp=ncp, c1=rng.uniform(-1.0, 1.0))
     x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
-    scheds = [C2Schedule(rng.uniform(-0.5, 0.5, size=n), "alice") for _ in range(frames)]
+    scheds = C2Schedule(rng.uniform(-0.5, 0.5, size=(frames, n)), "alice")
     paths = len(delays)
     links = [
         ChannelRealization(rng.standard_normal(paths) + 1j * rng.standard_normal(paths), delays, rng.uniform(-3, 3, paths))
@@ -233,7 +304,7 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     streams = [np.random.SeedSequence(int(rng.integers(2**32))) for _ in range(3)]
 
     tx = se_afdm_modulate(x, params, scheds)
-    alone = [se_afdm_modulate(x[f], params, scheds[f]) for f in range(frames)]
+    alone = [se_afdm_modulate(x[f], params, C2Schedule(scheds.values[f], "alice")) for f in range(frames)]
     cores = remove_cpp(tx, params)
     for f, one in enumerate(alone):
         assert tx.samples[f].tobytes() == one.samples.tobytes()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from seafdm import ExperimentConfig, harness
-from seafdm.channel import ChannelRealization
 from seafdm.cli import _load_config, build_parser, main
 from seafdm.harness import read_csv
 
@@ -127,10 +126,11 @@ def test_bad_snr_or_bias_exits_2_before_any_trial(argv, capsys):
 
 
 def test_dead_noiseless_channel_exits_4(tmp_path, monkeypatch, capsys):
-    def dead_channel(path_count, alpha_max, rng, *, n, integer_doppler=False, label=""):
-        return ChannelRealization(np.zeros(path_count), np.arange(path_count), np.zeros(path_count), label)
+    def dead_paths(draws, alpha_max, *, n, integer_doppler=False):
+        shape = (len(draws), draws.shape[-1])  # (links, paths)
+        return np.zeros(shape, dtype=complex), np.zeros(shape)
 
-    monkeypatch.setattr(harness, "sample_channel", dead_channel)
+    monkeypatch.setattr(harness, "paths_from_draws", dead_paths)
     argv = ["simulate", "--set", "n=16", "--set", "trials=1", "--set", "snr_db=[.inf]"]
     assert main([*argv, "--out", str(tmp_path / "dead.csv")]) == 4
     assert "numeric error:" in capsys.readouterr().err
@@ -140,20 +140,20 @@ def test_dead_noiseless_channel_exits_4(tmp_path, monkeypatch, capsys):
 def test_solver_error_while_a_block_finishes_exits_4(tmp_path, monkeypatch, capsys):
     # the third frame's channel is dead; its block fails when its last trial finishes it
     calls = []
-    live = harness.sample_channel
+    live = harness.paths_from_draws
 
-    def third_dead(path_count, alpha_max, rng, *, n, integer_doppler=False, label=""):
-        calls.append(label)
-        if len(calls) == 5:  # Bob's and Eve's channels alternate: this is trial 2's Bob
-            return ChannelRealization(np.zeros(path_count), np.arange(path_count), np.zeros(path_count), label)
-        return live(path_count, alpha_max, rng, n=n, integer_doppler=integer_doppler, label=label)
+    def third_dead(draws, alpha_max, *, n, integer_doppler=False):
+        calls.append(len(draws))
+        gains, dopplers = live(draws, alpha_max, n=n, integer_doppler=integer_doppler)
+        gains[4] = 0.0  # Bob's and Eve's channels alternate: this is trial 2's Bob
+        return gains, dopplers
 
-    monkeypatch.setattr(harness, "sample_channel", third_dead)
+    monkeypatch.setattr(harness, "paths_from_draws", third_dead)
     monkeypatch.setattr(harness, "_block_size", lambda n: 4)
     argv = ["simulate", "--set", "n=16", "--set", "trials=6", "--set", "snr_db=[.inf]"]
     assert main([*argv, "--out", str(tmp_path / "dead.csv")]) == 4
     assert "numeric error:" in capsys.readouterr().err
-    assert len(calls) == 8  # the failure surfaced when trial 3 completed the first block
+    assert calls == [8]  # the failure surfaced when trial 3 completed the first block, before the second began
     assert not (tmp_path / "dead.csv").exists()
 
 
@@ -161,7 +161,7 @@ def test_solver_error_while_a_block_finishes_exits_4(tmp_path, monkeypatch, caps
     "override",
     [
         "seed=-1", "seed=1.5", "trials=2.5", "paths=2.5", "workers=2.5", "ncp=true", "lfsr_taps=[5, 2]",
-        f"m={2**64}",  # a codebook numpy cannot size: the from_dict rescue turns its ValueError into a ConfigError
+        f"m={2**64}",  # past the largest codebook size
     ],
 )
 def test_bad_integer_field_exits_2(override, capsys):
@@ -221,6 +221,9 @@ def test_bias_sweep_without_values_exits_2(capsys):
         (f"c2max={10**400}", "c2max"),
         ("eve_mode=random", "eve_mode"),
         ("eve_mode=zeros", "eve_mode"),
+        (f"m={2**63}", "m"),
+        (f"n={10**400}", "n"),
+        (f"trials={2**32}", "trials"),
     ],
 )
 def test_bad_value_exits_2_naming_its_field(override, field, capsys):

@@ -12,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from seafdm import (
     ConfigError,
+    ContractViolation,
     ExperimentConfig,
     FrameParams,
     apply_channel,
@@ -144,6 +147,11 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"scenario": "bias-sweep", "bias_values": None},
         {"c2max_values": None},
         {"c2max": 10**400},
+        {"m": 2**17},
+        {"m": 2**63},
+        {"n": 2**16 + 2},
+        {"n": 10**400},
+        {"trials": 2**32},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -151,6 +159,14 @@ def test_config_rejects_bad_values(overrides):
     base.update(overrides)
     with pytest.raises(ConfigError):
         ExperimentConfig(**base)
+
+
+def test_config_takes_its_largest_counts():
+    cfg = ExperimentConfig(n=2**16, m=2**16, trials=2**32 - 1)
+    assert (cfg.frame_params.n, cfg.codebook.levels.size, cfg.trials) == (2**16, 2**16, 2**32 - 1)
+    for name, most in harness._LARGEST.items():
+        with pytest.raises(ConfigError, match=f"{name}={2 * most} exceeds"):
+            ExperimentConfig(**{name: 2 * most})
 
 
 def test_integer_doppler_is_a_plain_bool():
@@ -163,12 +179,37 @@ def test_integer_doppler_is_a_plain_bool():
 def test_each_seed_stream_is_its_spawned_child():
     for seed, point, trial in [(0, 0, 0), (1, 3, 17), (2**40 + 5, 9, 123456)]:
         tree = np.random.SeedSequence(seed, spawn_key=(point, trial)).spawn(8)
+        words = harness._stream_words(seed, point, [trial], range(8))[0]
         for k, name in enumerate(harness._STREAMS):
-            child = harness._seed_stream(seed, point, trial, name)
-            assert child.state == tree[k].state
-            assert child.generate_state(8).tobytes() == tree[k].generate_state(8).tobytes()
-            drawn = np.random.default_rng(child).standard_normal(5)
+            assert words[k].tobytes() == tree[k].generate_state(4, np.uint64).tobytes(), name
+            drawn = harness._rng(words[k]).standard_normal(5)
             assert drawn.tobytes() == np.random.default_rng(tree[k]).standard_normal(5).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**256 - 1),
+    point=st.integers(0, 2**32 - 1),
+    trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    children=st.permutations(range(8)),
+)
+def test_stream_words_equal_seed_sequence(seed, point, trials, children):
+    words = harness._stream_words(seed, point, trials, children)
+    assert words.shape == (len(trials), 8, 4) and words.dtype == np.uint64
+    for t, trial in enumerate(trials):
+        for k, child in enumerate(children):
+            ss = np.random.SeedSequence(seed, spawn_key=(point, trial, child))
+            assert words[t, k].tobytes() == ss.generate_state(4, np.uint64).tobytes()
+            assert harness._rng(words[t, k]).random(3).tobytes() == np.random.default_rng(ss).random(3).tobytes()
+
+
+def test_hashed_seed_serves_only_pcg64_words():
+    words = harness._stream_words(1, 0, [0], [0])[0, 0]
+    for request in [(4, np.uint32), (8, np.uint64)]:
+        with pytest.raises(ContractViolation):
+            harness._HashedSeed(words).generate_state(*request)
+    with pytest.raises(OverflowError):
+        harness._stream_words(1, 0, [2**32], [0])
 
 
 @pytest.mark.parametrize(
@@ -183,16 +224,16 @@ def test_each_seed_stream_is_its_spawned_child():
 )
 def test_a_trial_builds_only_the_streams_it_reads(overrides, streams, monkeypatch):
     built = []
-    stream = harness._seed_stream
+    words = harness._stream_words
 
-    def recording(seed, point_idx, trial_idx, name):
-        built.append(name)
-        return stream(seed, point_idx, trial_idx, name)
+    def recording(seed, point_idx, trials, children):
+        built.extend((trial, harness._STREAMS[k]) for trial in trials for k in children)
+        return words(seed, point_idx, trials, children)
 
-    monkeypatch.setattr(harness, "_seed_stream", recording)
-    run_scenario(tiny_config(trials=1, **overrides))
-    assert set(built) == streams
-    assert len(built) == len(streams)
+    monkeypatch.setattr(harness, "_stream_words", recording)
+    cfg = tiny_config(trials=3, **overrides)
+    run_scenario(cfg)
+    assert sorted(built) == sorted((trial, name) for trial in range(cfg.trials) for name in streams)
 
 
 def test_infinite_snr_means_noiseless():
@@ -374,6 +415,9 @@ BLOCK_SCENARIOS = [
     tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(4.0, 10.0), seed=34),
     tiny_config(scenario="bias-sweep", n=32, paths=2, trials=20, snr_db=(12.0,), seed=35, bias_values=(0.0, 1e-3)),
     tiny_config(n=1024, paths=3, trials=7, snr_db=(8.0,), seed=36),
+    tiny_config(n=32, paths=3, trials=20, snr_db=(8.0,), seed=37, integer_doppler=True),
+    tiny_config(n=32, paths=3, trials=20, snr_db=(12.0,), seed=38, modulation="qam16", m=16, eve_mode="random"),
+    tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(14.0,), seed=39, modulation="qam16", m=16),
 ]
 
 
@@ -386,6 +430,9 @@ BLOCK_IDS = [
     "bob-vs-afdm-ber-zeros-n32",
     "bias-sweep-zeros-n32",
     "eve-ber-zeros-n1024",
+    "eve-ber-integer-doppler-n32",
+    "eve-ber-random-qam16-m16-n32",
+    "bob-vs-afdm-ber-qam16-m16-n32",
 ]
 
 

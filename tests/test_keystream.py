@@ -20,6 +20,7 @@ from seafdm import (
     zero_schedule,
 )
 from seafdm.harness import search_space_summary
+from seafdm.keystream import schedule_rates
 
 
 def test_degree_three_m_sequence():
@@ -176,6 +177,22 @@ def test_schedule_bit_to_level_mapping_msb_first():
     book = build_codebook(1.0, 4)
     sched = generate_schedule(Lfsr((3, 1, 0), 1), book, 4, "alice")
     np.testing.assert_array_equal(sched.values, book.levels[[2, 1, 1, 3]])
+
+
+def test_stacked_schedule_rates_equal_each_frame_alone():
+    for m in (2, 4, 16):
+        book = build_codebook(1e-4, m)
+        frames = [Lfsr(seed=seed).next_bits(24 * book.bits_per_subcarrier) for seed in (3, 5, 9)]
+        rates = schedule_rates(np.array(frames), book)
+        assert rates.shape == (3, 24)
+        for seed, row in zip((3, 5, 9), rates):
+            assert row.tobytes() == generate_schedule(Lfsr(seed=seed), book, 24, "alice").values.tobytes()
+        stack = C2Schedule(rates, "alice")
+        assert len(stack) == 24 and stack.values.shape == (3, 24)
+    with pytest.raises(ContractViolation, match="4-bit levels"):
+        schedule_rates(np.zeros(6, dtype=np.uint8), build_codebook(1e-4, 16))
+    with pytest.raises(ContractViolation):
+        C2Schedule(np.zeros((2, 3, 4)), "alice")
 
 
 def test_two_level_schedule_is_sign_stream():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seafdm"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _package_imports(path: Path) -> list[tuple[str, str | None]]:
@@ -41,3 +43,17 @@ def test_no_module_imports_a_siblings_private_name():
 def test_detection_imports_only_the_exceptions_from_the_package():
     assert {module for module, _ in _package_imports(SRC / "detection.py")} == {"seafdm.exceptions"}
 
+
+
+def test_every_name_the_benchmark_reaches_for_resolves():
+    """The tracer wraps each (module, attribute) of its PLAN, and the output check imports its chain from seafdm."""
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text())
+    plan = next(
+        node.value for node in tracer.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PLAN" for t in node.targets)
+    )
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in plan.elts]
+    names += [(module, name) for module, name in _package_imports(PERFBENCH / "check.py") if name is not None]
+    assert {("seafdm.harness", "_run_trial"), ("seafdm", "run_scenario")} <= set(names)
+    missing = [(module, name) for module, name in names if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
