@@ -106,8 +106,9 @@ _SEED_POLICY = "SeedSequence(seed, spawn_key=(point_index, trial_index)).spawn(8
 _STREAMS = ("data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise", "eve_guess", "csi")
 
 # Largest counts a config takes: a trial index is one uint32 word of its
-# seed tree's spawn key, and n and m bound the frame and codebook tables
-_LARGEST = {"n": 2**16, "m": 2**16, "trials": 2**32 - 1}
+# seed tree's spawn key, n and m bound the frame and codebook tables, and
+# workers bounds the threads a CSI-error point starts, the same on every host
+_LARGEST = {"n": 2**16, "m": 2**16, "trials": 2**32 - 1, "workers": 256}
 
 # Frame samples (trials times n) per exact-CSI trial block: enough frames to
 # spread each receive-side stage's fixed cost at small n, one trial per
@@ -265,7 +266,6 @@ class TrialRecord:
 
 # numpy.random.SeedSequence's entropy mix and state output, on uint32 arrays
 _MASK32 = 0xFFFFFFFF
-_MULT_A = 0x931E8875
 _MIX_MULT = np.array([[0xCA01F9DD], [0x4973F715]], dtype=np.uint32)
 _XSHIFT = np.array([16], dtype=np.uint32)
 
@@ -280,14 +280,23 @@ def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
     return out
 
 
-# the first four entropy words and their cross mix use the first 16 mixing constants
-_POOL_CONST = _hash_constants(0x43B0D7E5, _MULT_A, 16)
-# pool word s goes into every other pool word in turn, each with the next constant
-_CROSS_CONST = np.zeros((4, 2, 4), dtype=np.uint32)
-for _src in range(4):
-    _CROSS_CONST[_src][:, [dst for dst in range(4) if dst != _src]] = _POOL_CONST[:, 4 + 3 * _src : 7 + 3 * _src]
 # generate_state(4, uint64) hashes the pool, cycled twice, into eight uint32 words
 _STATE_CONST = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+@functools.lru_cache(maxsize=8)
+def _key_constants(words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash constants of the trial word and the child word that follow ``words`` entropy words.
+
+    The first four words fill the pool and the pool cross-mixes itself
+    (16 constants); every later word is mixed into each of the four pool
+    words, each time with the next constant.
+    """
+    const = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * words + 8)
+    out = (const[:, -8:-4], const[:, None, -4:])
+    for table in out:
+        table.flags.writeable = False
+    return out
 
 
 def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -300,42 +309,21 @@ def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
     return out ^ (out >> _XSHIFT)
 
 
-@functools.lru_cache(maxsize=16)
-def _point_pool(seed: int, point_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entropy pool once the seed and the point index are mixed in, and the trial and child words' constants.
-
-    The seed's uint32 words, least significant first, are padded to four.
-    """
-    words = []
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words = np.array(words + [0] * (4 - len(words)) + [point_idx], dtype=np.uint32)
-    pool = _hashmix(words[:4], _POOL_CONST[:, :4])
-    for src in range(4):
-        kept = pool[src]
-        pool = _mix(pool, _hashmix(pool[src : src + 1], _CROSS_CONST[src]))
-        pool[src] = kept
-    const = _hash_constants(int(_POOL_CONST[1, -1]), _MULT_A, 4 * len(words) - 8)
-    for j, word in enumerate(words[4:]):
-        pool = _mix(pool, _hashmix(word, const[:, 4 * j : 4 * j + 4]))
-    out = (pool, const[:, -8:-4], const[:, None, -4:])
-    for table in out:
-        table.flags.writeable = False
-    return out
-
-
 def _stream_words(seed: int, point_idx: int, trials, children) -> np.ndarray:
     """PCG64 seed words of the given children of the given trials' seed trees, shape (T, K, 4) uint64.
 
     Entry [t, k] equals SeedSequence(seed, spawn_key=(point_idx,
     trials[t], children[k])).generate_state(4, np.uint64), computed for
-    every (trial, child) pair at once; the seed and point part is shared
-    by every trial of a point.  Each spawn-key entry must fit one uint32
-    word, so numpy raises OverflowError for a trial or point index of
-    2**32 or more.
+    every (trial, child) pair at once: SeedSequence(seed,
+    spawn_key=(point_idx,)) mixes the seed and the point index into the
+    pool they share, and the trial and child words are mixed in after it.
+    Each spawn-key entry must fit one uint32 word, so numpy raises
+    OverflowError for a trial or point index of 2**32 or more.
     """
-    pool, trial_const, child_const = _point_pool(seed, point_idx)
+    # the seed's uint32 words, padded to the pool's four, then the point index
+    words = max(4, -(-int(seed).bit_length() // 32)) + 1
+    pool = np.random.SeedSequence(seed, spawn_key=(np.uint32(point_idx),)).pool
+    trial_const, child_const = _key_constants(words)
     pool = _mix(pool, _hashmix(np.array(trials, dtype=np.uint32)[:, None], trial_const))
     pool = _mix(pool[:, None], _hashmix(np.array(children, dtype=np.uint32)[:, None], child_const))
     state = _hashmix(np.concatenate((pool, pool), axis=-1), _STATE_CONST)

@@ -10,6 +10,7 @@ polynomial, nothing more.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,20 @@ DEFAULT_TAPS = (32, 22, 2, 1, 0)
 SCHEDULE_OWNERS = ("alice", "bob", "eve")
 
 
+@functools.lru_cache(maxsize=16)
+def _polynomial(taps: tuple) -> tuple[tuple[int, ...], int]:
+    """Exponents, highest first, and feedback mask of a tap list; each distinct list is checked once."""
+    taps = tuple(sorted({int(t) for t in taps}, reverse=True))
+    if len(taps) < 2 or taps[-1] != 0:
+        raise ContractViolation("taps must include the constant term 0 and the degree")
+    if not 2 <= taps[0] <= 64:
+        raise ContractViolation(f"supported register degrees are 2..64, got {taps[0]}")
+    mask = 0
+    for t in taps[1:]:
+        mask |= 1 << t
+    return taps, mask
+
+
 class Lfsr:
     """Fibonacci linear feedback shift register over GF(2).
 
@@ -47,22 +62,12 @@ class Lfsr:
     """
 
     def __init__(self, taps=DEFAULT_TAPS, seed: int = 1):
-        taps = tuple(sorted({int(t) for t in taps}, reverse=True))
-        if len(taps) < 2 or taps[-1] != 0:
-            raise ContractViolation("taps must include the constant term 0 and the degree")
-        degree = taps[0]
-        if not 2 <= degree <= 64:
-            raise ContractViolation(f"supported register degrees are 2..64, got {degree}")
+        self.taps, self._feedback_mask = _polynomial(tuple(taps))
+        self.degree = degree = self.taps[0]
         seed = int(seed)
         if not 1 <= seed < (1 << degree):
             raise ContractViolation(f"seed must be a nonzero {degree}-bit state, got {seed}")
-        self.taps = taps
-        self.degree = degree
         self.state = seed
-        mask = 0
-        for t in taps[1:]:
-            mask |= 1 << t
-        self._feedback_mask = mask
 
     def step(self) -> int:
         """Advance one tick; returns the emitted bit."""

@@ -224,6 +224,7 @@ def test_bias_sweep_without_values_exits_2(capsys):
         (f"m={2**63}", "m"),
         (f"n={10**400}", "n"),
         (f"trials={2**32}", "trials"),
+        ("workers=257", "workers"),
     ],
 )
 def test_bad_value_exits_2_naming_its_field(override, field, capsys):

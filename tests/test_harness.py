@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -152,6 +152,8 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"n": 2**16 + 2},
         {"n": 10**400},
         {"trials": 2**32},
+        {"workers": 257},
+        {"workers": 100_000},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -162,11 +164,24 @@ def test_config_rejects_bad_values(overrides):
 
 
 def test_config_takes_its_largest_counts():
-    cfg = ExperimentConfig(n=2**16, m=2**16, trials=2**32 - 1)
-    assert (cfg.frame_params.n, cfg.codebook.levels.size, cfg.trials) == (2**16, 2**16, 2**32 - 1)
+    cfg = ExperimentConfig(n=2**16, m=2**16, trials=2**32 - 1, workers=256)
+    assert (cfg.frame_params.n, cfg.codebook.levels.size, cfg.trials, cfg.workers) == (2**16, 2**16, 2**32 - 1, 256)
     for name, most in harness._LARGEST.items():
         with pytest.raises(ConfigError, match=f"{name}={2 * most} exceeds"):
             ExperimentConfig(**{name: 2 * most})
+
+
+def test_workers_bound_is_the_same_on_every_host(monkeypatch):
+    # construction starts no thread, and a host's core count moves no bound
+    for cores in (1, 4096):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert ExperimentConfig(scenario="csi-error-ber", csi_error_var=1e-3, workers=256, trials=100_000).workers == 256
+        with pytest.raises(ConfigError, match="workers=257 exceeds its largest value 256"):
+            ExperimentConfig(workers=257)
+        with pytest.raises(ConfigError, match="workers=100000 exceeds"):
+            ExperimentConfig.from_dict(
+                {"scenario": "csi-error-ber", "csi_error_var": 1e-3, "workers": 100_000, "trials": 100_000}
+            )
 
 
 def test_integer_doppler_is_a_plain_bool():
@@ -177,7 +192,7 @@ def test_integer_doppler_is_a_plain_bool():
 
 
 def test_each_seed_stream_is_its_spawned_child():
-    for seed, point, trial in [(0, 0, 0), (1, 3, 17), (2**40 + 5, 9, 123456)]:
+    for seed, point, trial in [(0, 0, 0), (1, 3, 17), (2**40 + 5, 9, 123456), (2**150 + 3, 4, 9), (0, 17, 2**32 - 1)]:
         tree = np.random.SeedSequence(seed, spawn_key=(point, trial)).spawn(8)
         words = harness._stream_words(seed, point, [trial], range(8))[0]
         for k, name in enumerate(harness._STREAMS):
@@ -193,6 +208,8 @@ def test_each_seed_stream_is_its_spawned_child():
     trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
     children=st.permutations(range(8)),
 )
+@example(seed=0, point=3, trials=[0, 2**32 - 1], children=list(range(8)))
+@example(seed=2**200 + 3, point=17, trials=[5], children=list(range(7, -1, -1)))  # seven seed words
 def test_stream_words_equal_seed_sequence(seed, point, trials, children):
     words = harness._stream_words(seed, point, trials, children)
     assert words.shape == (len(trials), 8, 4) and words.dtype == np.uint64
@@ -466,13 +483,13 @@ def test_one_banded_factorization_per_block(monkeypatch):
     cfg = BLOCK_SCENARIOS[0]  # eve-ber, n=32: all 20 trials of a point in one block of 40 systems
     assert cfg.trials <= harness._block_size(cfg.n)
     calls = []
-    factor = detection.cholesky_banded
+    factor = detection._zpbtrf
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return factor(*args, **kwargs)
+        return factor(*args)
 
-    monkeypatch.setattr(detection, "cholesky_banded", counted)
+    monkeypatch.setattr(detection, "_zpbtrf", counted)
     run_scenario(cfg)
     assert len(calls) == len(cfg.snr_db)
 

@@ -58,6 +58,16 @@ def test_lfsr_rejects_degenerate_inputs():
         Lfsr((70, 1, 0), 1)
 
 
+def test_each_tap_list_is_checked_once():
+    first = Lfsr((7, 3, 0), 5)
+    assert Lfsr([7, 3, 0], 9).taps is first.taps == (7, 3, 0)
+    assert Lfsr(np.array([7, 3, 0]), 9).taps is first.taps
+    # a rejected tap list is rejected every time
+    for _ in range(2):
+        with pytest.raises(ContractViolation):
+            Lfsr((7, 3), 1)
+
+
 def stepped(reg, count):
     """The one-bit definition, kept as the reference for the word-parallel stream."""
     return np.array([reg.step() for _ in range(count)], dtype=np.uint8)
