@@ -6,13 +6,18 @@ gain * s[n - l] * exp(2j*pi*nu*n/N).  Path gains absorb the delay-dependent
 phase exp(-2j*pi*nu*l/N) at sampling time, which makes the time response
 start at the first received sample of each echo.
 
+A ChannelRealization is one link or a stack of links on one delay profile,
+which apply_channel and circular_taps take at once; sampled links put path
+i at delay i.
+
 Two receive-side matrix forms are provided.  The operator form builds the
 exact end-to-end subcarrier coupling matrix from FFTs of the circularized
 time response.  The closed form evaluates the same matrix entrywise from
 the Dirichlet kernel, which is what the sparsity and eavesdropper-SINR
 analysis rest on.  They agree to machine precision and tests pin that.
-The banded time-domain solver takes circular_taps instead: the per-delay
-diagonals of the circular channel, which are all its nonzeros.
+Both take one link.  The banded time-domain solver takes circular_taps
+instead: the per-delay diagonals of each circular channel, which are all
+its nonzeros.
 """
 
 from __future__ import annotations
@@ -43,11 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """P paths as three read-only arrays of shape (P,): complex gains, integer delays, normalized Dopplers.
+    """One link, or a stack of links on one delay profile, as three read-only arrays.
 
-    Each realization keeps its Doppler phasor rows per frame geometry once
-    they are built (see _doppler_rows), and every stage that passes a frame
-    through it reads them.
+    Complex gains and normalized Dopplers have shape (P,) for one link or
+    (R, P) for R links, the link shape () or (R,); every link has path p at
+    integer delay delays[p], shape (P,).  A realization keeps its Doppler
+    phasor rows per frame geometry once they are built (see _doppler_rows),
+    and every stage that passes a frame through it reads them.
     """
 
     gains: np.ndarray
@@ -59,9 +66,9 @@ class ChannelRealization:
         gains = np.array(self.gains, dtype=np.complex128)
         delays = np.asarray(self.delays)
         dopplers = np.array(self.dopplers, dtype=np.float64)
-        if gains.ndim != 1 or not gains.size or not gains.shape == delays.shape == dopplers.shape:
+        if gains.ndim not in (1, 2) or not gains.size or gains.shape != dopplers.shape or delays.shape != gains.shape[-1:]:
             shapes = f"{gains.shape}, {delays.shape}, {dopplers.shape}"
-            raise ContractViolation(f"need P >= 1 gains, delays and dopplers of shape (P,), got {shapes}")
+            raise ContractViolation(f"need gains and dopplers of shape (P,) or (R, P) and delays of shape (P,), got {shapes}")
         if delays.dtype.kind in "iu":
             ints = delays.astype(np.intp)
             integral = True
@@ -79,30 +86,28 @@ class ChannelRealization:
         object.__setattr__(self, "_phasor_rows", {})
 
 
-def _doppler_rows(realizations: Sequence[ChannelRealization], n: int, prefix: int) -> np.ndarray:
-    """Row p of each realization: exp(2j*pi*dopplers[p]*t/n) on the sample clock t in [-prefix, n).
+def _doppler_rows(realization: ChannelRealization, n: int, prefix: int) -> np.ndarray:
+    """Row p of each link: exp(2j*pi*dopplers[p]*t/n) on the sample clock t in [-prefix, n).
 
-    The result has shape (R, P, prefix + n).  Each realization keeps its
-    rows read-only for every later stage of the same geometry; the ones a
-    stack lacks are built in one pass.  Realizations share a path count.
+    The result has shape (R, P, prefix + n), with R = 1 for a lone link.  The
+    realization keeps it read-only for every later stage of the same geometry.
     """
     key = (n, prefix)
-    fresh = [real for real in dict.fromkeys(realizations) if key not in real._phasor_rows]
-    if fresh:
+    rows = realization._phasor_rows.get(key)
+    if rows is None:
         t = np.arange(prefix + n, dtype=np.float64) - prefix
-        rows = np.exp(2j * np.pi * np.array([real.dopplers for real in fresh])[..., None] * t / n)
+        nu = realization.dopplers.reshape(-1, realization.delays.size)
+        rows = np.exp(2j * np.pi * nu[..., None] * t / n)
         rows.flags.writeable = False
-        for real, own in zip(fresh, rows):
-            real._phasor_rows[key] = own
-    return np.array([real._phasor_rows[key] for real in realizations])
+        realization._phasor_rows[key] = rows
+    return rows
 
 
-def _shared_delays(realizations: Sequence[ChannelRealization]) -> list[int]:
-    """The one delay profile of a stack of realizations, in path order."""
-    delays = realizations[0].delays.tolist()
-    if any(real.delays.tolist() != delays for real in realizations):
-        raise ContractViolation("stacked channels need one delay profile")
-    return delays
+def _lone(realization: ChannelRealization) -> ChannelRealization:
+    """The realization, if it is one link: a subcarrier matrix is built per link."""
+    if realization.gains.ndim != 1:
+        raise ContractViolation(f"a subcarrier matrix takes one link, not a stack of {realization.gains.shape[0]}")
+    return realization
 
 
 def sample_channel(
@@ -119,11 +124,10 @@ def sample_channel(
     Path i sits at delay i, its Doppler is alpha_max * cos(theta) with theta
     uniform on [-pi, pi], and gains are i.i.d. CN(0, 1/path_count) so the
     average channel energy is one regardless of the path count.  This is
-    paths_from_draws on the draw_paths of one generator.
+    the lone link of paths_from_draws on the draw_paths of one generator.
     """
-    draws = draw_paths(rng, path_count)[None]
-    gains, dopplers = paths_from_draws(draws, alpha_max, n=n, integer_doppler=integer_doppler)
-    return ChannelRealization(gains[0], np.arange(path_count), dopplers[0], label)
+    stack = paths_from_draws(draw_paths(rng, path_count)[None], alpha_max, n=n, integer_doppler=integer_doppler)
+    return ChannelRealization(stack.gains[0], stack.delays, stack.dopplers[0], label)
 
 
 def draw_paths(rng: np.random.Generator, path_count: int) -> np.ndarray:
@@ -134,12 +138,10 @@ def draw_paths(rng: np.random.Generator, path_count: int) -> np.ndarray:
     return out
 
 
-def paths_from_draws(
-    draws: np.ndarray, alpha_max: float, *, n: int, integer_doppler: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complex gains and Dopplers, each (R, P), of R links from their stacked draw_paths, (R, 3, P).
+def paths_from_draws(draws: np.ndarray, alpha_max: float, *, n: int, integer_doppler: bool = False) -> ChannelRealization:
+    """The stacked realization of R links from their stacked draw_paths, (R, 3, P); path i sits at delay i.
 
-    Each row gets the bytes sample_channel gives its link alone.
+    Each link gets the bytes sample_channel gives it alone.
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 3 or draws.shape[1] != 3:
@@ -158,73 +160,74 @@ def paths_from_draws(
     scale = np.sqrt(0.5 / path_count)
     h = scale * (re + 1j * im)
     delays = np.arange(path_count)
-    return h * np.exp(-2j * np.pi * nu * delays / n), nu
+    return ChannelRealization(h * np.exp(-2j * np.pi * nu * delays / n), delays, nu)
 
 
 def apply_channel(
     s: SignalBlock,
-    realization: ChannelRealization | Sequence[ChannelRealization],
+    realization: ChannelRealization,
     rng: np.random.Generator | Sequence[np.random.Generator] | None,
     sigma2: float,
 ) -> SignalBlock:
     """Push prefixed frames through the channel by direct time-domain convolution.
 
     Works on the whole prefixed block so prefix contamination is physical,
-    not modeled.  The longest path delay must fit inside the prefix.  Frames
-    stacked in rows take one realization and one generator per row, all
-    realizations with one delay profile; each row gets what it gets alone.
-    Each row's noise is complex Gaussian of total variance sigma2, its real
-    then its imaginary parts drawn from the row's generator.
+    not modeled.  The longest path delay must fit inside the prefix.  The
+    frames lead with the link shape, () or (R,), and each link carries the
+    frame rows after it.  Each frame takes one generator, in row order (a
+    lone frame its own), and gets what it gets alone: complex Gaussian
+    noise of total variance sigma2, real then imaginary parts from its
+    generator.
     """
     if not isinstance(s, SignalBlock):
         raise ContractViolation("apply_channel expects a prefixed block; add_cpp first")
     if not sigma2 >= 0:
         raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
-    lone = s.samples.ndim == 1
-    links = [realization] if lone else list(realization)
-    samples = s.samples.reshape(-1, s.samples.shape[-1])
-    if len(links) != len(samples):
-        raise ContractViolation(f"{len(links)} realizations for {len(samples)} frames")
-    delays = _shared_delays(links)
+    links = realization.gains.shape[:-1]
+    if s.samples.shape[: len(links)] != links or s.samples.ndim == len(links):
+        raise ContractViolation(f"frames of shape {s.samples.shape} do not lead with the link shape {links}")
+    delays = realization.delays.tolist()
     if max(delays) > s.prefix_len:
         raise ContractViolation(f"path delay {max(delays)} exceeds prefix length {s.prefix_len}")
-    total = samples.shape[1]
-    gains = np.array([link.gains for link in links])
-    # frames through one realization (Bob's scrambled and plain-AFDM rows) read one set of rows
-    phasors = _doppler_rows(links, s.n, s.prefix_len)
+    phasors = _doppler_rows(realization, s.n, s.prefix_len)
+    total = s.samples.shape[-1]
+    samples = s.samples.reshape(len(phasors), -1, total)
+    gains = realization.gains.reshape(len(phasors), -1)
     out = np.zeros_like(samples)
     for j, delay in enumerate(delays):
-        out[:, delay:] += gains[:, j, None] * samples[:, : total - delay] * phasors[:, j, delay:]
+        out[..., delay:] += gains[:, j, None, None] * samples[..., : total - delay] * phasors[:, j, None, delay:]
     if sigma2 > 0.0:
-        gens = [rng] if lone else list(rng or ())
-        if len(gens) != len(links) or None in gens:
-            raise ContractViolation(f"noise needs one generator per frame, got {len(gens)} for {len(links)}")
+        gens = [rng] if isinstance(rng, np.random.Generator) else list(rng or ())
+        if len(gens) != out.size // total or None in gens:
+            raise ContractViolation(f"noise needs one generator per frame, got {len(gens)} for {out.size // total}")
         draws = np.empty((len(gens), 2, total))
         for gen, row in zip(gens, draws):
             gen.standard_normal(out=row)
-        out += np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+        out += (np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])).reshape(out.shape)
     return SignalBlock(out.reshape(s.samples.shape), prefix_len=s.prefix_len)
 
 
-def circular_taps(realizations: Sequence[ChannelRealization], params: FrameParams) -> np.ndarray:
-    """Per-delay diagonals of each circular channel: taps[s, l, k] multiplies s[(k - l) mod n].
+def circular_taps(realization: ChannelRealization, params: FrameParams) -> np.ndarray:
+    """Per-delay diagonals of each link's circular channel: taps[s, l, k] multiplies s[(k - l) mod n].
 
     The chirp-periodic prefix turns each delayed echo into a circular shift
     with an extra unit phasor on the rows that wrap (k < l), so the map from
-    prefix-free input to prefix-free output is exactly circular.  Systems
-    share one delay profile; paths of equal delay add up in path order.
+    prefix-free input to prefix-free output is exactly circular.  The result
+    has shape (R, L + 1, n), with R = 1 for a lone link; paths of equal
+    delay add up in path order.
     """
     n = params.n
-    delays = _shared_delays(realizations)
-    gains = np.concatenate([real.gains for real in realizations])
+    delays = realization.delays.tolist()
+    rows = _doppler_rows(realization, n, params.ncp)
+    count = len(rows)
     # the t >= 0 part of the rows apply_channel read on the prefixed clock
-    vals = gains[:, None] * _doppler_rows(realizations, n, params.ncp)[..., params.ncp :].reshape(len(gains), n)
+    vals = realization.gains.reshape(-1, 1) * rows[..., params.ncp :].reshape(count * len(delays), n)
     wrap = _wrap_phasors(n, max(delays), params.c1)
-    # each path's wrap row, system by system; not in place: NumPy multiplies
+    # each path's wrap row, link by link; not in place: NumPy multiplies
     # length-1 complex arrays in place without FMA
-    vals[:, : wrap.shape[1]] = vals[:, : wrap.shape[1]] * wrap[delays * len(realizations)]
-    vals = vals.reshape(len(realizations), len(delays), n)
-    taps = np.zeros((len(realizations), wrap.shape[0], n), dtype=np.complex128)
+    vals[:, : wrap.shape[1]] = vals[:, : wrap.shape[1]] * wrap[delays * count]
+    vals = vals.reshape(count, len(delays), n)
+    taps = np.zeros((count, wrap.shape[0], n), dtype=np.complex128)
     for path, delay in enumerate(delays):
         taps[:, delay] += vals[:, path]
     return taps
@@ -247,7 +250,7 @@ def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) ->
     n = params.n
     rows = np.arange(n)
     mat = np.zeros((n, n), dtype=np.complex128)
-    for delay, diagonal in enumerate(circular_taps([realization], params)[0]):
+    for delay, diagonal in enumerate(circular_taps(_lone(realization), params)[0]):
         mat[rows, (rows - delay) % n] += diagonal
     return mat
 
@@ -348,7 +351,7 @@ def effective_channel_closed_form(
     rows = np.arange(n, dtype=np.float64)[:, None]
     cols = np.arange(n, dtype=np.float64)[None, :]
     acc = np.zeros((n, n), dtype=np.complex128)
-    for gain, delay, doppler in zip(realization.gains, realization.delays, realization.dopplers):
+    for gain, delay, doppler in zip(_lone(realization).gains, realization.delays, realization.dopplers):
         kernel = coupling_kernel(rows, cols, doppler, delay, params)
         # carrier-dependent phase from the delay passing through the chirps
         phase = np.mod(params.c1 * delay * delay - cols * delay / n, 1.0)

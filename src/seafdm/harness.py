@@ -45,7 +45,6 @@ import scipy
 
 from . import __version__
 from .channel import (
-    ChannelRealization,
     apply_channel,
     circular_taps,
     draw_paths,
@@ -88,7 +87,6 @@ __all__ = [
     "search_space_summary",
     "emit_csv",
     "write_staged",
-    "read_csv",
     "wilson",
 ]
 
@@ -402,8 +400,6 @@ def _guess_rates(mode: str, alice: np.ndarray, book: Codebook, draws) -> np.ndar
 
 def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.ndarray:
     """matrix + sqrt(var/2) * (a + 1j*b), with a and b drawn in that order, in one new array."""
-    if var == 0.0:
-        return matrix
     out = np.empty(matrix.shape, dtype=np.complex128)
     out.real = rng.standard_normal(matrix.shape)
     out.imag = rng.standard_normal(matrix.shape)
@@ -461,25 +457,21 @@ class _Block:
         bits = np.array(self.bits)
         x = map_bits(bits.ravel(), const).reshape(self.size, n)
         alice = schedule_rates(np.array(self.keys), config.codebook)
-        gains, dopplers = paths_from_draws(
-            np.array(self.links), config.alpha_max, n=n, integer_doppler=config.integer_doppler
-        )
-        delays = np.arange(config.paths)
-        links = [ChannelRealization(g, delays, nu) for g, nu in zip(gains, dopplers)]
+        links = paths_from_draws(np.array(self.links), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
         if afdm:
             # the plain-AFDM frame is a second right-hand side of Bob's system
             rates = np.stack((alice, np.zeros_like(alice)), axis=1)
             tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
-            samples, row_links = tx.samples, [link for link in links for _ in range(2)]
         else:
             # she does not undo the transmit schedule; her DAFT at rate zero
             # followed by descramble(guess) is her DAFT at the guessed rates
             guesses = _guess_rates(config.eve_mode, alice, config.codebook, np.array(self.guesses))
             rates = np.stack((alice, guesses), axis=1)
             tx = se_afdm_modulate(x, params, C2Schedule(alice, "alice"))
-            samples, row_links = np.repeat(tx.samples, 2, axis=0), links
-        rx = apply_channel(SignalBlock(samples, tx.prefix_len), row_links, self.noise, sigma2)
-        cores = remove_cpp(rx, params).reshape(len(links), -1, n)
+        # each link carries its rows: Bob's two frames, or one frame per receiver
+        samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
+        rows = SignalBlock(samples.reshape(len(self.links), -1, samples.shape[-1]), tx.prefix_len)
+        cores = remove_cpp(apply_channel(rows, links, self.noise, sigma2), params)
         # the banded time-domain solve seen through the transmit DAFT equals
         # the subcarrier-domain MMSE (the receiver's own DAFT cancels), so
         # each row's solution goes through the DAFT at its row's rates
@@ -757,24 +749,3 @@ def _interval(ber: float, bits: int) -> tuple[float, float] | None:
     if not np.isfinite(ber):
         return None
     return wilson(int(round(ber * bits)), bits)
-
-
-def read_csv(path: str | Path) -> list[TrialRecord]:
-    """Load records written by :func:`emit_csv` (wall times stay in the sidecar)."""
-    out = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header in {path}: {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                TrialRecord(
-                    point=float(row["point"]),
-                    bob_ber=float(row["bob_ber"]),
-                    eve_ber=float(row["eve_ber"]),
-                    afdm_ber=float(row["afdm_ber"]),
-                    bit_count=int(row["bit_count"]),
-                    seed=int(row["seed"]),
-                )
-            )
-    return out

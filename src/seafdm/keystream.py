@@ -37,17 +37,14 @@ SCHEDULE_OWNERS = ("alice", "bob", "eve")
 
 
 @functools.lru_cache(maxsize=16)
-def _polynomial(taps: tuple) -> tuple[tuple[int, ...], int]:
-    """Exponents, highest first, and feedback mask of a tap list; each distinct list is checked once."""
+def _polynomial(taps: tuple) -> tuple[int, ...]:
+    """Exponents of a tap list, highest first; each distinct list is checked once."""
     taps = tuple(sorted({int(t) for t in taps}, reverse=True))
     if len(taps) < 2 or taps[-1] != 0:
         raise ContractViolation("taps must include the constant term 0 and the degree")
     if not 2 <= taps[0] <= 64:
         raise ContractViolation(f"supported register degrees are 2..64, got {taps[0]}")
-    mask = 0
-    for t in taps[1:]:
-        mask |= 1 << t
-    return taps, mask
+    return taps
 
 
 class Lfsr:
@@ -62,19 +59,12 @@ class Lfsr:
     """
 
     def __init__(self, taps=DEFAULT_TAPS, seed: int = 1):
-        self.taps, self._feedback_mask = _polynomial(tuple(taps))
+        self.taps = _polynomial(tuple(taps))
         self.degree = degree = self.taps[0]
         seed = int(seed)
         if not 1 <= seed < (1 << degree):
             raise ContractViolation(f"seed must be a nonzero {degree}-bit state, got {seed}")
         self.state = seed
-
-    def step(self) -> int:
-        """Advance one tick; returns the emitted bit."""
-        out = self.state & 1
-        feedback = (self.state & self._feedback_mask).bit_count() & 1
-        self.state = (self.state >> 1) | (feedback << (self.degree - 1))
-        return out
 
     def next_bits(self, count: int) -> np.ndarray:
         """The next ``count`` output bits as a uint8 vector; same as ``count`` steps.

@@ -1,15 +1,21 @@
 """Reference implementations the tests compare the simulator against.
 
 None of these is on the simulator's run path: each is the slow, literal
-form of something the package computes another way.
+form of something the package computes another way, or reads back what
+it writes.
 """
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from seafdm import ConfigError
 from seafdm.daft import chirp_diag
+from seafdm.harness import _CSV_COLUMNS, TrialRecord
 
 
 def daft_matrix(n: int, c1: float, c2) -> np.ndarray:
@@ -99,3 +105,36 @@ def gram_band(taps: np.ndarray, sigma2: float) -> np.ndarray:
     band[0] += sigma2
     band[0, count * n :] = 1.0
     return band
+
+
+def lfsr_step(reg) -> int:
+    """Counterpart of ``seafdm.Lfsr.next_bits``: advance the register one tick and return the emitted bit.
+
+    The emitted bit is the state's least significant one, and the parity of
+    the state bits at the non-leading tap exponents shifts in at the top.
+    """
+    out = reg.state & 1
+    feedback = sum((reg.state >> t) & 1 for t in reg.taps[1:]) & 1
+    reg.state = (reg.state >> 1) | (feedback << (reg.degree - 1))
+    return out
+
+
+def read_csv(path: str | Path) -> list[TrialRecord]:
+    """The records a CSV of ``seafdm.harness.emit_csv`` holds (wall times stay in the sidecar)."""
+    out = []
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != _CSV_COLUMNS:
+            raise ConfigError(f"unexpected CSV header in {path}: {reader.fieldnames}")
+        for row in reader:
+            out.append(
+                TrialRecord(
+                    point=float(row["point"]),
+                    bob_ber=float(row["bob_ber"]),
+                    eve_ber=float(row["eve_ber"]),
+                    afdm_ber=float(row["afdm_ber"]),
+                    bit_count=int(row["bit_count"]),
+                    seed=int(row["seed"]),
+                )
+            )
+    return out

@@ -72,6 +72,13 @@ def test_realization_validation():
         ([1.0, 0.5], [0, 1], [0.0]),
         ([1.0, 0.5], [0], [0.0, 0.1]),
         ([[1.0]], [[0]], [[0.0]]),
+        # a stack: gains and dopplers of one shape (R, P), delays of shape (P,)
+        ([[1.0, 0.5]], [0, 1], [0.0, 0.1]),
+        ([[1.0, 0.5]], [0, 1], [[0.0, 0.1], [0.0, 0.1]]),
+        ([[1.0, 0.5]], [[0, 1]], [[0.0, 0.1]]),
+        ([[1.0, 0.5], [0.5, 1.0]], [0], [[0.0], [0.1]]),
+        ([[[1.0]]], [0], [[[0.0]]]),
+        (np.ones((0, 2)), [0, 1], np.ones((0, 2))),
     ]:
         with pytest.raises(ContractViolation):
             ChannelRealization(gains, delays, dopplers)
@@ -114,6 +121,9 @@ def test_realization_holds_three_typed_arrays():
     for values in (frozen.gains, frozen.delays, frozen.dopplers):
         with pytest.raises(ValueError):
             values[0] = 2
+    stack = ChannelRealization([[1.0, 0.5j], [2.0, 0.0]], [0, 2.0], [[0, 1], [0.5, 0.25]])
+    assert stack.gains.shape == stack.dopplers.shape == (2, 2) and stack.delays.tolist() == [0, 2]
+    assert stack.gains.dtype == np.complex128 and stack.dopplers.dtype == np.float64
 
 
 def test_sample_channel_geometry():
@@ -174,14 +184,16 @@ def _lone_paths(rng, path_count, alpha_max, n, integer_doppler):
 def test_stacked_path_draws_equal_each_link_sampled_alone(paths, links, n, alpha_max, integer_doppler, seed):
     n = max(n, paths)
     draws = np.array([draw_paths(np.random.default_rng([seed, i]), paths) for i in range(links)])
-    gains, dopplers = paths_from_draws(draws, alpha_max, n=n, integer_doppler=integer_doppler)
-    assert gains.shape == dopplers.shape == (links, paths)
+    stack = paths_from_draws(draws, alpha_max, n=n, integer_doppler=integer_doppler)
+    assert stack.gains.shape == stack.dopplers.shape == (links, paths)
+    assert stack.delays.tolist() == list(range(paths))
     for i in range(links):
         ref_gains, ref_nu = _lone_paths(np.random.default_rng([seed, i]), paths, alpha_max, n, integer_doppler)
         alone = sample_channel(paths, alpha_max, np.random.default_rng([seed, i]), n=n, integer_doppler=integer_doppler)
-        for got in (gains[i], alone.gains):
+        assert alone.gains.shape == (paths,) and alone.delays.tolist() == list(range(paths))
+        for got in (stack.gains[i], alone.gains):
             assert got.tobytes() == ref_gains.tobytes()
-        for got in (dopplers[i], alone.dopplers):
+        for got in (stack.dopplers[i], alone.dopplers):
             assert got.tobytes() == ref_nu.tobytes()
 
 
@@ -247,33 +259,43 @@ def test_apply_channel_contracts():
         apply_channel(prefixed, ChannelRealization([1.0], [0], [0.0]), None, 0.1)
 
 
+def stack_of(real, count):
+    """count links that each have real's paths."""
+    return ChannelRealization(np.tile(real.gains, (count, 1)), real.delays, np.tile(real.dopplers, (count, 1)))
+
+
 def test_stacked_channel_contracts():
     params = FrameParams(n=8, ncp=2, c1=0.1)
     rng = np.random.default_rng(8)
     real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
+    three = stack_of(real, 3)
     x = rng.standard_normal((3, 8)) + 0j
     alice = zero_schedule(8, "alice")
-    one, two, three = (C2Schedule(np.zeros((count, 8)), "alice") for count in (1, 2, 3))
-    for frames, scheds in [(x, two), (x, alice), (x[0], one), (x, zero_schedule(9, "alice"))]:
+    one, two, scheds = (C2Schedule(np.zeros((count, 8)), "alice") for count in (1, 2, 3))
+    for frames, sched in [(x, two), (x, alice), (x[0], one), (x, zero_schedule(9, "alice"))]:
         with pytest.raises(ContractViolation):
-            se_afdm_modulate(frames, params, scheds)
-    tx = se_afdm_modulate(x, params, three)
+            se_afdm_modulate(frames, params, sched)
+    tx = se_afdm_modulate(x, params, scheds)
     gens = [np.random.default_rng(k) for k in range(3)]
+    # the frames lead with the link shape
+    for links, samples in [(stack_of(real, 2), tx.samples), (three, tx.samples[0]), (three, tx.samples[None])]:
+        with pytest.raises(ContractViolation, match="link shape"):
+            apply_channel(SignalBlock(samples, 2), links, gens, 0.1)
     with pytest.raises(ContractViolation):
-        apply_channel(tx, [real, real], gens, 0.1)  # one realization short
+        apply_channel(tx, three, gens[:2], 0.1)  # one generator short
     with pytest.raises(ContractViolation):
-        apply_channel(tx, [real] * 3, gens[:2], 0.1)  # one generator short
+        apply_channel(tx, three, None, 0.1)
     with pytest.raises(ContractViolation):
-        apply_channel(tx, [real] * 3, None, 0.1)
+        apply_channel(tx, three, [gens[0], None, gens[2]], 0.1)
     with pytest.raises(ContractViolation):
-        apply_channel(tx, [real] * 3, [gens[0], None, gens[2]], 0.1)
-    other = ChannelRealization([1.0, 0.5], [0, 1], [0.0, 0.3])
-    with pytest.raises(ContractViolation):
-        apply_channel(tx, [real, other, real], gens, 0.1)  # rows share one delay profile
-    assert apply_channel(tx, [real] * 3, None, 0.0).samples.shape == (3, 10)
+        apply_channel(SignalBlock(tx.samples[:, None], 2), three, gens[0], 0.1)  # a lone generator for a stacked frame
+    assert apply_channel(tx, three, None, 0.0).samples.shape == (3, 10)
+    for build in (effective_channel, effective_channel_closed_form):
+        with pytest.raises(ContractViolation, match="one link"):
+            build(three, params, zero_schedule(8, "bob"))
     # a lone frame is a stack of one, and keeps its one-dimensional form
     lone = apply_channel(SignalBlock(tx.samples[1], 2), real, np.random.default_rng(5), 0.1)
-    stack = apply_channel(SignalBlock(tx.samples[1:2], 2), [real], [np.random.default_rng(5)], 0.1)
+    stack = apply_channel(SignalBlock(tx.samples[1:2], 2), stack_of(real, 1), [np.random.default_rng(5)], 0.1)
     assert lone.samples.shape == (10,)
     assert lone.samples.tobytes() == stack.samples[0].tobytes()
 
@@ -285,10 +307,12 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     ncp = data.draw(st.integers(0, n), label="ncp")
     delays = data.draw(st.lists(st.integers(0, ncp), min_size=1, max_size=5), label="delays")
     frames = data.draw(st.integers(1, 4), label="frames")
-    # (frame, channel, noise stream) per row; rows that share a stream replay
-    # one noise vector, as Bob's and the plain-AFDM frame do in the harness
+    links = data.draw(st.integers(1, 3), label="links")
+    carried = data.draw(st.integers(1, 3), label="frames per link")
+    # (frame, noise stream) of each row, link by link; rows that share a stream
+    # replay one noise vector, as Bob's and the plain-AFDM frame do in the harness
     rows = data.draw(
-        st.lists(st.tuples(st.integers(0, frames - 1), st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(0, frames - 1), st.integers(0, 2)), min_size=links * carried, max_size=links * carried),
         label="rows",
     )
     sigma2 = data.draw(st.sampled_from([0.0, 1e-3, 0.5]), label="sigma2")
@@ -297,10 +321,8 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
     scheds = C2Schedule(rng.uniform(-0.5, 0.5, size=(frames, n)), "alice")
     paths = len(delays)
-    links = [
-        ChannelRealization(rng.standard_normal(paths) + 1j * rng.standard_normal(paths), delays, rng.uniform(-3, 3, paths))
-        for _ in range(3)
-    ]
+    gains = rng.standard_normal((links, paths)) + 1j * rng.standard_normal((links, paths))
+    dopplers = rng.uniform(-3, 3, (links, paths))
     streams = [np.random.SeedSequence(int(rng.integers(2**32))) for _ in range(3)]
 
     tx = se_afdm_modulate(x, params, scheds)
@@ -311,14 +333,17 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
         assert cores[f].tobytes() == remove_cpp(one, params).tobytes()
         assert add_cpp(cores, params).samples[f].tobytes() == add_cpp(cores[f], params).samples.tobytes()
 
-    picked = SignalBlock(tx.samples[[f for f, _, _ in rows]], ncp)
-    gens = [np.random.default_rng(streams[k]) for _, _, k in rows]
-    rx = apply_channel(picked, [links[c] for _, c, _ in rows], gens, sigma2)
+    # each link carries its rows; each row gets what its frame gets alone
+    # through that link, with a fresh generator on the same stream
+    picked = SignalBlock(tx.samples[[f for f, _ in rows]].reshape(links, carried, -1), ncp)
+    gens = [np.random.default_rng(streams[k]) for _, k in rows]
+    rx = apply_channel(picked, ChannelRealization(gains, delays, dopplers), gens, sigma2)
     received = remove_cpp(rx, params)
-    for i, (f, c, k) in enumerate(rows):
-        one = apply_channel(alone[f], links[c], np.random.default_rng(streams[k]), sigma2)
-        assert rx.samples[i].tobytes() == one.samples.tobytes()
-        assert received[i].tobytes() == remove_cpp(one, params).tobytes()
+    for i, (f, k) in enumerate(rows):
+        link = ChannelRealization(gains[i // carried], delays, dopplers[i // carried])
+        one = apply_channel(alone[f], link, np.random.default_rng(streams[k]), sigma2)
+        assert rx.samples[divmod(i, carried)].tobytes() == one.samples.tobytes()
+        assert received[divmod(i, carried)].tobytes() == remove_cpp(one, params).tobytes()
 
 
 def test_prefixed_transmission_is_circular():
@@ -336,28 +361,21 @@ def test_prefixed_transmission_is_circular():
 
 
 def test_stacked_tap_diagonals_match_the_circular_oracle():
-    # stacked systems share one delay profile, here unsorted with a repeated
-    # delay and delay 1 absent; equal delays add up in path order
+    # the links' one delay profile is unsorted, with a repeated delay and
+    # delay 1 absent; equal delays add up in path order
     rng = np.random.default_rng(13)
     n = 12
     params = FrameParams(n=n, ncp=3, c1=0.1)
     delays = [2, 0, 3, 2]
-
-    def channel(delays):
-        paths = len(delays)
-        return ChannelRealization(rng.standard_normal(paths) + 1j * rng.standard_normal(paths), delays, rng.uniform(-2, 2, paths))
-
-    reals = [channel(delays) for _ in range(3)]
-    taps = circular_taps(reals, params)
+    gains = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    dopplers = rng.uniform(-2, 2, (3, 4))
+    taps = circular_taps(ChannelRealization(gains, delays, dopplers), params)
     assert taps.shape == (3, 4, n)
     assert not np.any(taps[:, 1])
-    for s, real in enumerate(reals):
+    for s in range(3):
+        real = ChannelRealization(gains[s], delays, dopplers[s])
         np.testing.assert_allclose(_time_domain_matrix(real, params), circular_oracle(real, params), atol=1e-12)
-        assert taps[s].tobytes() == circular_taps([real], params)[0].tobytes()
-    # the same delays in another order are another profile
-    for other in ([0, 2, 3, 2], [2, 0, 3], [2, 0, 3, 1]):
-        with pytest.raises(ContractViolation, match="one delay profile"):
-            circular_taps([reals[0], channel(other)], params)
+        assert taps[s].tobytes() == circular_taps(real, params)[0].tobytes()
 
 
 def test_wrap_rows_are_the_prefix_phasors():
@@ -378,42 +396,44 @@ def test_wrap_rows_are_the_prefix_phasors():
 
 
 def test_doppler_phasor_rows_are_built_once_and_read_only():
-    # row p holds exp(2j*pi*nu_p*t/n) for t in [-prefix, n), as the channel
-    # formula evaluates it on the sample clock; a realization keeps its rows
-    # and every stage that passes a frame through it reads them
+    # row p of each link holds exp(2j*pi*nu_p*t/n) for t in [-prefix, n), as
+    # the channel formula evaluates it on the sample clock; a realization
+    # keeps its rows and every stage that passes a frame through it reads them
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(2, 100))
         paths = int(rng.integers(1, min(n, 4) + 1))
         prefix = int(rng.integers(paths - 1, n))
-        reals = [sample_channel(paths, float(rng.uniform(0.0, 4.0)), rng, n=n) for _ in range(3)]
-        # a stack that repeats a realization and meets one that already has its rows
-        _doppler_rows(reals[1:2], n, prefix)
-        kept = reals[1]._phasor_rows[n, prefix]
-        rows = _doppler_rows([reals[0], reals[1], reals[0], reals[2]], n, prefix)
-        assert rows.shape == (4, paths, prefix + n)
-        for real, stacked in zip([reals[0], reals[1], reals[0], reals[2]], rows):
-            own = real._phasor_rows[n, prefix]
-            assert stacked.tobytes() == own.tobytes()
-            with pytest.raises(ValueError):
-                own[0, 0] = 0.0
-            for p, rotation in enumerate(2j * np.pi * real.dopplers):
+        links = int(rng.integers(1, 4))
+        draws = np.array([draw_paths(rng, paths) for _ in range(links)])
+        stack = paths_from_draws(draws, float(rng.uniform(0.0, 4.0)), n=n)
+        frames = SignalBlock(rng.standard_normal((links, 2, prefix + n)) + 0j, prefix)
+        apply_channel(frames, stack, None, 0.0)
+        rows = stack._phasor_rows[n, prefix]
+        circular_taps(stack, FrameParams(n=n, ncp=prefix, c1=0.1))
+        # circular_taps read the rows apply_channel built
+        assert list(stack._phasor_rows) == [(n, prefix)] and stack._phasor_rows[n, prefix] is rows
+        assert rows.shape == (links, paths, prefix + n)
+        with pytest.raises(ValueError):
+            rows[0, 0, 0] = 0.0
+        for link in range(links):
+            for p, rotation in enumerate(2j * np.pi * stack.dopplers[link]):
                 formula = np.exp(rotation * np.arange(-prefix, n, dtype=np.float64) / n)
-                assert own[p].tobytes() == formula.tobytes()
+                assert rows[link, p].tobytes() == formula.tobytes()
                 # the tap diagonals' clock t in [0, n) on integers reads the same bytes
-                assert own[p, prefix:].tobytes() == np.exp(rotation * np.arange(n) / n).tobytes()
-        assert reals[1]._phasor_rows[n, prefix] is kept
+                assert rows[link, p, prefix:].tobytes() == np.exp(rotation * np.arange(n) / n).tobytes()
     # the channel and the tap diagonals use the rows; one zero-delay path shows them
     params = FrameParams(n=16, ncp=2, c1=0.1)
     real = ChannelRealization([0.5 - 0.25j], [0], [1.3])
     block = add_cpp(random_frame(rng, 16), params)
     out = apply_channel(block, real, None, 0.0).samples
     rows = real._phasor_rows[16, 2]
-    assert out.tobytes() == (real.gains[:, None] * block.samples[None] * rows)[0].tobytes()
-    assert circular_taps([real], params)[0, 0].tobytes() == (real.gains[:, None] * rows[:, 2:])[0].tobytes()
+    assert rows.shape == (1, 1, 18)
+    assert out.tobytes() == (real.gains[0] * block.samples * rows[0, 0]).tobytes()
+    assert circular_taps(real, params)[0, 0].tobytes() == (real.gains[0] * rows[0, 0, 2:]).tobytes()
     assert real._phasor_rows[16, 2] is rows
     # another geometry gets its own rows and leaves the first ones alone
-    assert _doppler_rows([real], 16, 0).shape == (1, 1, 16) and real._phasor_rows[16, 2] is rows
+    assert _doppler_rows(real, 16, 0).shape == (1, 1, 16) and real._phasor_rows[16, 2] is rows
 
 
 def test_prefixed_transmission_is_circular_awkward_c1():
@@ -534,7 +554,7 @@ def test_time_domain_mmse_matches_dense_subcarrier_mmse_on_random_links(link):
     real, params, rx, tx, sigma2, r = link
     h = effective_channel(real, params, rx, tx).matrix
     dense = mmse_equalize(daft(r, params, rx.values), h, sigma2)
-    fast = daft(banded_mmse_equalize(r[None, None], circular_taps([real], params), sigma2)[0, 0], params, 0.0 if tx is None else tx.values)
+    fast = daft(banded_mmse_equalize(r[None, None], circular_taps(real, params), sigma2)[0, 0], params, 0.0 if tx is None else tx.values)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from seafdm import ExperimentConfig, harness
+from seafdm.channel import ChannelRealization
 from seafdm.cli import _load_config, build_parser, main
-from seafdm.harness import read_csv
+
+from oracles import read_csv
 
 
 def test_selftest_passes(capsys):
@@ -128,7 +130,7 @@ def test_bad_snr_or_bias_exits_2_before_any_trial(argv, capsys):
 def test_dead_noiseless_channel_exits_4(tmp_path, monkeypatch, capsys):
     def dead_paths(draws, alpha_max, *, n, integer_doppler=False):
         shape = (len(draws), draws.shape[-1])  # (links, paths)
-        return np.zeros(shape, dtype=complex), np.zeros(shape)
+        return ChannelRealization(np.zeros(shape), np.arange(shape[1]), np.zeros(shape))
 
     monkeypatch.setattr(harness, "paths_from_draws", dead_paths)
     argv = ["simulate", "--set", "n=16", "--set", "trials=1", "--set", "snr_db=[.inf]"]
@@ -144,9 +146,10 @@ def test_solver_error_while_a_block_finishes_exits_4(tmp_path, monkeypatch, caps
 
     def third_dead(draws, alpha_max, *, n, integer_doppler=False):
         calls.append(len(draws))
-        gains, dopplers = live(draws, alpha_max, n=n, integer_doppler=integer_doppler)
+        links = live(draws, alpha_max, n=n, integer_doppler=integer_doppler)
+        gains = links.gains.copy()
         gains[4] = 0.0  # Bob's and Eve's channels alternate: this is trial 2's Bob
-        return gains, dopplers
+        return ChannelRealization(gains, links.delays, links.dopplers)
 
     monkeypatch.setattr(harness, "paths_from_draws", third_dead)
     monkeypatch.setattr(harness, "_block_size", lambda n: 4)

@@ -30,7 +30,7 @@ from seafdm import (
     zero_schedule,
 )
 from seafdm import detection
-from seafdm.channel import ChannelRealization, circular_taps
+from seafdm.channel import ChannelRealization, circular_taps, draw_paths, paths_from_draws
 from seafdm.daft import add_cpp, chirp_diag, daft
 from seafdm.detection import _band_plan, banded_mmse_equalize
 from seafdm.keystream import C2Schedule
@@ -196,7 +196,7 @@ def test_time_domain_mmse_when_cyclic_band_offsets_alias(n, paths):
             rx = C2Schedule(rng.uniform(-0.5, 0.5, size=n), "bob")
             h = effective_channel(real, params, rx, tx).matrix
             dense = mmse_equalize(daft(r, params, rx.values), h, sigma2)
-            fast = banded_mmse_equalize(r[None, None], circular_taps([real], params), sigma2)[0, 0]
+            fast = banded_mmse_equalize(r[None, None], circular_taps(real, params), sigma2)[0, 0]
             fast = daft(fast, params, 0.0 if tx is None else tx.values)
             np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
 
@@ -204,14 +204,14 @@ def test_time_domain_mmse_when_cyclic_band_offsets_alias(n, paths):
 def test_time_domain_mmse_contracts_and_singular_channel():
     params = FrameParams(n=8, ncp=2, c1=0.1)
     real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
-    taps = circular_taps([real], params)
+    taps = circular_taps(real, params)
     with pytest.raises(ContractViolation):
         banded_mmse_equalize(np.ones((1, 1, 7), dtype=complex), taps, 0.1)
     with pytest.raises(ContractViolation):
         banded_mmse_equalize(np.ones((1, 1, 8), dtype=complex), taps, -0.1)
     dead = ChannelRealization([0.0, 0.0], [0, 2], [0.0, 1.0])
     with pytest.raises(SolverError):
-        banded_mmse_equalize(np.ones((1, 1, 8), dtype=complex), circular_taps([dead], params), 0.0)
+        banded_mmse_equalize(np.ones((1, 1, 8), dtype=complex), circular_taps(dead, params), 0.0)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -230,20 +230,21 @@ def test_stacked_solve_equals_each_system_alone(systems, n, paths, rhs, log_sigm
     paths = min(paths, n)
     params = FrameParams(n=n, ncp=paths - 1, c1=rng.uniform(-1.0, 1.0))
     sigma2 = 10.0**log_sigma2
-    reals = [sample_channel(paths, 2.0, rng, n=n) for _ in range(systems)]
+    # the draws of sample_channel on each link in turn
+    stack = paths_from_draws(np.array([draw_paths(rng, paths) for _ in range(systems)]), 2.0, n=n)
     r = rng.standard_normal((systems, rhs, n)) + 1j * rng.standard_normal((systems, rhs, n))
-    stacked = banded_mmse_equalize(r, circular_taps(reals, params), sigma2)
+    stacked = banded_mmse_equalize(r, circular_taps(stack, params), sigma2)
     assert stacked.shape == r.shape
-    for s, real in enumerate(reals):
+    for s in range(systems):
+        real = ChannelRealization(stack.gains[s], stack.delays, stack.dopplers[s])
         for j in range(rhs):
-            alone = banded_mmse_equalize(r[s, j][None, None], circular_taps([real], params), sigma2)[0, 0]
+            alone = banded_mmse_equalize(r[s, j][None, None], circular_taps(real, params), sigma2)[0, 0]
             assert stacked[s, j].tobytes() == alone.tobytes()
 
 
 def test_stacked_solve_contracts():
     params = FrameParams(n=8, ncp=2, c1=0.1)
-    real = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
-    taps = circular_taps([real, real], params)
+    taps = circular_taps(ChannelRealization([[1.0, 0.5]] * 2, [0, 2], [[0.0, 0.3]] * 2), params)
     for shape in [(2, 8), (3, 1, 8), (2, 2, 2, 8), (2, 1, 7), (8,)]:
         with pytest.raises(ContractViolation):
             banded_mmse_equalize(np.ones(shape, dtype=complex), taps, 0.1)
@@ -251,18 +252,10 @@ def test_stacked_solve_contracts():
     for bad in (np.ones((0, 3, 8)), np.ones((2, 0, 8)), taps[0]):
         with pytest.raises(ContractViolation):
             banded_mmse_equalize(np.ones((len(bad), 1, 8), dtype=complex), bad, 0.1)
-    # one delay profile per stack: an equal longest delay or the same delays reordered is another profile
-    for other in ([0, 1], [2, 0], [0, 1, 2]):
-        link = ChannelRealization(np.ones(len(other)), other, np.zeros(len(other)))
-        with pytest.raises(ContractViolation, match="one delay profile"):
-            circular_taps([real, link], params)
-    # a profile that differs late in the stack
-    stack = [real] * 3 + [ChannelRealization([1.0, 0.5], [2, 0], [0.0, 0.3])]
-    with pytest.raises(ContractViolation, match="one delay profile"):
-        circular_taps(stack, params)
-    dead = ChannelRealization([0.0, 0.0], [0, 2], [0.0, 1.0])
+    # the second link is dead
+    dead = ChannelRealization([[1.0, 0.5], [0.0, 0.0]], [0, 2], [[0.0, 0.3], [0.0, 1.0]])
     with pytest.raises(SolverError):
-        banded_mmse_equalize(np.ones((2, 1, 8), dtype=complex), circular_taps([real, dead], params), 0.0)
+        banded_mmse_equalize(np.ones((2, 1, 8), dtype=complex), circular_taps(dead, params), 0.0)
 
 
 _PARAMS = FrameParams(n=8, ncp=2, c1=0.1)
@@ -270,7 +263,7 @@ _LINK = ChannelRealization([1.0, 0.5], [0, 2], [0.0, 0.3])
 _NOISY_STAGES = {
     "apply_channel": lambda sigma2: apply_channel(add_cpp(np.ones(8), _PARAMS), _LINK, np.random.default_rng(0), sigma2).samples,
     "mmse_equalize": lambda sigma2: mmse_equalize(np.ones(8), np.eye(8), sigma2),
-    "banded_mmse_equalize": lambda sigma2: banded_mmse_equalize(np.ones((1, 1, 8)), circular_taps([_LINK], _PARAMS), sigma2),
+    "banded_mmse_equalize": lambda sigma2: banded_mmse_equalize(np.ones((1, 1, 8)), circular_taps(_LINK, _PARAMS), sigma2),
 }
 
 
@@ -302,7 +295,7 @@ def test_band_plan_is_shared_and_read_only():
     params = FrameParams(n=12, ncp=2, c1=0.3)
     real = sample_channel(3, 2.0, rng, n=12)
     r = rng.standard_normal((1, 1, 12)) + 1j * rng.standard_normal((1, 1, 12))
-    first = banded_mmse_equalize(r, circular_taps([real], params), 0.1)
+    first = banded_mmse_equalize(r, circular_taps(real, params), 0.1)
     plan = _band_plan(12, 2)
     assert _band_plan(12, 2) is plan
     tables = [t for t in plan if isinstance(t, np.ndarray)]
@@ -313,11 +306,11 @@ def test_band_plan_is_shared_and_read_only():
     # the term list runs rank by rank, each rank over a prefix of the cells
     assert isinstance(plan.rank_sizes, tuple) and sum(plan.rank_sizes) == plan.left.size == plan.right.size
     assert list(plan.rank_sizes) == sorted(plan.rank_sizes, reverse=True) and plan.rank_sizes[0] == plan.cells.size
-    np.testing.assert_array_equal(banded_mmse_equalize(r, circular_taps([real], params), 0.1), first)
+    np.testing.assert_array_equal(banded_mmse_equalize(r, circular_taps(real, params), 0.1), first)
     # a second geometry gets its own tables and the first one's are untouched
     assert _band_plan(12, 1) is not plan
-    banded_mmse_equalize(r[..., :10], circular_taps([sample_channel(2, 2.0, rng, n=10)], FrameParams(n=10, ncp=1, c1=0.3)), 0.1)
-    np.testing.assert_array_equal(banded_mmse_equalize(r, circular_taps([real], params), 0.1), first)
+    banded_mmse_equalize(r[..., :10], circular_taps(sample_channel(2, 2.0, rng, n=10), FrameParams(n=10, ncp=1, c1=0.3)), 0.1)
+    np.testing.assert_array_equal(banded_mmse_equalize(r, circular_taps(real, params), 0.1), first)
 
 
 def test_demap_exact_points_returns_labels():
@@ -431,13 +424,9 @@ def test_gram_band_and_solutions_equal_the_bincount_oracle(systems, n, delays, l
     delays = [d % n for d in delays]
     params = FrameParams(n=n, ncp=max(delays), c1=rng.uniform(-1.0, 1.0))
     sigma2 = 10.0**log_sigma2
-    reals = [
-        ChannelRealization(
-            rng.standard_normal(len(delays)) + 1j * rng.standard_normal(len(delays)), delays, rng.uniform(-3.0, 3.0, len(delays))
-        )
-        for _ in range(systems)
-    ]
-    taps = circular_taps(reals, params)
+    shape = (systems, len(delays))
+    gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    taps = circular_taps(ChannelRealization(gains, delays, rng.uniform(-3.0, 3.0, shape)), params)
     assert detection._gram_band(taps, sigma2).tobytes() == gram_band(taps, sigma2).tobytes()
     r = rng.standard_normal((systems, 2, n)) + 1j * rng.standard_normal((systems, 2, n))
     fast = banded_mmse_equalize(r, taps, sigma2)

@@ -40,13 +40,14 @@ from seafdm.harness import (
     TrialRecord,
     _eve_guess,
     emit_csv,
-    read_csv,
     run_sinr_curve,
     search_space_summary,
     wilson,
 )
 from seafdm.keystream import C2Schedule
 from seafdm.sinr import sinr_eve_average
+
+from oracles import read_csv
 
 
 def tiny_config(**overrides):
@@ -725,7 +726,7 @@ def test_sidecar_records_provenance_and_leaves_the_csv_alone(tmp_path, monkeypat
     assert prov["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
 
 
-def test_csi_error_is_drawn_in_place_with_the_same_bytes():
+def test_csi_error_is_drawn_in_place_with_the_same_bytes(monkeypatch):
     rng = np.random.default_rng(41)
     exact = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
     before = exact.copy()
@@ -735,7 +736,11 @@ def test_csi_error_is_drawn_in_place_with_the_same_bytes():
         a, b = draw.standard_normal(exact.shape), draw.standard_normal(exact.shape)
         assert got.tobytes() == (exact + np.sqrt(var / 2.0) * (a + 1j * b)).tobytes()
         assert exact.tobytes() == before.tobytes()
-    assert harness._perturb(exact, rng, 0.0) is exact
+    # exact channel knowledge draws no error: its trials have no csi child and never perturb
+    cfg = tiny_config(scenario="bob-vs-afdm-ber", trials=3)
+    assert all("csi" not in seeds for seeds in harness._trial_seeds(cfg, 0, range(3)))
+    monkeypatch.setattr(harness, "_perturb", None)
+    assert run_scenario(cfg)[0].bit_count == 3 * 64
 
 
 def test_csv_of_empty_run(tmp_path):

@@ -46,6 +46,13 @@ def test_no_module_imports_a_siblings_private_name():
     assert {("seafdm", "__version__"), ("seafdm.channel", "circular_taps")} <= set(_package_imports(SRC / "harness.py"))
 
 
+def test_the_delay_profile_is_written_in_the_channel_module_alone():
+    # the harness gets its links from paths_from_draws and never builds a realization itself
+    harness = _package_imports(SRC / "harness.py")
+    assert ("seafdm.channel", "paths_from_draws") in harness
+    assert [entry for entry in harness if entry[1] == "ChannelRealization"] == []
+
+
 def test_detection_imports_only_the_exceptions_from_the_package():
     assert {module for module, _ in _package_imports(SRC / "detection.py")} == {"seafdm.exceptions"}
 
