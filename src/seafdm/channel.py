@@ -255,7 +255,7 @@ def _time_domain_matrix(realization: ChannelRealization, params: FrameParams) ->
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveChannel:
     """Subcarrier-domain coupling matrix from transmit symbols to receiver output."""
 

@@ -12,7 +12,9 @@ dimensionless cycles.  The synthesis direction is the conjugate transpose,
 
 applied here as three O(n) or O(n log n) stages rather than a dense matrix.
 c2 may be a per-subcarrier vector, which is what the keystream-scrambled
-waveform uses.
+waveform uses.  Its rates come from a few codebook levels, so they may be
+given as LevelRates (levels and one level index per subcarrier), whose
+chirps are gathered from a per-level table instead of exponentiated.
 
 Frames are protected by a chirp-periodic prefix (CPP) instead of a plain
 cyclic prefix: the copied tail samples carry the phase
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .exceptions import ContractViolation
 __all__ = [
     "FrameParams",
     "SignalBlock",
+    "LevelRates",
     "chirp_diag",
     "daft",
     "idaft",
@@ -77,7 +81,7 @@ class FrameParams:
         return cls(n=n, ncp=int(max_delay), c1=(2.0 * alpha_max + 1.0) / (2.0 * n), modulation=modulation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalBlock:
     """Prefixed time-domain frames: prefix_len prefix samples, then the core.
 
@@ -112,19 +116,45 @@ def _core(s: np.ndarray, n: int, who: str) -> np.ndarray:
     return s
 
 
+# Largest chirp table in entries, 16 bytes each: 4 MiB per (levels, n, sign).
+# Levels and frames past it (n = m = 2**16 would take 64 GiB) exponentiate
+# each row's chirps instead.
+_LEVEL_TABLE_ENTRIES = 2**18
+
+
+class LevelRates(NamedTuple):
+    """Per-index chirp rates picked from a few levels: the rates levels[index].
+
+    levels is a vector of finite rates, such as a codebook's, and index holds
+    one level index per rate, its last axis of length n.
+    """
+
+    levels: np.ndarray
+    index: np.ndarray
+
+    def reshape(self, *shape) -> "LevelRates":
+        """The same rates with the index in another shape, as ndarray.reshape takes it."""
+        return LevelRates(self.levels, self.index.reshape(*shape))
+
+
 def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
     """Diagonal entries of the chirp operator, exp(-2j*pi*c*k**2) for k < n.
 
-    c is a scalar rate or an array of per-index rates whose last axis has
-    length n (one rate vector per row).  conjugate=True flips the sign of the
-    exponent.  The quadratic argument is reduced mod 1 before exponentiation
-    so large indices keep full phase precision.
+    c is a scalar rate, an array of per-index rates whose last axis has
+    length n (one rate vector per row), or LevelRates.  conjugate=True flips
+    the sign of the exponent.  The quadratic argument is reduced mod 1 before
+    exponentiation so large indices keep full phase precision.
 
     A row of rates that are all zero (a zero schedule, the all-zeros guess)
     gives exact ones, which is what exp(0) rounds to, without exponentiating.
     A scalar rate (the fixed c1, or zero) gives a read-only array built once
-    per (c, n, conjugate) and shared by every caller.
+    per (c, n, conjugate) and shared by every caller.  LevelRates gather
+    their chirps from a read-only table with one row per level, built once
+    per (level values, n, conjugate) and shared, and get the bytes that the
+    rates levels[index] get.
     """
+    if isinstance(c, LevelRates):
+        return _level_chirp(c, int(n), bool(conjugate))
     if np.ndim(c) == 0:
         return _scalar_chirp(float(c), int(n), bool(conjugate))
     return _chirp(c, n, conjugate)
@@ -134,6 +164,42 @@ def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
 def _scalar_chirp(c: float, n: int, conjugate: bool) -> np.ndarray:
     out = _chirp(c, n, conjugate)
     out.flags.writeable = False
+    return out
+
+
+def _chirp_table(levels: np.ndarray, n: int, conjugate: bool) -> np.ndarray | None:
+    """Row k holds the chirp of levels[k]; None where the table would pass _LEVEL_TABLE_ENTRIES."""
+    if levels.size * n > _LEVEL_TABLE_ENTRIES:
+        return None
+    # keyed by the level values: every config builds its own codebook object
+    return _level_table(levels.tobytes(), n, conjugate)
+
+
+@functools.lru_cache(maxsize=16)
+def _level_table(levels: bytes, n: int, conjugate: bool) -> np.ndarray:
+    rates = np.frombuffer(levels, dtype=np.float64)
+    out = _chirp(np.repeat(rates[:, None], n, axis=1), n, conjugate)
+    out.flags.writeable = False
+    return out
+
+
+def _level_chirp(rates: LevelRates, n: int, conjugate: bool) -> np.ndarray:
+    levels = np.asarray(rates.levels, dtype=np.float64)
+    index = np.asarray(rates.index)
+    if levels.ndim != 1 or index.ndim < 1 or index.shape[-1] != n or index.dtype.kind not in "iu":
+        raise ContractViolation(f"need a level vector and integer level indices of length n = {n} per row")
+    table = _chirp_table(levels, n, conjugate)
+    if table is None:
+        return _chirp(levels[index], n, conjugate)
+    out = np.take(table, index.astype(np.intp, copy=False) * n + np.arange(n))
+    zero = levels == 0.0
+    if zero.any() and not zero.all():
+        # a zero level's table row is exact ones, but a row that mixes it
+        # with other rates exponentiates it, as chirp_diag does
+        zero = zero[index]
+        mixed = zero.any(axis=-1) & ~zero.all(axis=-1)
+        if mixed.any():
+            out[mixed] = _chirp(levels[index[mixed]], n, conjugate)
     return out
 
 
@@ -160,7 +226,8 @@ def daft(s: np.ndarray, params: FrameParams, c2) -> np.ndarray:
 
     s may carry leading axes, one core per row, transformed over the last
     axis.  c2 may be a scalar, a per-subcarrier vector of rates, or one rate
-    vector per row of s.  idaft takes x and c2 of the same shapes.
+    vector per row of s, each given as rates or as LevelRates.  idaft takes
+    x and c2 of the same shapes.
     """
     s = _core(s, params.n, "daft")
     y = np.fft.fft(chirp_diag(params.c1, params.n) * s, norm="ortho")

@@ -19,8 +19,8 @@ replay identical draws), so the comparison isolates the scrambling itself.
 
 With exact channel knowledge the trials of a point run serially in blocks:
 each trial makes only the draws of its own generators, and the trial that
-completes a block maps every draw at once (symbols, schedule rates, Eve's
-guess, path gains and Dopplers), then modulates, passes through the
+completes a block maps every draw at once (symbols, schedule level indices,
+Eve's guess, path gains and Dopplers), then modulates, passes through the
 channel, equalizes, transforms and demaps the whole block.  Every draw
 still comes from the trial's own seed tree, and every stacked stage gives
 each frame the bytes it gets alone, so the block size changes no count.
@@ -52,7 +52,7 @@ from .channel import (
     paths_from_draws,
     sample_channel,
 )
-from .daft import FrameParams, SignalBlock, daft, remove_cpp
+from .daft import FrameParams, LevelRates, SignalBlock, daft, remove_cpp
 from .detection import banded_mmse_equalize, mmse_equalize
 from .exceptions import ConfigError, ContractViolation
 from .keystream import (
@@ -62,7 +62,7 @@ from .keystream import (
     Lfsr,
     build_codebook,
     generate_schedule,
-    schedule_rates,
+    schedule_levels,
     zero_schedule,
 )
 from .sinr import sinr_eve_average
@@ -398,6 +398,21 @@ def _guess_rates(mode: str, alice: np.ndarray, book: Codebook, draws) -> np.ndar
     return alice + draws
 
 
+def _row_rates(mode: str, book: Codebook, alice: np.ndarray, draws) -> LevelRates | np.ndarray:
+    """Receive rates of a block's rows, shape (T, 2, n): Alice's, then the zero rates or Eve's guess.
+
+    alice holds the level indices of the block's schedules.  Rates that are
+    codebook levels stay LevelRates; zero rates are one more level, whose
+    table row is exact ones.  A biased guess is off the codebook.
+    """
+    if mode == "biased":
+        rates = book.levels[alice]
+        return np.stack((rates, _guess_rates(mode, rates, book, draws)), axis=1)
+    if mode == "random":
+        return LevelRates(book.levels, np.stack((alice, draws), axis=1))
+    return LevelRates(np.append(book.levels, 0.0), np.stack((alice, np.full_like(alice, book.m)), axis=1))
+
+
 def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.ndarray:
     """matrix + sqrt(var/2) * (a + 1j*b), with a and b drawn in that order, in one new array."""
     out = np.empty(matrix.shape, dtype=np.complex128)
@@ -422,9 +437,13 @@ class _Block:
     Eve's guess draws and one noise generator per received row.  Every
     trial has two rows: Bob's, then the plain-AFDM frame through his
     channel or Eve's row through hers.  The trial that fills the block maps
-    all the draws at once (symbols, rates, guesses, path gains and
+    all the draws at once (symbols, level indices, guesses, path gains and
     Dopplers), then modulates, passes through the channel, equalizes,
-    transforms and demaps every row.
+    transforms and demaps every row.  Keystream bits become codebook level
+    indices, not rates, so Alice's transmit rows, Bob's receive rows and
+    the rows of Eve's random guess gather their chirps from the codebook's
+    chirp tables; zero rates are exact ones, and only a biased guess is
+    exponentiated.
     """
 
     def __init__(self, config: ExperimentConfig, point_idx: int, trials: range):
@@ -456,18 +475,17 @@ class _Block:
         params, const, n = config.frame_params, config.constellation, config.n
         bits = np.array(self.bits)
         x = map_bits(bits.ravel(), const).reshape(self.size, n)
-        alice = schedule_rates(np.array(self.keys), config.codebook)
+        alice = schedule_levels(np.array(self.keys), config.codebook)
         links = paths_from_draws(np.array(self.links), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
         if afdm:
             # the plain-AFDM frame is a second right-hand side of Bob's system
-            rates = np.stack((alice, np.zeros_like(alice)), axis=1)
+            rates = _row_rates("zeros", config.codebook, alice, None)
             tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
         else:
             # she does not undo the transmit schedule; her DAFT at rate zero
             # followed by descramble(guess) is her DAFT at the guessed rates
-            guesses = _guess_rates(config.eve_mode, alice, config.codebook, np.array(self.guesses))
-            rates = np.stack((alice, guesses), axis=1)
-            tx = se_afdm_modulate(x, params, C2Schedule(alice, "alice"))
+            rates = _row_rates(config.eve_mode, config.codebook, alice, np.array(self.guesses))
+            tx = se_afdm_modulate(x, params, C2Schedule(LevelRates(config.codebook.levels, alice), "alice"))
         # each link carries its rows: Bob's two frames, or one frame per receiver
         samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
         rows = SignalBlock(samples.reshape(len(self.links), -1, samples.shape[-1]), tx.prefix_len)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .daft import LevelRates
 from .exceptions import ContractViolation
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "C2Schedule",
     "zero_schedule",
     "generate_schedule",
+    "schedule_levels",
     "schedule_rates",
 ]
 
@@ -96,9 +98,9 @@ class Lfsr:
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Quantized symmetric grid of subcarrier-domain chirp rates."""
+    """Quantized symmetric grid of subcarrier-domain chirp rates; levels is read-only."""
 
     c2max: float
     m: int
@@ -125,23 +127,30 @@ def build_codebook(c2max: float, m: int) -> Codebook:
     levels = 0.5 * (grid - grid[::-1])
     levels[0] = -c2max
     levels[-1] = c2max
+    levels.flags.writeable = False
     return Codebook(c2max=float(c2max), m=m, levels=levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class C2Schedule:
     """Per-subcarrier chirp rates plus the end that holds them.
 
     values is one frame's rates, shape (n,), or a stack of F frames' rates,
-    shape (F, n), held by one end; the length is n either way.
+    shape (F, n), held by one end; the length is n either way.  Rates may be
+    given as LevelRates: values then holds the rates levels[index], and
+    chirp_rates, what se_afdm_modulate passes to idaft, keeps the
+    LevelRates, so the transform gathers its chirps from the levels' table.
     """
 
     values: np.ndarray
     owner: str
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        rates = self.values
+        coded = isinstance(rates, LevelRates)
+        values = np.asarray(rates.levels, dtype=np.float64)[rates.index] if coded else np.asarray(rates, dtype=np.float64)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "chirp_rates", rates if coded else values)
         if values.ndim not in (1, 2) or not np.all(np.isfinite(values)):
             raise ContractViolation("schedule values must be a finite vector, or a stack of them")
         if self.owner not in SCHEDULE_OWNERS:
@@ -169,14 +178,19 @@ def generate_schedule(state: Lfsr, book: Codebook, n: int, owner: str = "alice")
 
 
 def schedule_rates(bits: np.ndarray, book: Codebook) -> np.ndarray:
-    """Codebook level of each subcarrier from its log2(m) keystream bits, MSB first.
+    """Codebook level of each subcarrier: the rates book.levels[schedule_levels(bits, book)]."""
+    return book.levels[schedule_levels(bits, book)]
+
+
+def schedule_levels(bits: np.ndarray, book: Codebook) -> np.ndarray:
+    """Codebook level index of each subcarrier from its log2(m) keystream bits, MSB first.
 
     bits has shape (..., n * log2(m)), one frame's keystream per row of any
-    leading axes, and the rates have shape (..., n).
+    leading axes, and the indices have shape (..., n).
     """
     k = book.bits_per_subcarrier
     bits = np.asarray(bits)
     if bits.ndim < 1 or bits.shape[-1] % k:
         raise ContractViolation(f"keystream rows of shape {bits.shape} do not split into {k}-bit levels")
     weights = 1 << np.arange(k - 1, -1, -1)
-    return book.levels[bits.reshape(*bits.shape[:-1], -1, k).astype(np.int64) @ weights]
+    return bits.reshape(*bits.shape[:-1], -1, k).astype(np.int64) @ weights

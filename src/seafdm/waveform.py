@@ -53,7 +53,7 @@ class _AxisSlicer(NamedTuple):
     bits: np.ndarray  # row i * (len(im_cuts) + 1) + q: label bits, MSB first, of the point (re level i, im level q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Unit-average-energy alphabet indexed by the integer value of its Gray label.
 
@@ -197,7 +197,7 @@ def se_afdm_modulate(x: np.ndarray, params: FrameParams, sched: C2Schedule) -> S
     _check_schedule(sched, "alice", params, "se_afdm_modulate")
     if sched.values.shape != x.shape:
         raise ContractViolation(f"a schedule of shape {sched.values.shape} does not fit frames of shape {x.shape}")
-    return add_cpp(idaft(x, params, sched.values), params)
+    return add_cpp(idaft(x, params, sched.chirp_rates), params)
 
 
 def bob_front_end(r: SignalBlock, params: FrameParams, sched: C2Schedule) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -376,6 +378,34 @@ def test_stacked_tap_diagonals_match_the_circular_oracle():
         real = ChannelRealization(gains[s], delays, dopplers[s])
         np.testing.assert_allclose(_time_domain_matrix(real, params), circular_oracle(real, params), atol=1e-12)
         assert taps[s].tobytes() == circular_taps(real, params)[0].tobytes()
+
+
+def test_lone_link_taps_golden_digest():
+    # sha256 over the taps of 990 lone links at n = 2..8 with awkward delay
+    # profiles: one path at delay 1, repeated and unsorted delays, the largest
+    # delay n - 1; fractional, integer and zero Dopplers.  Taken from the
+    # stacked build as it stood when the test was added, it fails on a
+    # rewrite that rounds one complex product of a link differently (the
+    # wrap rows multiplied as an (R, P, w) broadcast change its bytes).
+    rng = np.random.default_rng(2718)
+    digest = hashlib.sha256()
+    cases = 0
+    for n in range(2, 9):
+        for delays in ([1], [0, 1], [1, 1], [0, 0], [1, 0, 1], [2, 2, 0], [n - 1], [n - 1, 0, n - 1]):
+            if max(delays) >= n:
+                continue
+            for c1 in (0.0, 5.0 / (2 * n), float(rng.uniform(-1, 1))):
+                for ncp in sorted({max(delays), n}):
+                    for doppler in ("fractional", "integer", "zero"):
+                        paths = len(delays)
+                        gains = rng.standard_normal(paths) + 1j * rng.standard_normal(paths)
+                        nu = rng.uniform(-2, 2, paths)
+                        nu = {"fractional": nu, "integer": np.round(nu), "zero": np.zeros(paths)}[doppler]
+                        real = ChannelRealization(gains, delays, nu)
+                        digest.update(circular_taps(real, FrameParams(n=n, ncp=ncp, c1=c1)).tobytes())
+                        cases += 1
+    assert cases == 990
+    assert digest.hexdigest() == "ba6e4bb2ca51fdc3aa3e36506cec25ade60c39acaeb037807c0a8fbf249f306f"
 
 
 def test_wrap_rows_are_the_prefix_phasors():

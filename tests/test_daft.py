@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seafdm import ContractViolation, FrameParams
-from seafdm.daft import SignalBlock, add_cpp, chirp_diag, daft, idaft, remove_cpp
+from seafdm import ContractViolation, ExperimentConfig, FrameParams
+from seafdm import daft as daft_module
+from seafdm.daft import LevelRates, SignalBlock, add_cpp, chirp_diag, daft, idaft, remove_cpp
+from seafdm.keystream import build_codebook
 
 from oracles import daft_matrix
 
@@ -143,6 +147,74 @@ def test_zero_rate_rows_are_exact_ones_and_mixed_stacks_keep_their_bytes():
             assert out[row].tobytes() == np.full(n, 1.0 + 0.0j).tobytes()
         assert chirp_diag(0.0, n, conjugate=conjugate).tobytes() == np.full(n, 1.0 + 0.0j).tobytes()
         assert chirp_diag(np.zeros((0, n)), n, conjugate=conjugate).shape == (0, n)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    # 5e-324 rounds the inner levels of m=4 to -0.0 and 0.0, so rows mix zero and nonzero rates
+    c2max=st.sampled_from([0.0, 1e-9, 4.88e-5, 0.2, 5e-324]),
+    bits=st.integers(1, 6),
+    n=st.integers(2, 2048),
+    frames=st.integers(1, 3),
+    conjugate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_table_rows_are_the_chirps_of_their_levels(c2max, bits, n, frames, conjugate, seed):
+    levels = build_codebook(c2max, 1 << bits).levels
+    table = daft_module._chirp_table(levels, n, conjugate)
+    for k, level in enumerate(levels):
+        assert table[k].tobytes() == chirp_diag(np.full(n, level), n, conjugate=conjugate).tobytes()
+    index = np.random.default_rng(seed).integers(0, levels.size, size=(frames, n))
+    got = chirp_diag(LevelRates(levels, index), n, conjugate=conjugate)
+    assert got.tobytes() == chirp_diag(levels[index], n, conjugate=conjugate).tobytes()
+    assert got.flags.writeable
+
+
+def test_level_table_is_read_only_and_shared_by_equal_codebooks():
+    a, b = (ExperimentConfig(n=64, seed=seed).codebook for seed in (1, 2))
+    assert a is not b
+    for conjugate in (False, True):
+        table = daft_module._chirp_table(a.levels, 64, conjugate)
+        assert daft_module._chirp_table(b.levels, 64, conjugate) is table
+        assert table.shape == (4, 64)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    assert daft_module._chirp_table(a.levels, 64, False) is not daft_module._chirp_table(a.levels, 64, True)
+    assert daft_module._chirp_table(a.levels, 32, False).shape == (4, 32)
+
+
+def test_levels_past_the_table_bound_are_exponentiated(monkeypatch):
+    # the largest config's (2**16, 2**16) table would take 64 GiB per sign
+    config = ExperimentConfig(n=2**16, m=2**16)
+    levels, n = config.codebook.levels, config.n
+    assert levels.size * n > daft_module._LEVEL_TABLE_ENTRIES
+    monkeypatch.setattr(daft_module, "_level_table", lambda *args: pytest.fail("a table past the bound was built"))
+    assert daft_module._chirp_table(levels, n, False) is None
+    index = np.random.default_rng(3).integers(0, levels.size, size=(1, n))
+    for conjugate in (False, True):
+        got = chirp_diag(LevelRates(levels, index), n, conjugate=conjugate)
+        assert got.tobytes() == chirp_diag(levels[index], n, conjugate=conjugate).tobytes()
+
+
+def test_level_rates_contracts():
+    levels = build_codebook(1e-3, 4).levels
+    index = np.zeros((2, 8), dtype=np.int64)
+    for bad in (
+        LevelRates(levels, index[:, :5]),
+        LevelRates(levels, index.astype(np.float64)),
+        LevelRates(levels, np.int64(0)),
+        LevelRates(levels[None], index),
+    ):
+        with pytest.raises(ContractViolation):
+            chirp_diag(bad, 8)
+    with pytest.raises(ContractViolation):
+        chirp_diag(LevelRates(np.array([0.0, np.inf]), index), 8)
+    with pytest.raises(IndexError):
+        chirp_diag(LevelRates(levels, index + 4), 8)
+    # the index may be any integer type; reshape moves only the index
+    small = np.array([[3, 0, 1, 2, 2, 1, 0, 3]], dtype=np.uint8)
+    got = chirp_diag(LevelRates(levels, small).reshape(8), 8)
+    assert got.tobytes() == chirp_diag(levels[small[0]], 8).tobytes()
 
 
 def test_frames_of_equal_size_keep_their_own_c1():

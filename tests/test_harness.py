@@ -34,6 +34,7 @@ from seafdm import (
     se_afdm_modulate,
 )
 import seafdm
+from seafdm import daft as daft_module
 from seafdm import detection, harness
 from seafdm.channel import ChannelRealization
 from seafdm.harness import (
@@ -478,6 +479,44 @@ def test_trial_blocks_do_not_change_records(cfg, monkeypatch):
     for size in (3, default):
         assert all(records_equal(a, b) for a, b in zip(records[1], records[size]))
     assert any(r.bob_ber > 0 for r in records[1])
+
+
+@pytest.mark.parametrize(
+    "overrides, exponentiated",
+    [
+        (dict(scenario="bob-vs-afdm-ber"), False),
+        (dict(eve_mode="zeros"), False),
+        (dict(eve_mode="random"), False),
+        (dict(eve_mode="biased", eve_bias=1e-3), True),
+    ],
+    ids=["bob-vs-afdm-ber", "eve-ber-zeros", "eve-ber-random", "eve-ber-biased"],
+)
+def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated, monkeypatch):
+    # scheduled rates and Eve's random guess are codebook levels, so a block
+    # gathers their chirps from the tables an earlier block at the same
+    # geometry built; zero rates are exact ones, and the continuous biased
+    # guess is exponentiated
+    cfg = tiny_config(n=32, paths=3, trials=2 * harness._block_size(32), seed=41, **overrides)
+    blocks, rates = [], []
+    chirp, finish = daft_module._chirp, harness._Block.finish
+
+    def recorded(c, n, conjugate):
+        rates.append((len(blocks), np.array(c, dtype=np.float64)))
+        return chirp(c, n, conjugate)
+
+    def counted(self, *args):
+        blocks.append(self)
+        return finish(self, *args)
+
+    monkeypatch.setattr(daft_module, "_chirp", recorded)
+    monkeypatch.setattr(harness._Block, "finish", counted)
+    run_scenario(cfg)
+    assert len(blocks) == 2
+    second = [c for block, c in rates if block == 2 and c.ndim and c.any()]
+    assert bool(second) == exponentiated
+    if exponentiated:
+        # Bob's rows are stacked with Eve's, one row per link
+        assert all(np.isin(c.reshape(-1, 2, cfg.n)[:, 0], cfg.codebook.levels).all() for c in second)
 
 
 def test_one_banded_factorization_per_block(monkeypatch):

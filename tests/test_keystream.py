@@ -19,8 +19,11 @@ from seafdm import (
     generate_schedule,
     zero_schedule,
 )
+from seafdm.channel import EffectiveChannel
+from seafdm.daft import LevelRates, SignalBlock
 from seafdm.harness import search_space_summary
-from seafdm.keystream import schedule_rates
+from seafdm.keystream import schedule_levels, schedule_rates
+from seafdm.waveform import qpsk
 
 from oracles import lfsr_step
 
@@ -157,6 +160,34 @@ def test_codebook_zero_bound_degenerates():
     np.testing.assert_array_equal(book.levels, np.zeros(8))
 
 
+def test_codebook_levels_are_read_only():
+    levels = ExperimentConfig().codebook.levels
+    with pytest.raises(ValueError):
+        levels[0] = 0.0
+    with pytest.raises(ValueError):
+        levels *= 2.0
+    assert not build_codebook(0.0, 8).levels.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_codebook(1e-3, 4),
+        lambda: C2Schedule(np.zeros(4), "alice"),
+        qpsk,
+        lambda: SignalBlock(np.zeros(4), 1),
+        lambda: EffectiveChannel(np.eye(2)),
+    ],
+    ids=["Codebook", "C2Schedule", "Constellation", "SignalBlock", "EffectiveChannel"],
+)
+def test_array_holding_dataclasses_compare_by_identity(make):
+    # a generated __eq__ would compare the arrays, whose truth value raises,
+    # and the generated __hash__ would hash them
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_codebook_validation():
     with pytest.raises(ContractViolation):
         build_codebook(1e-3, 3)
@@ -205,6 +236,23 @@ def test_stacked_schedule_rates_equal_each_frame_alone():
         schedule_rates(np.zeros(6, dtype=np.uint8), build_codebook(1e-4, 16))
     with pytest.raises(ContractViolation):
         C2Schedule(np.zeros((2, 3, 4)), "alice")
+
+
+def test_level_indices_pick_the_rates_and_a_schedule_keeps_them():
+    book = build_codebook(1e-4, 8)
+    frames = np.array([Lfsr(seed=seed).next_bits(24 * 3) for seed in (3, 5)])
+    index = schedule_levels(frames, book)
+    assert index.shape == (2, 24) and index.dtype == np.int64
+    assert index.min() >= 0 and index.max() < 8
+    rates = schedule_rates(frames, book)
+    assert rates.tobytes() == book.levels[index].tobytes()
+    coded = C2Schedule(LevelRates(book.levels, index), "alice")
+    assert coded.values.tobytes() == rates.tobytes() and len(coded) == 24
+    assert coded.chirp_rates.index is index and coded.chirp_rates.levels is book.levels
+    plain = C2Schedule(rates, "alice")
+    assert plain.chirp_rates is plain.values
+    with pytest.raises(ContractViolation):
+        C2Schedule(LevelRates(np.array([0.0, np.nan]), index % 2), "alice")
 
 
 def test_two_level_schedule_is_sign_stream():
