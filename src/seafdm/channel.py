@@ -69,14 +69,9 @@ class ChannelRealization:
         if gains.ndim not in (1, 2) or not gains.size or gains.shape != dopplers.shape or delays.shape != gains.shape[-1:]:
             shapes = f"{gains.shape}, {delays.shape}, {dopplers.shape}"
             raise ContractViolation(f"need gains and dopplers of shape (P,) or (R, P) and delays of shape (P,), got {shapes}")
-        if delays.dtype.kind in "iu":
+        with np.errstate(invalid="ignore"):  # a NaN or infinite delay casts to some integer unequal to it
             ints = delays.astype(np.intp)
-            integral = True
-        else:
-            with np.errstate(invalid="ignore"):  # a NaN or infinite delay casts to some integer unequal to it
-                ints = delays.astype(np.intp)
-            integral = np.array_equal(ints, delays)
-        if not integral or min(ints.tolist()) < 0:
+        if not np.array_equal(ints, delays) or min(ints.tolist()) < 0:
             raise ContractViolation(f"delays must be nonnegative integers, got {delays}")
         if not np.isfinite(dopplers).all():
             raise ContractViolation("dopplers must be finite")

@@ -120,6 +120,9 @@ def _core(s: np.ndarray, n: int, who: str) -> np.ndarray:
 # Levels and frames past it (n = m = 2**16 would take 64 GiB) exponentiate
 # each row's chirps instead.
 _LEVEL_TABLE_ENTRIES = 2**18
+# Chirp tables kept, at most 128 MiB: a geometry reads its c1 rows and its
+# codebook's tables, each for both signs, so this holds several geometries.
+_LEVEL_TABLES = 32
 
 
 class LevelRates(NamedTuple):
@@ -145,26 +148,26 @@ def chirp_diag(c, n: int, conjugate: bool = False) -> np.ndarray:
     the sign of the exponent.  The quadratic argument is reduced mod 1 before
     exponentiation so large indices keep full phase precision.
 
-    A row of rates that are all zero (a zero schedule, the all-zeros guess)
-    gives exact ones, which is what exp(0) rounds to, without exponentiating.
-    A scalar rate (the fixed c1, or zero) gives a read-only array built once
-    per (c, n, conjugate) and shared by every caller.  LevelRates gather
-    their chirps from a read-only table with one row per level, built once
-    per (level values, n, conjugate) and shared, and get the bytes that the
-    rates levels[index] get.
+    Rate arrays are exponentiated.  LevelRates gather each row from their
+    levels' chirp table, and a scalar rate is row 0 of its one-level table,
+    read-only and shared.  Either way the bytes are those of the rates
+    exponentiated.
     """
+    n, conjugate = int(n), bool(conjugate)
     if isinstance(c, LevelRates):
-        return _level_chirp(c, int(n), bool(conjugate))
+        levels = np.asarray(c.levels, dtype=np.float64)
+        index = np.asarray(c.index)
+        if levels.ndim != 1 or index.ndim < 1 or index.shape[-1] != n or index.dtype.kind not in "iu":
+            raise ContractViolation(f"need a level vector and integer level indices of length n = {n} per row")
+        table = _chirp_table(levels, n, conjugate)
+        if table is None:
+            return _chirp(levels[index], n, conjugate)
+        return np.take(table, index.astype(np.intp, copy=False) * n + np.arange(n))
     if np.ndim(c) == 0:
-        return _scalar_chirp(float(c), int(n), bool(conjugate))
+        table = _chirp_table(np.array([float(c)]), n, conjugate)
+        if table is not None:
+            return table[0]
     return _chirp(c, n, conjugate)
-
-
-@functools.lru_cache(maxsize=64)
-def _scalar_chirp(c: float, n: int, conjugate: bool) -> np.ndarray:
-    out = _chirp(c, n, conjugate)
-    out.flags.writeable = False
-    return out
 
 
 def _chirp_table(levels: np.ndarray, n: int, conjugate: bool) -> np.ndarray | None:
@@ -175,31 +178,11 @@ def _chirp_table(levels: np.ndarray, n: int, conjugate: bool) -> np.ndarray | No
     return _level_table(levels.tobytes(), n, conjugate)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_LEVEL_TABLES)
 def _level_table(levels: bytes, n: int, conjugate: bool) -> np.ndarray:
     rates = np.frombuffer(levels, dtype=np.float64)
     out = _chirp(np.repeat(rates[:, None], n, axis=1), n, conjugate)
     out.flags.writeable = False
-    return out
-
-
-def _level_chirp(rates: LevelRates, n: int, conjugate: bool) -> np.ndarray:
-    levels = np.asarray(rates.levels, dtype=np.float64)
-    index = np.asarray(rates.index)
-    if levels.ndim != 1 or index.ndim < 1 or index.shape[-1] != n or index.dtype.kind not in "iu":
-        raise ContractViolation(f"need a level vector and integer level indices of length n = {n} per row")
-    table = _chirp_table(levels, n, conjugate)
-    if table is None:
-        return _chirp(levels[index], n, conjugate)
-    out = np.take(table, index.astype(np.intp, copy=False) * n + np.arange(n))
-    zero = levels == 0.0
-    if zero.any() and not zero.all():
-        # a zero level's table row is exact ones, but a row that mixes it
-        # with other rates exponentiates it, as chirp_diag does
-        zero = zero[index]
-        mixed = zero.any(axis=-1) & ~zero.all(axis=-1)
-        if mixed.any():
-            out[mixed] = _chirp(levels[index[mixed]], n, conjugate)
     return out
 
 
@@ -210,13 +193,6 @@ def _chirp(c, n: int, conjugate: bool) -> np.ndarray:
         raise ContractViolation(f"rate vector length {rate.shape[-1]} != n = {n}")
     if not np.all(np.isfinite(rate)):
         raise ContractViolation("chirp rate must be finite")
-    live = rate.any(axis=-1) if rate.ndim else rate != 0.0
-    if not live.all():
-        # rows of zero rates are exact ones; only the other rows are exponentiated
-        out = np.ones(rate.shape[:-1] + (n,), dtype=np.complex128)
-        if rate.ndim:
-            out[live] = _chirp(rate[live], n, conjugate)
-        return out
     sign = 1.0 if conjugate else -1.0
     return np.exp(sign * 2j * np.pi * np.mod(rate * idx * idx, 1.0))
 

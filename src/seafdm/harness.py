@@ -196,6 +196,12 @@ class ExperimentConfig:
                 raise ConfigError("bias-sweep needs a nonempty bias_values list")
             if self.eve_mode != "biased":
                 raise ConfigError(f"bias-sweep runs the biased guess; eve_mode={self.eve_mode!r} contradicts it")
+        if self.eve_bias > 0.0 and (self.eve_mode != "biased" or self.scenario not in ("eve-ber", "csi-error-ber")):
+            # bob-vs-afdm-ber has no interceptor, and bias-sweep sweeps bias_values in its place
+            raise ConfigError(
+                f"eve_bias={self.eve_bias} is read only by the biased guess of eve-ber and csi-error-ber, "
+                f"not by {self.scenario} with eve_mode={self.eve_mode!r}"
+            )
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
         ncp = self.paths - 1 if self.ncp is None else self.ncp
@@ -662,7 +668,12 @@ def run_sinr_curve(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def search_space_summary(config: ExperimentConfig) -> dict:
-    """Exhaustive-search size of the schedule space: n * log2(m) bits per frame."""
+    """Size of one frame's schedule, n * log2(m) bits, and the degree of the register that draws it.
+
+    The schedule bits bound a search that treats each frame's schedule as
+    free.  Every schedule comes from one nonzero register state, so at most
+    2**register_degree - 1 of them can occur.
+    """
     bits = config.n * config.codebook.bits_per_subcarrier
     return {
         "n": config.n,
@@ -670,6 +681,7 @@ def search_space_summary(config: ExperimentConfig) -> dict:
         "bits_per_subcarrier": config.codebook.bits_per_subcarrier,
         "search_space_bits": bits,
         "log10_schedules": bits * float(np.log10(2.0)),
+        "register_degree": max(config.lfsr_taps),
     }
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "zero_schedule",
     "generate_schedule",
     "schedule_levels",
-    "schedule_rates",
 ]
 
 # Primitive characteristic polynomial x^32 + x^22 + x^2 + x + 1, written as
@@ -136,10 +135,8 @@ class C2Schedule:
     """Per-subcarrier chirp rates plus the end that holds them.
 
     values is one frame's rates, shape (n,), or a stack of F frames' rates,
-    shape (F, n), held by one end; the length is n either way.  Rates may be
-    given as LevelRates: values then holds the rates levels[index], and
-    chirp_rates, what se_afdm_modulate passes to idaft, keeps the
-    LevelRates, so the transform gathers its chirps from the levels' table.
+    shape (F, n).  Given LevelRates, values holds the rates levels[index] and
+    chirp_rates, which se_afdm_modulate passes to idaft, keeps the LevelRates.
     """
 
     values: np.ndarray
@@ -174,12 +171,8 @@ def generate_schedule(state: Lfsr, book: Codebook, n: int, owner: str = "alice")
     """
     if n < 1:
         raise ContractViolation("schedule length must be positive")
-    return C2Schedule(schedule_rates(state.next_bits(n * book.bits_per_subcarrier), book), owner)
-
-
-def schedule_rates(bits: np.ndarray, book: Codebook) -> np.ndarray:
-    """Codebook level of each subcarrier: the rates book.levels[schedule_levels(bits, book)]."""
-    return book.levels[schedule_levels(bits, book)]
+    index = schedule_levels(state.next_bits(n * book.bits_per_subcarrier), book)
+    return C2Schedule(LevelRates(book.levels, index), owner)
 
 
 def schedule_levels(bits: np.ndarray, book: Codebook) -> np.ndarray:

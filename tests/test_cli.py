@@ -228,6 +228,7 @@ def test_bias_sweep_without_values_exits_2(capsys):
         (f"n={10**400}", "n"),
         (f"trials={2**32}", "trials"),
         ("workers=257", "workers"),
+        ("eve_bias=0.5", "eve_bias"),
     ],
 )
 def test_bad_value_exits_2_naming_its_field(override, field, capsys):
@@ -324,3 +325,7 @@ def test_search_space_report(capsys):
     assert main(["search-space", "--set", "n=64", "--set", "m=4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["search_space_bits"] == 128
+    assert payload["register_degree"] == 32
+    assert main(["search-space", "--set", "n=1024", "--set", "lfsr_taps=[7, 6, 0]"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["search_space_bits"], payload["register_degree"]) == (2048, 7)

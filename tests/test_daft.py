@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seafdm import ContractViolation, ExperimentConfig, FrameParams
@@ -113,13 +113,17 @@ def test_chirp_diag_large_index_phase_precision():
 
 
 def test_scalar_chirp_is_built_once_and_read_only():
+    # a scalar rate is the row of its one-level table, shared and read-only
     a = chirp_diag(0.37, 16)
-    assert chirp_diag(0.37, 16) is a
+    table = daft_module._chirp_table(np.array([0.37]), 16, False)
+    assert table.shape == (1, 16) and np.shares_memory(a, table)
+    assert np.shares_memory(chirp_diag(0.37, 16), a)
     with pytest.raises(ValueError):
         a[3] = 0.0
     with pytest.raises(ValueError):
         a *= 2.0
     np.testing.assert_allclose(a, np.exp(-2j * np.pi * 0.37 * np.arange(16.0) ** 2), atol=1e-12)
+    assert a.tobytes() == chirp_diag(np.full(16, 0.37), 16).tobytes()
     # a per-index rate vector is built fresh and belongs to the caller
     v = chirp_diag(np.full(16, 0.37), 16)
     v[3] = 0.0
@@ -153,14 +157,21 @@ def test_zero_rate_rows_are_exact_ones_and_mixed_stacks_keep_their_bytes():
 @given(
     # 5e-324 rounds the inner levels of m=4 to -0.0 and 0.0, so rows mix zero and nonzero rates
     c2max=st.sampled_from([0.0, 1e-9, 4.88e-5, 0.2, 5e-324]),
+    # a 0.0 level beside nonzero ones, as the block appends for zero rates
+    zero_level=st.booleans(),
     bits=st.integers(1, 6),
     n=st.integers(2, 2048),
     frames=st.integers(1, 3),
     conjugate=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_level_table_rows_are_the_chirps_of_their_levels(c2max, bits, n, frames, conjugate, seed):
+@example(c2max=1e-9, zero_level=True, bits=2, n=8, frames=3, conjugate=False, seed=1)
+@example(c2max=4.88e-5, zero_level=True, bits=2, n=1024, frames=2, conjugate=True, seed=2)
+@example(c2max=0.2, zero_level=True, bits=3, n=64, frames=2, conjugate=False, seed=3)
+def test_level_table_rows_are_the_chirps_of_their_levels(c2max, zero_level, bits, n, frames, conjugate, seed):
     levels = build_codebook(c2max, 1 << bits).levels
+    if zero_level:
+        levels = np.append(levels, 0.0)
     table = daft_module._chirp_table(levels, n, conjugate)
     for k, level in enumerate(levels):
         assert table[k].tobytes() == chirp_diag(np.full(n, level), n, conjugate=conjugate).tobytes()

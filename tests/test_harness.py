@@ -156,6 +156,12 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"trials": 2**32},
         {"workers": 257},
         {"workers": 100_000},
+        # eve_bias only the biased guess reads
+        {"eve_bias": 0.5},
+        {"eve_bias": 0.5, "eve_mode": "random"},
+        {"scenario": "bob-vs-afdm-ber", "eve_bias": 0.5},
+        {"scenario": "bob-vs-afdm-ber", "eve_mode": "biased", "eve_bias": 0.5},
+        {"scenario": "bias-sweep", "bias_values": (1e-3,), "eve_bias": 0.5},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -691,6 +697,9 @@ def test_search_space_summary():
     assert out["search_space_bits"] == 128
     assert out["bits_per_subcarrier"] == 2
     assert out["log10_schedules"] == pytest.approx(128 * np.log10(2))
+    # every schedule comes from one state of the degree-32 register
+    assert out["register_degree"] == 32
+    assert search_space_summary(tiny_config(n=1024, lfsr_taps=(5, 2, 0)))["register_degree"] == 5
 
 
 def test_wilson_interval():

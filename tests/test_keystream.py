@@ -22,7 +22,7 @@ from seafdm import (
 from seafdm.channel import EffectiveChannel
 from seafdm.daft import LevelRates, SignalBlock
 from seafdm.harness import search_space_summary
-from seafdm.keystream import schedule_levels, schedule_rates
+from seafdm.keystream import schedule_levels
 from seafdm.waveform import qpsk
 
 from oracles import lfsr_step
@@ -226,14 +226,14 @@ def test_stacked_schedule_rates_equal_each_frame_alone():
     for m in (2, 4, 16):
         book = build_codebook(1e-4, m)
         frames = [Lfsr(seed=seed).next_bits(24 * book.bits_per_subcarrier) for seed in (3, 5, 9)]
-        rates = schedule_rates(np.array(frames), book)
+        rates = book.levels[schedule_levels(np.array(frames), book)]
         assert rates.shape == (3, 24)
         for seed, row in zip((3, 5, 9), rates):
             assert row.tobytes() == generate_schedule(Lfsr(seed=seed), book, 24, "alice").values.tobytes()
         stack = C2Schedule(rates, "alice")
         assert len(stack) == 24 and stack.values.shape == (3, 24)
     with pytest.raises(ContractViolation, match="4-bit levels"):
-        schedule_rates(np.zeros(6, dtype=np.uint8), build_codebook(1e-4, 16))
+        schedule_levels(np.zeros(6, dtype=np.uint8), build_codebook(1e-4, 16))
     with pytest.raises(ContractViolation):
         C2Schedule(np.zeros((2, 3, 4)), "alice")
 
@@ -244,13 +244,17 @@ def test_level_indices_pick_the_rates_and_a_schedule_keeps_them():
     index = schedule_levels(frames, book)
     assert index.shape == (2, 24) and index.dtype == np.int64
     assert index.min() >= 0 and index.max() < 8
-    rates = schedule_rates(frames, book)
-    assert rates.tobytes() == book.levels[index].tobytes()
+    rates = book.levels[index]
     coded = C2Schedule(LevelRates(book.levels, index), "alice")
     assert coded.values.tobytes() == rates.tobytes() and len(coded) == 24
     assert coded.chirp_rates.index is index and coded.chirp_rates.levels is book.levels
     plain = C2Schedule(rates, "alice")
     assert plain.chirp_rates is plain.values
+    # a generated schedule keeps its register's level indices
+    sched = generate_schedule(Lfsr(seed=5), book, 24, "alice")
+    assert sched.chirp_rates.levels is book.levels
+    np.testing.assert_array_equal(sched.chirp_rates.index, index[1])
+    assert sched.values.tobytes() == rates[1].tobytes()
     with pytest.raises(ContractViolation):
         C2Schedule(LevelRates(np.array([0.0, np.nan]), index % 2), "alice")
 
