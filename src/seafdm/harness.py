@@ -62,6 +62,7 @@ from .keystream import (
     Lfsr,
     build_codebook,
     generate_schedule,
+    keystream_bits,
     schedule_levels,
     zero_schedule,
 )
@@ -196,8 +197,11 @@ class ExperimentConfig:
                 raise ConfigError("bias-sweep needs a nonempty bias_values list")
             if self.eve_mode != "biased":
                 raise ConfigError(f"bias-sweep runs the biased guess; eve_mode={self.eve_mode!r} contradicts it")
-        if self.eve_bias > 0.0 and (self.eve_mode != "biased" or self.scenario not in ("eve-ber", "csi-error-ber")):
-            # bob-vs-afdm-ber has no interceptor, and bias-sweep sweeps bias_values in its place
+        if self.scenario == "bob-vs-afdm-ber" and self.eve_mode != "zeros":
+            # an unset eve_mode resolves to zeros, so only a guess nothing draws passes
+            raise ConfigError(f"bob-vs-afdm-ber has no interceptor; eve_mode={self.eve_mode!r} would be ignored")
+        if self.eve_bias > 0.0 and (self.eve_mode != "biased" or self.scenario == "bias-sweep"):
+            # bias-sweep sweeps bias_values in its place
             raise ConfigError(
                 f"eve_bias={self.eve_bias} is read only by the biased guess of eve-ber and csi-error-ber, "
                 f"not by {self.scenario} with eve_mode={self.eve_mode!r}"
@@ -439,17 +443,19 @@ class _Block:
 
     The first trial to ask computes the seed words of every trial of the
     block at once.  Each trial parks only the draws of its own generators:
-    data bits, keystream bits, the path draws of each channel it samples,
-    Eve's guess draws and one noise generator per received row.  Every
-    trial has two rows: Bob's, then the plain-AFDM frame through his
-    channel or Eve's row through hers.  The trial that fills the block maps
-    all the draws at once (symbols, level indices, guesses, path gains and
-    Dopplers), then modulates, passes through the channel, equalizes,
-    transforms and demaps every row.  Keystream bits become codebook level
-    indices, not rates, so Alice's transmit rows, Bob's receive rows and
-    the rows of Eve's random guess gather their chirps from the codebook's
-    chirp tables; zero rates are exact ones, and only a biased guess is
-    exponentiated.
+    data bits, its keystream register's state, the path draws of each
+    channel it samples, Eve's guess draws and one noise generator per
+    received row.  Every trial has two rows: Bob's, then the plain-AFDM
+    frame through his channel or Eve's row through hers.  The trial that
+    fills the block maps all the draws at once (keystream bits of every
+    state through one output-mask table, symbols, level indices, guesses,
+    path gains and Dopplers), then modulates, passes through the channel,
+    equalizes, transforms and demaps every row.  Keystream bits become
+    codebook level indices, not rates, so Alice's transmit rows, Bob's
+    receive rows and the rows of Eve's random guess gather their chirps
+    from the codebook's chirp tables; zero rates are exact ones, and a
+    biased block, whose guess is off the codebook, exponentiates both its
+    receive rows as one stack of rates.
     """
 
     def __init__(self, config: ExperimentConfig, point_idx: int, trials: range):
@@ -457,7 +463,7 @@ class _Block:
         self.point_idx = point_idx
         self.trials = trials
         self.size = len(trials)
-        self.bits, self.keys, self.guesses, self.links, self.noise = [], [], [], [], []
+        self.bits, self.states, self.guesses, self.links, self.noise = [], [], [], [], []
         self._seeds = None
 
     def seeds(self, trial_idx: int) -> dict[str, np.ndarray]:
@@ -466,10 +472,10 @@ class _Block:
             self._seeds = _trial_seeds(self.config, self.point_idx, self.trials)
         return self._seeds[trial_idx - self.trials.start]
 
-    def park(self, bits: np.ndarray, keys: np.ndarray, guess, links: list, noise: list) -> bool:
+    def park(self, bits: np.ndarray, state: int, guess, links: list, noise: list) -> bool:
         """Add one trial's draws; True once the block is full."""
         self.bits.append(bits)
-        self.keys.append(keys)
+        self.states.append(state)
         self.guesses.append(guess)
         self.links += links
         self.noise += noise
@@ -481,24 +487,26 @@ class _Block:
         params, const, n = config.frame_params, config.constellation, config.n
         bits = np.array(self.bits)
         x = map_bits(bits.ravel(), const).reshape(self.size, n)
-        alice = schedule_levels(np.array(self.keys), config.codebook)
+        book = config.codebook
+        keys = keystream_bits(np.array(self.states, dtype=np.uint64), config.lfsr_taps, n * book.bits_per_subcarrier)
+        alice = schedule_levels(keys, book)
         links = paths_from_draws(np.array(self.links), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
         if afdm:
             # the plain-AFDM frame is a second right-hand side of Bob's system
-            rates = _row_rates("zeros", config.codebook, alice, None)
+            rates = _row_rates("zeros", book, alice, None)
             tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
         else:
-            # she does not undo the transmit schedule; her DAFT at rate zero
-            # followed by descramble(guess) is her DAFT at the guessed rates
-            rates = _row_rates(config.eve_mode, config.codebook, alice, np.array(self.guesses))
-            tx = se_afdm_modulate(x, params, C2Schedule(LevelRates(config.codebook.levels, alice), "alice"))
+            rates = _row_rates(config.eve_mode, book, alice, np.array(self.guesses))
+            tx = se_afdm_modulate(x, params, C2Schedule(LevelRates(book.levels, alice), "alice"))
         # each link carries its rows: Bob's two frames, or one frame per receiver
         samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
         rows = SignalBlock(samples.reshape(len(self.links), -1, samples.shape[-1]), tx.prefix_len)
         cores = remove_cpp(apply_channel(rows, links, self.noise, sigma2), params)
         # the banded time-domain solve seen through the transmit DAFT equals
         # the subcarrier-domain MMSE (the receiver's own DAFT cancels), so
-        # each row's solution goes through the DAFT at its row's rates
+        # each row's solution goes through the DAFT at its row's rates; Eve
+        # does not undo the transmit schedule, and her DAFT at rate zero
+        # followed by descramble(guess) is her DAFT at the guessed rates
         s_hat = banded_mmse_equalize(cores, circular_taps(links, params), sigma2)
         received = demap(daft(s_hat, params, rates.reshape(cores.shape)), const).reshape(self.size, 2, -1)
         sent = np.broadcast_to(bits[:, None, :], received.shape)
@@ -528,7 +536,7 @@ def _run_trial(
 
     seeds = _trial_seeds(config, point_idx, (trial_idx,))[0] if block is None else block.seeds(trial_idx)
     bits = _rng(seeds["data"]).integers(0, 2, size=n * const.bits_per_symbol)
-    keystream = Lfsr(config.lfsr_taps, _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps))
+    state = _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps)
     rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
 
     if block is not None:
@@ -543,7 +551,7 @@ def _run_trial(
             guess = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)
             links.append(draw_paths(_rng(seeds["eve_channel"]), config.paths))
             noise.append(_rng(seeds["eve_noise"]))
-        if not block.park(bits, keystream.next_bits(n * book.bits_per_subcarrier), guess, links, noise):
+        if not block.park(bits, state, guess, links, noise):
             return 0, 0, 0, 0
         bob_err, other_err = block.finish(sigma2, need_afdm)
         if need_afdm:
@@ -551,7 +559,7 @@ def _run_trial(
         return bob_err, other_err, 0, block.size * bits.size
 
     x = map_bits(bits, const)
-    alice = generate_schedule(keystream, book, n, "alice")
+    alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
 
     def channel(name, label=""):
         rng = _rng(seeds[name])

@@ -6,11 +6,18 @@ subcarrier-domain chirp rate from a small quantized codebook.  The
 register is a stand-in for whatever stream cipher a deployment would
 use; the simulator needs determinism, balance, and a documented
 polynomial, nothing more.
+
+The register's output is linear over GF(2) in its state: output bit j of
+the register started in state s is the parity of s & mask[j], where the
+masks depend only on the taps (keystream_bits).  So any register_degree
+correct output bits at independent positions give the state, and with it
+every later bit.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,7 @@ from .exceptions import ContractViolation
 __all__ = [
     "DEFAULT_TAPS",
     "Lfsr",
+    "keystream_bits",
     "Codebook",
     "build_codebook",
     "C2Schedule",
@@ -70,31 +78,83 @@ class Lfsr:
     def next_bits(self, count: int) -> np.ndarray:
         """The next ``count`` output bits as a uint8 vector; same as ``count`` steps.
 
-        The output obeys o[k + d] = XOR over t in taps[1:] of o[k + t], and
-        because squaring over GF(2) is linear, p(x)**s = p(x**s) for s a power
-        of two, so o[k + d*s] = XOR of o[k + t*s] as well.  The stream is held
-        as one Python int (bit i is o[i], starting from the register state)
-        and each round appends (d - max tap) * s bits with one shift and XOR
-        per tap, doubling s as the known stream grows.
+        Bits count..count+d-1 of the stream from the current state are the
+        register's state after ``count`` steps, least significant first.
         """
         if count < 0:
             raise ContractViolation("bit count must be nonnegative")
-        d = self.degree
-        taps = self.taps[1:]
-        block = d - taps[0]
-        stream, known, s = self.state, d, 1
-        while known < count + d:
-            while d * 2 * s <= known:
-                s *= 2
-            start = known - d * s
-            chunk = 0
-            for t in taps:
-                chunk ^= stream >> (start + t * s)
-            stream |= (chunk & ((1 << (block * s)) - 1)) << known
-            known += block * s
-        self.state = (stream >> count) & ((1 << d) - 1)
-        raw = (stream & ((1 << count) - 1)).to_bytes((count + 7) // 8, "little")
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
+        stream = keystream_bits(self.state, self.taps, count + self.degree)
+        self.state = int.from_bytes(np.packbits(stream[count:], bitorder="little").tobytes(), "little")
+        return stream[:count]
+
+
+# Tap sets whose output masks are kept; one table each, grown on demand
+_MASK_TABLES = 16
+_GROWING = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_MASK_TABLES)
+def _mask_table(taps: tuple) -> list[np.ndarray]:
+    """One-slot holder of a tap set's output masks, replaced by a longer table as it grows."""
+    masks = np.left_shift(np.uint64(1), np.arange(taps[0], dtype=np.uint64))
+    masks.flags.writeable = False
+    return [masks]
+
+
+def _output_masks(taps: tuple, count: int) -> np.ndarray:
+    """Read-only uint64 masks 0..count-1: output bit j of state s is the parity of s & masks[j].
+
+    Mask i < d is the state bit 1 << i, and the masks obey the output
+    recurrence m[k + d] = XOR over t in taps[1:] of m[k + t].  A mask does
+    not depend on count, so each tap set keeps one table, grown to the
+    largest count asked for, and every call reads a slice of it.
+    """
+    held = _mask_table(taps)
+    if held[0].size < count:
+        with _GROWING:
+            if held[0].size < count:
+                held[0] = _grow(held[0], taps, max(count, 2 * held[0].size))
+    return held[0][:count]
+
+
+def _grow(masks: np.ndarray, taps: tuple, size: int) -> np.ndarray:
+    """masks extended to size entries by the output recurrence.
+
+    Squaring over GF(2) is linear, so p(x)**s = p(x**s) for s a power of
+    two and m[k + d*s] = XOR over t of m[k + t*s] as well; each round fills
+    (d - max tap) * s entries with one XOR per tap, doubling s as the
+    known table grows.
+    """
+    d, rest = taps[0], taps[1:]
+    out = np.empty(size, dtype=np.uint64)
+    known = masks.size
+    out[:known] = masks
+    s = 1
+    while known < size:
+        while d * 2 * s <= known:
+            s *= 2
+        stop = min(known + (d - rest[0]) * s, size)
+        acc = np.zeros(stop - known, dtype=np.uint64)
+        for t in rest:
+            acc ^= out[known - (d - t) * s : stop - (d - t) * s]
+        out[known:stop] = acc
+        known = stop
+    out.flags.writeable = False
+    return out
+
+
+def keystream_bits(states, taps, count: int) -> np.ndarray:
+    """The first ``count`` output bits of the register started in each state, shape (..., count) uint8.
+
+    states holds register states of any shape (each below 2**degree), and
+    bit j of row s is the parity of s & mask[j] (_output_masks): the bits
+    Lfsr(taps, s).next_bits(count) gives, for every state at once.
+    """
+    if count < 0:
+        raise ContractViolation("bit count must be nonnegative")
+    masks = _output_masks(_polynomial(tuple(taps)), count)
+    states = np.asarray(states, dtype=np.uint64)
+    return (np.bitwise_count(states[..., None] & masks) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

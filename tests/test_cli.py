@@ -237,6 +237,14 @@ def test_bad_value_exits_2_naming_its_field(override, field, capsys):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("mode", ["random", "biased"])
+def test_a_guess_on_bob_vs_afdm_exits_2_naming_eve_mode(mode, capsys):
+    argv = ["simulate", "--set", "scenario=bob-vs-afdm-ber", "--set", f"eve_mode={mode}", "--set", "n=32", "--set", "paths=2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eve_mode" in err
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--scenario", "eve-ber"], ["bias-sweep", "--bias", "0.0"]])
 def test_second_spellings_are_gone(argv, capsys):
     with pytest.raises(SystemExit) as exc:

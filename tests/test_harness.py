@@ -35,7 +35,7 @@ from seafdm import (
 )
 import seafdm
 from seafdm import daft as daft_module
-from seafdm import detection, harness
+from seafdm import detection, harness, keystream
 from seafdm.channel import ChannelRealization
 from seafdm.harness import (
     TrialRecord,
@@ -83,6 +83,13 @@ def test_unset_eve_mode_is_the_scenario_default():
     assert ExperimentConfig.from_dict({"eve_mode": None, "scenario": "bias-sweep", "bias_values": [0.0]}).eve_mode == "biased"
     with pytest.raises(ConfigError, match="eve_mode='random'"):
         ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,), eve_mode="random")
+    # bob-vs-afdm-ber has no interceptor: its unset eve_mode is zeros, which
+    # a copy of its config passes on, and any guess that draws is rejected
+    bob = ExperimentConfig(scenario="bob-vs-afdm-ber")
+    assert bob.eve_mode == "zeros" and replace(bob, seed=2).eve_mode == "zeros"
+    for mode in ("random", "biased"):
+        with pytest.raises(ConfigError, match=f"eve_mode='{mode}'"):
+            ExperimentConfig(scenario="bob-vs-afdm-ber", eve_mode=mode)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +169,9 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"scenario": "bob-vs-afdm-ber", "eve_bias": 0.5},
         {"scenario": "bob-vs-afdm-ber", "eve_mode": "biased", "eve_bias": 0.5},
         {"scenario": "bias-sweep", "bias_values": (1e-3,), "eve_bias": 0.5},
+        # bob-vs-afdm-ber has no interceptor to guess
+        {"scenario": "bob-vs-afdm-ber", "eve_mode": "random"},
+        {"scenario": "bob-vs-afdm-ber", "eve_mode": "biased"},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -523,6 +533,30 @@ def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated
     if exponentiated:
         # Bob's rows are stacked with Eve's, one row per link
         assert all(np.isin(c.reshape(-1, 2, cfg.n)[:, 0], cfg.codebook.levels).all() for c in second)
+
+
+def test_an_exact_csi_point_builds_no_register(monkeypatch):
+    # a block maps its trials' register states to bits through one mask
+    # table; only the CSI-error chain builds and steps a register per trial
+    dense = tiny_config(scenario="csi-error-ber", csi_error_var=1e-3, trials=3)
+    built, stepped = [], []
+    init, next_bits = keystream.Lfsr.__init__, keystream.Lfsr.next_bits
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_next_bits(self, count):
+        stepped.append(count)
+        return next_bits(self, count)
+
+    monkeypatch.setattr(keystream.Lfsr, "__init__", counted_init)
+    monkeypatch.setattr(keystream.Lfsr, "next_bits", counted_next_bits)
+    for cfg in BLOCK_SCENARIOS[:5]:
+        run_scenario(cfg)
+    assert built == [] and stepped == []
+    run_scenario(dense)
+    assert len(built) == len(stepped) == dense.trials
 
 
 def test_one_banded_factorization_per_block(monkeypatch):

@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seafdm import (
@@ -22,7 +22,8 @@ from seafdm import (
 from seafdm.channel import EffectiveChannel
 from seafdm.daft import LevelRates, SignalBlock
 from seafdm.harness import search_space_summary
-from seafdm.keystream import schedule_levels
+from seafdm import keystream
+from seafdm.keystream import keystream_bits, schedule_levels
 from seafdm.waveform import qpsk
 
 from oracles import lfsr_step
@@ -111,6 +112,58 @@ def test_next_bits_short_counts_match_stepping(taps):
         assert fast.state == ref.state
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    taps=st.sampled_from(TAP_SETS),
+    seeds=st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=4),
+    count=st.integers(0, 20_000),
+)
+@example(taps=DEFAULT_TAPS, seeds=[1], count=0)
+@example(taps=(64, 63, 61, 60, 0), seeds=[2**64 - 1, 1, 2**63], count=129)
+def test_keystream_bits_of_stacked_states_equal_stepping_each_register(taps, seeds, count):
+    states = [seed % ((1 << taps[0]) - 1) + 1 for seed in seeds]
+    stack = np.array(states, dtype=np.uint64)
+    got = keystream_bits(stack, taps, count)
+    assert got.dtype == np.uint8 and got.shape == (len(states), count)
+    for state, row in zip(states, got):
+        np.testing.assert_array_equal(row, stepped(Lfsr(taps, state), count))
+    # any leading shape, a lone state included
+    np.testing.assert_array_equal(keystream_bits(stack[:, None], taps, count)[:, 0], got)
+    np.testing.assert_array_equal(keystream_bits(states[0], taps, count), got[0])
+
+
+@pytest.mark.parametrize("taps", TAP_SETS)
+def test_split_next_bits_equal_one_call(taps):
+    total = 3 * taps[0] + 5
+    whole = Lfsr(taps, 5)
+    bits = whole.next_bits(total)
+    for first in range(total + 1):
+        reg = Lfsr(taps, 5)
+        head = reg.next_bits(first)
+        np.testing.assert_array_equal(np.concatenate((head, reg.next_bits(total - first))), bits)
+        assert reg.state == whole.state
+
+
+def test_output_masks_are_one_read_only_table_per_tap_set():
+    taps = keystream._polynomial((5, 2, 0))
+    first = keystream._output_masks(taps, 7)
+    assert first.dtype == np.uint64 and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0
+    # the state bits, then the output recurrence m[k + 5] = m[k + 2] ^ m[k]
+    grown = keystream._output_masks(taps, 5_000)
+    np.testing.assert_array_equal(grown[:5], 1 << np.arange(5))
+    np.testing.assert_array_equal(grown[5:], grown[2:-3] ^ grown[:-5])
+    np.testing.assert_array_equal(grown[:7], first)
+    # every count reads the one table of its tap set, however the taps are written
+    held = keystream._mask_table(taps)
+    assert keystream._mask_table(keystream._polynomial((0, 2, 5))) is held
+    for count in (0, 1, 10, 4_999, 5_000):
+        assert keystream._output_masks(taps, count).base is held[0]
+    assert not np.shares_memory(held[0], keystream._output_masks(keystream._polynomial((4, 1, 0)), 5_000))
+    assert not held[0].flags.writeable
+
+
 def test_default_stream_golden_digest():
     # sha256 of np.packbits over the first 65,536 bits of Lfsr(seed=1), taken
     # from the bit-serial register before next_bits became word-parallel
@@ -126,6 +179,8 @@ def test_negative_bit_count_is_rejected():
     with pytest.raises(ContractViolation):
         reg.next_bits(-1)
     assert reg.state == 3
+    with pytest.raises(ContractViolation):
+        keystream_bits([3], DEFAULT_TAPS, -1)
 
 
 def test_same_seed_same_stream():
