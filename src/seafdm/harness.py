@@ -375,16 +375,6 @@ def _draw_lfsr_state(rng: np.random.Generator, taps: tuple[int, ...]) -> int:
     return state or 1
 
 
-def _eve_guess(
-    mode: str,
-    alice: C2Schedule,
-    book: Codebook,
-    rng: np.random.Generator | None,
-    bias: float,
-) -> C2Schedule:
-    return C2Schedule(_guess_rates(mode, alice.values, book, _draw_guess(mode, rng, len(alice), book.m, bias)), "eve")
-
-
 def _draw_guess(mode: str, rng: np.random.Generator | None, n: int, m: int, bias: float) -> np.ndarray | None:
     """Eve's draws for one frame: none for zeros, level indices for random, offsets from Alice's rates for biased."""
     if mode == "zeros":
@@ -561,14 +551,15 @@ def _run_trial(
     x = map_bits(bits, const)
     alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
 
-    def channel(name, label=""):
+    def channel(name):
         rng = _rng(seeds[name])
-        return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler, label=label)
+        return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler)
 
     realization = channel("bob_channel")
     if need_eve:
-        guess = _eve_guess(config.eve_mode, alice, book, rng_guess, bias)
-        eve_channel = channel("eve_channel", "eve")
+        draws = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)
+        guess = C2Schedule(_guess_rates(config.eve_mode, alice.values, book, draws), "eve")
+        eve_channel = channel("eve_channel")
     tx = se_afdm_modulate(x, params, alice)
     rng_csi = _rng(seeds["csi"])
 

@@ -17,7 +17,6 @@ every later bit.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,52 +87,26 @@ class Lfsr:
         return stream[:count]
 
 
-# Tap sets whose output masks are kept; one table each, grown on demand
-_MASK_TABLES = 16
-_GROWING = threading.Lock()
-
-
-@functools.lru_cache(maxsize=_MASK_TABLES)
-def _mask_table(taps: tuple) -> list[np.ndarray]:
-    """One-slot holder of a tap set's output masks, replaced by a longer table as it grows."""
-    masks = np.left_shift(np.uint64(1), np.arange(taps[0], dtype=np.uint64))
-    masks.flags.writeable = False
-    return [masks]
-
-
+@functools.lru_cache(maxsize=16)
 def _output_masks(taps: tuple, count: int) -> np.ndarray:
     """Read-only uint64 masks 0..count-1: output bit j of state s is the parity of s & masks[j].
 
     Mask i < d is the state bit 1 << i, and the masks obey the output
-    recurrence m[k + d] = XOR over t in taps[1:] of m[k + t].  A mask does
-    not depend on count, so each tap set keeps one table, grown to the
-    largest count asked for, and every call reads a slice of it.
-    """
-    held = _mask_table(taps)
-    if held[0].size < count:
-        with _GROWING:
-            if held[0].size < count:
-                held[0] = _grow(held[0], taps, max(count, 2 * held[0].size))
-    return held[0][:count]
-
-
-def _grow(masks: np.ndarray, taps: tuple, size: int) -> np.ndarray:
-    """masks extended to size entries by the output recurrence.
-
-    Squaring over GF(2) is linear, so p(x)**s = p(x**s) for s a power of
-    two and m[k + d*s] = XOR over t of m[k + t*s] as well; each round fills
-    (d - max tap) * s entries with one XOR per tap, doubling s as the
-    known table grows.
+    recurrence m[k + d] = XOR over t in taps[1:] of m[k + t].  A run reads
+    one count per tap set, so each (taps, count) is built once and cached,
+    like the other geometry tables.  Squaring over GF(2) is linear, so
+    p(x)**s = p(x**s) for s a power of two and m[k + d*s] = XOR over t of
+    m[k + t*s] as well; each round fills (d - max tap) * s entries with one
+    XOR per tap, doubling s as the known table grows.
     """
     d, rest = taps[0], taps[1:]
-    out = np.empty(size, dtype=np.uint64)
-    known = masks.size
-    out[:known] = masks
-    s = 1
-    while known < size:
+    out = np.empty(count, dtype=np.uint64)
+    known, s = min(d, count), 1
+    out[:known] = np.left_shift(np.uint64(1), np.arange(known, dtype=np.uint64))
+    while known < count:
         while d * 2 * s <= known:
             s *= 2
-        stop = min(known + (d - rest[0]) * s, size)
+        stop = min(known + (d - rest[0]) * s, count)
         acc = np.zeros(stop - known, dtype=np.uint64)
         for t in rest:
             acc ^= out[known - (d - t) * s : stop - (d - t) * s]
@@ -147,7 +120,8 @@ def keystream_bits(states, taps, count: int) -> np.ndarray:
     """The first ``count`` output bits of the register started in each state, shape (..., count) uint8.
 
     states holds register states of any shape (each below 2**degree), and
-    bit j of row s is the parity of s & mask[j] (_output_masks): the bits
+    bit j of row s is the parity of s & mask[j], from the read-only masks
+    cached for (taps, count) (_output_masks): the bits
     Lfsr(taps, s).next_bits(count) gives, for every state at once.
     """
     if count < 0:

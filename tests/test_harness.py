@@ -39,7 +39,8 @@ from seafdm import detection, harness, keystream
 from seafdm.channel import ChannelRealization
 from seafdm.harness import (
     TrialRecord,
-    _eve_guess,
+    _draw_guess,
+    _guess_rates,
     emit_csv,
     run_sinr_curve,
     search_space_summary,
@@ -638,23 +639,18 @@ def test_awgn_reference_ber():
 def test_guess_modes():
     rng = np.random.default_rng(4)
     book = build_codebook(0.05, 4)
-    alice = C2Schedule(book.levels[rng.integers(0, 4, size=32)], "alice")
+    alice = book.levels[rng.integers(0, 4, size=32)]
 
-    zeros = _eve_guess("zeros", alice, book, rng, 0.0)
-    assert zeros.owner == "eve"
-    assert np.all(zeros.values == 0)
+    def guess(mode, bias):
+        return _guess_rates(mode, alice, book, _draw_guess(mode, rng, alice.size, book.m, bias))
 
-    random_guess = _eve_guess("random", alice, book, rng, 0.0)
-    assert random_guess.owner == "eve"
-    assert np.all(np.isin(random_guess.values, book.levels))
-
-    exact = _eve_guess("biased", alice, book, rng, 0.0)
-    assert np.max(np.abs(alice.values - exact.values)) == 0.0
+    assert np.all(guess("zeros", 0.0) == 0)
+    assert np.all(np.isin(guess("random", 0.0), book.levels))
+    assert np.max(np.abs(alice - guess("biased", 0.0))) == 0.0
     for bias in (1e-3, 0.02):
-        guess = _eve_guess("biased", alice, book, rng, bias)
         # one entry is pinned to the boundary; addition rounding is all
         # that separates the measured sup-norm from the requested bias
-        assert np.max(np.abs(alice.values - guess.values)) == pytest.approx(bias, rel=1e-9)
+        assert np.max(np.abs(alice - guess("biased", bias))) == pytest.approx(bias, rel=1e-9)
 
 
 def test_bias_sweep_scenario():

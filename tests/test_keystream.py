@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,24 +146,37 @@ def test_split_next_bits_equal_one_call(taps):
         assert reg.state == whole.state
 
 
-def test_output_masks_are_one_read_only_table_per_tap_set():
+def test_output_masks_are_one_read_only_table_per_taps_and_count():
     taps = keystream._polynomial((5, 2, 0))
-    first = keystream._output_masks(taps, 7)
-    assert first.dtype == np.uint64 and not first.flags.writeable
+    masks = keystream._output_masks(taps, 5_000)
+    assert masks.dtype == np.uint64 and masks.shape == (5_000,) and not masks.flags.writeable
     with pytest.raises(ValueError):
-        first[0] = 0
+        masks[0] = 0
     # the state bits, then the output recurrence m[k + 5] = m[k + 2] ^ m[k]
-    grown = keystream._output_masks(taps, 5_000)
-    np.testing.assert_array_equal(grown[:5], 1 << np.arange(5))
-    np.testing.assert_array_equal(grown[5:], grown[2:-3] ^ grown[:-5])
-    np.testing.assert_array_equal(grown[:7], first)
-    # every count reads the one table of its tap set, however the taps are written
-    held = keystream._mask_table(taps)
-    assert keystream._mask_table(keystream._polynomial((0, 2, 5))) is held
-    for count in (0, 1, 10, 4_999, 5_000):
-        assert keystream._output_masks(taps, count).base is held[0]
-    assert not np.shares_memory(held[0], keystream._output_masks(keystream._polynomial((4, 1, 0)), 5_000))
-    assert not held[0].flags.writeable
+    np.testing.assert_array_equal(masks[:5], 1 << np.arange(5))
+    np.testing.assert_array_equal(masks[5:], masks[2:-3] ^ masks[:-5])
+    # one table per (taps, count), however the taps are written
+    assert keystream._output_masks(keystream._polynomial((0, 2, 5)), 5_000) is masks
+    # a mask does not depend on the count
+    for count in (0, 1, 7, 4_999):
+        np.testing.assert_array_equal(keystream._output_masks(taps, count), masks[:count])
+    assert not np.shares_memory(masks, keystream._output_masks(keystream._polynomial((4, 1, 0)), 5_000))
+
+
+def test_first_concurrent_build_of_a_mask_table():
+    # a tap set and count no other test asks for, so the four threads all miss the cache
+    taps, count, seeds = (7, 1, 0), 3_001, (1, 5, 77, 127)
+    start = threading.Barrier(len(seeds), timeout=30)
+
+    def draw(seed):
+        start.wait()
+        return keystream_bits(seed, taps, count)
+
+    with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+        rows = list(pool.map(draw, seeds))
+    for seed, row in zip(seeds, rows):
+        np.testing.assert_array_equal(row, stepped(Lfsr(taps, seed), count))
+    assert not keystream._output_masks(keystream._polynomial(taps), count).flags.writeable
 
 
 def test_default_stream_golden_digest():
