@@ -187,9 +187,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not all(0 <= v < np.inf for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        if not all(v > -np.inf for v in self.snr_db):
-            # rejects NaN and -inf; +inf is legal, it means a noiseless link
-            raise ConfigError(f"snr_db values must be numbers or +inf, got {self.snr_db}")
+        for name, value in (("eve_bias", self.eve_bias), ("bias_values", max(self.bias_values, default=0.0))):
+            if value > 1.0:
+                # a chirp rate acts modulo 1 (c and c + 1 give one chirp), so a bias of 1 spans every rate error
+                raise ConfigError(f"{name}={getattr(self, name)} exceeds its largest value 1.0")
+        if not all(abs(v) <= 3000.0 or v == np.inf for v in self.snr_db):
+            # 10**(-snr/10) and 10**(snr/10) overflow past 3082 dB; NaN and -inf fail, +inf means noiseless
+            raise ConfigError(f"snr_db values must lie in [-3000, 3000] dB or be +inf, got {self.snr_db}")
         if self.paths > self.n:
             raise ConfigError(f"paths={self.paths} exceeds n={self.n}")
         if self.scenario == "bias-sweep":
@@ -360,9 +364,9 @@ def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> list[dict[
     """Seed words by child name of each trial, for the children a trial of this config reads."""
     skip = {"csi"} if config.csi_error_var == 0.0 else set()
     if config.scenario == "bob-vs-afdm-ber":
-        skip |= {"eve_channel", "eve_noise", "eve_guess"}
+        skip |= {"eve_channel", "eve_noise"}
     if config.eve_mode == "zeros":
-        skip.add("eve_guess")  # the all-zeros guess draws nothing
+        skip.add("eve_guess")  # the all-zeros guess, bob-vs-afdm-ber's only one, draws nothing
     names = [name for name in _STREAMS if name not in skip]
     words = _stream_words(config.seed, point_idx, trials, [_STREAMS.index(name) for name in names])
     return [dict(zip(names, row)) for row in words]
@@ -435,16 +439,18 @@ class _Block:
     block at once.  Each trial parks only the draws of its own generators:
     data bits, its keystream register's state, the path draws of each
     channel it samples, Eve's guess draws and one noise generator per
-    received row.  Every trial has two rows: Bob's, then the plain-AFDM
-    frame through his channel or Eve's row through hers.  The trial that
-    fills the block maps all the draws at once (keystream bits of every
-    state through one output-mask table, symbols, level indices, guesses,
-    path gains and Dopplers), then modulates, passes through the channel,
-    equalizes, transforms and demaps every row.  Keystream bits become
-    codebook level indices, not rates, so Alice's transmit rows, Bob's
-    receive rows and the rows of Eve's random guess gather their chirps
-    from the codebook's chirp tables; zero rates are exact ones, and a
-    biased block, whose guess is off the codebook, exponentiates both its
+    received row.  Every trial has two rows, Bob's and the other receiver's,
+    whose error counts are the (bob, other) of _run_trial's (bob, other,
+    bits): the other row is the plain-AFDM frame through Bob's channel on
+    bob-vs-afdm-ber, Eve's row through hers on every other scenario.  The
+    trial that fills the block maps all the draws at once (keystream bits of
+    every state through one output-mask table, symbols, level indices,
+    guesses, path gains and Dopplers), then modulates, passes through the
+    channel, equalizes, transforms and demaps every row.  Keystream bits
+    become codebook level indices, not rates, so Alice's transmit rows,
+    Bob's receive rows and the rows of Eve's random guess gather their
+    chirps from the codebook's chirp tables; zero rates are exact ones, and
+    a biased block, whose guess is off the codebook, exponentiates both its
     receive rows as one stack of rates.
     """
 
@@ -471,9 +477,10 @@ class _Block:
         self.noise += noise
         return len(self.bits) == self.size
 
-    def finish(self, sigma2: float, afdm: bool) -> list[int]:
-        """Bit errors of each trial's two rows, each summed over the block."""
+    def finish(self, sigma2: float) -> list[int]:
+        """Bit errors of each trial's two rows, (bob, other), each summed over the block."""
         config = self.config
+        afdm = config.scenario == "bob-vs-afdm-ber"
         params, const, n = config.frame_params, config.constellation, config.n
         bits = np.array(self.bits)
         x = map_bits(bits.ravel(), const).reshape(self.size, n)
@@ -504,49 +511,38 @@ class _Block:
 
 
 def _run_trial(
-    config: ExperimentConfig,
-    point_idx: int,
-    trial_idx: int,
-    sigma2: float,
-    bias: float,
-    need_eve: bool,
-    need_afdm: bool,
-    block: _Block | None = None,
-) -> tuple[int, int, int, int]:
-    """One frame end to end; returns the (bob, eve, afdm, bits) error counts it completes.
+    config: ExperimentConfig, point_idx: int, trial_idx: int, sigma2: float, bias: float, block: _Block | None = None
+) -> tuple[int, int, int]:
+    """One frame end to end; returns the (bob, other, bits) error counts it completes.
 
-    With exact CSI (``block`` given) the frame waits in the block: the call
-    parks its draws and completes nothing, unless it fills the block, in
-    which case it runs every parked frame.
+    The other receiver is the plain-AFDM frame on ``bob-vs-afdm-ber`` and
+    Eve on every other scenario.  With exact CSI (``block`` given) the
+    frame waits in the block: the call parks its draws and completes
+    nothing, unless it fills the block, in which case it runs every parked
+    frame.
     """
     params = config.frame_params
     book = config.codebook
     const = config.constellation
     n = config.n
+    afdm = config.scenario == "bob-vs-afdm-ber"
 
     seeds = _trial_seeds(config, point_idx, (trial_idx,))[0] if block is None else block.seeds(trial_idx)
     bits = _rng(seeds["data"]).integers(0, 2, size=n * const.bits_per_symbol)
     state = _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps)
     rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
+    draws = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)  # None for zeros, bob-vs-afdm-ber's guess
 
     if block is not None:
-        # the trial's own draws; the block maps them once it is full
+        # the trial's own draws; the block maps them once it is full.  The
+        # plain-AFDM frame replays Bob's noise through Bob's channel.
         links = [draw_paths(_rng(seeds["bob_channel"]), config.paths)]
-        noise = [_rng(seeds["bob_noise"])]
-        guess = None
-        if need_afdm:
-            # the plain-AFDM frame replays Bob's noise through Bob's channel
-            noise.append(_rng(seeds["bob_noise"]))
-        if need_eve:
-            guess = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)
+        if not afdm:
             links.append(draw_paths(_rng(seeds["eve_channel"]), config.paths))
-            noise.append(_rng(seeds["eve_noise"]))
-        if not block.park(bits, state, guess, links, noise):
-            return 0, 0, 0, 0
-        bob_err, other_err = block.finish(sigma2, need_afdm)
-        if need_afdm:
-            return bob_err, 0, other_err, block.size * bits.size
-        return bob_err, other_err, 0, block.size * bits.size
+        noise = [_rng(seeds["bob_noise"]), _rng(seeds["bob_noise" if afdm else "eve_noise"])]
+        if not block.park(bits, state, draws, links, noise):
+            return 0, 0, 0
+        return *block.finish(sigma2), block.size * bits.size
 
     x = map_bits(bits, const)
     alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
@@ -554,14 +550,6 @@ def _run_trial(
     def channel(name):
         rng = _rng(seeds[name])
         return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler)
-
-    realization = channel("bob_channel")
-    if need_eve:
-        draws = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)
-        guess = C2Schedule(_guess_rates(config.eve_mode, alice.values, book, draws), "eve")
-        eve_channel = channel("eve_channel")
-    tx = se_afdm_modulate(x, params, alice)
-    rng_csi = _rng(seeds["csi"])
 
     def receive(front_end, link, signal, noise, sched_rx, sched_tx, rng_err):
         """Imperfect CSI perturbs the dense subcarrier matrix, so it runs
@@ -575,24 +563,22 @@ def _run_trial(
     def errors(x_hat):
         return count_errors(bits, demap(x_hat, const))
 
+    realization = channel("bob_channel")
+    tx = se_afdm_modulate(x, params, alice)
+    rng_csi = _rng(seeds["csi"])
     bob = C2Schedule(alice.values, "bob")
     bob_err = errors(receive(bob_front_end, realization, tx, "bob_noise", bob, alice, rng_csi))
-
-    eve_err = 0
-    if need_eve:
-        # she knows her own front end, not the transmit schedule
-        scrambled_hat = receive(eve_front_end, eve_channel, tx, "eve_noise", guess, None, rng_csi)
-        eve_err = errors(descramble(scrambled_hat, guess))
-
-    afdm_err = 0
-    if need_afdm:
+    if afdm:
         # fresh generators from Bob's seed words replay his noise and CSI error
         a0 = zero_schedule(n, "alice")
         tx0 = se_afdm_modulate(x, params, a0)
-        x0 = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, _rng(seeds["csi"]))
-        afdm_err = errors(x0)
-
-    return bob_err, eve_err, afdm_err, bits.size
+        other_hat = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, _rng(seeds["csi"]))
+    else:
+        # she knows her own front end, not the transmit schedule
+        guess = C2Schedule(_guess_rates(config.eve_mode, alice.values, book, draws), "eve")
+        scrambled_hat = receive(eve_front_end, channel("eve_channel"), tx, "eve_noise", guess, None, rng_csi)
+        other_hat = descramble(scrambled_hat, guess)
+    return bob_err, errors(other_hat), bits.size
 
 
 def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialRecord:
@@ -602,11 +588,9 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
     else:
         sigma2 = 10.0 ** (-point / 10.0)
         bias = config.eve_bias
-    need_eve = config.scenario in ("eve-ber", "csi-error-ber", "bias-sweep")
-    need_afdm = config.scenario == "bob-vs-afdm-ber"
 
-    def one(trial_idx: int, block: _Block | None = None) -> tuple[int, int, int, int]:
-        return _run_trial(config, point_idx, trial_idx, sigma2, bias, need_eve, need_afdm, block)
+    def one(trial_idx: int, block: _Block | None = None) -> tuple[int, int, int]:
+        return _run_trial(config, point_idx, trial_idx, sigma2, bias, block)
 
     workers = min(config.workers, config.trials)
     start = time.perf_counter()
@@ -624,16 +608,14 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
         outcomes = [one(t) for t in range(config.trials)]
     wall_ms = (time.perf_counter() - start) * 1e3
 
-    bob_err = sum(o[0] for o in outcomes)
-    eve_err = sum(o[1] for o in outcomes)
-    afdm_err = sum(o[2] for o in outcomes)
-    bit_count = sum(o[3] for o in outcomes)
-    nan = float("nan")
+    bob_err, other_err, bit_count = (sum(column) for column in zip(*outcomes))
+    afdm = config.scenario == "bob-vs-afdm-ber"
+    other, nan = other_err / bit_count, float("nan")
     return TrialRecord(
         point=point,
         bob_ber=bob_err / bit_count,
-        eve_ber=eve_err / bit_count if need_eve else nan,
-        afdm_ber=afdm_err / bit_count if need_afdm else nan,
+        eve_ber=nan if afdm else other,
+        afdm_ber=other if afdm else nan,
         bit_count=bit_count,
         seed=config.seed,
         wall_ms=wall_ms,

@@ -237,6 +237,22 @@ def test_bad_value_exits_2_naming_its_field(override, field, capsys):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["simulate", "--set", "snr_db=[-4000]"], "snr_db"),
+        (["sinr-curve", "--set", "snr_db=[4000]"], "snr_db"),
+        (["simulate", "--set", "eve_mode=biased", "--set", "eve_bias=1e308"], "eve_bias"),
+        ([*BIAS_SWEEP, "--set", "bias_values=[1e308]"], "bias_values"),
+    ],
+)
+def test_a_finite_value_that_would_overflow_exits_2_naming_its_field(argv, field, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and field in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["random", "biased"])
 def test_a_guess_on_bob_vs_afdm_exits_2_naming_eve_mode(mode, capsys):
     argv = ["simulate", "--set", "scenario=bob-vs-afdm-ber", "--set", f"eve_mode={mode}", "--set", "n=32", "--set", "paths=2"]

@@ -173,6 +173,14 @@ def test_unset_eve_mode_is_the_scenario_default():
         # bob-vs-afdm-ber has no interceptor to guess
         {"scenario": "bob-vs-afdm-ber", "eve_mode": "random"},
         {"scenario": "bob-vs-afdm-ber", "eve_mode": "biased"},
+        # finite values past the bounds that keep trial 0 and the closed form from overflowing
+        {"snr_db": (-4000.0,)},
+        {"snr_db": (20.0, 4000.0)},
+        {"snr_db": (-3000.5,)},
+        {"eve_mode": "biased", "eve_bias": 1e308},
+        {"eve_mode": "biased", "eve_bias": 1.5},
+        {"scenario": "bias-sweep", "bias_values": (1e308,)},
+        {"scenario": "bias-sweep", "bias_values": (0.0, 1.0 + 2**-52)},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -188,6 +196,21 @@ def test_config_takes_its_largest_counts():
     for name, most in harness._LARGEST.items():
         with pytest.raises(ConfigError, match=f"{name}={2 * most} exceeds"):
             ExperimentConfig(**{name: 2 * most})
+
+
+def test_config_takes_its_largest_snr_and_bias_and_runs_them():
+    # each bound is a value that runs: no overflow in the trial or the closed
+    # form (a RuntimeWarning fails the suite)
+    common = dict(snr_db=(-3000.0, 3000.0, float("inf")), trials=2)
+    for cfg in (
+        tiny_config(eve_mode="biased", eve_bias=1.0, **common),
+        tiny_config(scenario="csi-error-ber", csi_error_var=1e-3, eve_mode="biased", eve_bias=1.0, **common),
+        tiny_config(scenario="bob-vs-afdm-ber", csi_error_var=1e-3, **common),
+        tiny_config(scenario="bias-sweep", bias_values=(1.0,), trials=2),
+    ):
+        assert all(0.0 <= r.bob_ber <= 1.0 for r in run_scenario(cfg))
+    for value in (-3000.0, 3000.0):
+        assert np.isfinite(run_sinr_curve(tiny_config(snr_db=(value,)))[1]).all()
 
 
 def test_workers_bound_is_the_same_on_every_host(monkeypatch):
@@ -685,6 +708,25 @@ def test_afdm_reference_replays_bob_csi_error():
     rec = run_scenario(cfg)[0]
     assert rec.bob_ber > 0.0
     assert rec.bob_ber == rec.afdm_ber
+
+
+@pytest.mark.parametrize("guess", [dict(eve_mode="zeros"), dict(eve_mode="random"), dict(eve_mode="biased", eve_bias=1e-3)])
+def test_csi_error_ber_is_eve_ber_with_a_csi_error(guess):
+    # one decision picks the receiver beside Bob, so the scenario name adds
+    # nothing once csi_error_var is set
+    common = dict(n=32, paths=2, trials=6, snr_db=(10.0, 20.0), csi_error_var=1e-3, **guess)
+    csi = run_scenario(tiny_config(scenario="csi-error-ber", **common))
+    eve = run_scenario(tiny_config(scenario="eve-ber", **common))
+    assert len(csi) == 2 and all(records_equal(a, b) for a, b in zip(csi, eve))
+
+
+@pytest.mark.parametrize("bias", [0.0, 1e-4, 1e-3])
+def test_a_bias_sweep_point_is_eve_ber_with_that_bias(bias):
+    # point 0 of the sweep is trial for trial the biased eve-ber point at snr_db[0]
+    common = dict(n=64, paths=3, trials=40, seed=9, snr_db=(15.0,))
+    swept = run_scenario(tiny_config(scenario="bias-sweep", bias_values=(bias,), **common))[0]
+    fixed = run_scenario(tiny_config(scenario="eve-ber", eve_mode="biased", eve_bias=bias, **common))[0]
+    assert records_equal(replace(swept, point=15.0), fixed)
 
 
 @pytest.mark.parametrize(
