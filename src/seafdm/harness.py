@@ -17,13 +17,14 @@ channel realization, the same noise vector and the same channel-estimate
 error as the scrambled frame (two generators built from one child's words
 replay identical draws), so the comparison isolates the scrambling itself.
 
-With exact channel knowledge the trials of a point run serially in blocks:
-each trial makes only the draws of its own generators, and the trial that
-completes a block maps every draw at once (symbols, schedule level indices,
-Eve's guess, path gains and Dopplers), then modulates, passes through the
-channel, equalizes, transforms and demaps the whole block.  Every draw
-still comes from the trial's own seed tree, and every stacked stage gives
-each frame the bytes it gets alone, so the block size changes no count.
+With exact channel knowledge the trials of a point run serially in blocks,
+and a block's counts are a function of its trial range alone: its last
+trial makes every trial's draws from that trial's own generators, maps
+them at once (symbols, schedule level indices, Eve's guess, path gains and
+Dopplers), then modulates, passes through the channel, equalizes,
+transforms and demaps the whole block; nothing is kept between trials.
+Every stacked stage gives each frame the bytes it gets alone, so the
+block size changes no count.
 """
 
 from __future__ import annotations
@@ -187,15 +188,18 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not all(0 <= v < np.inf for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        for name, value in (("eve_bias", self.eve_bias), ("bias_values", max(self.bias_values, default=0.0))):
-            if value > 1.0:
-                # a chirp rate acts modulo 1 (c and c + 1 give one chirp), so a bias of 1 spans every rate error
+        for name in ("eve_bias", "bias_values", "c2max_values"):
+            if max(np.atleast_1d(getattr(self, name)), default=0.0) > 1.0:
+                # a chirp rate acts modulo 1 (c and c + 1 give one chirp): 1 spans every rate and every rate error
                 raise ConfigError(f"{name}={getattr(self, name)} exceeds its largest value 1.0")
         if not all(abs(v) <= 3000.0 or v == np.inf for v in self.snr_db):
             # 10**(-snr/10) and 10**(snr/10) overflow past 3082 dB; NaN and -inf fail, +inf means noiseless
             raise ConfigError(f"snr_db values must lie in [-3000, 3000] dB or be +inf, got {self.snr_db}")
         if self.paths > self.n:
             raise ConfigError(f"paths={self.paths} exceeds n={self.n}")
+        if self.alpha_max > self.n:
+            # Dopplers nu and nu + n (and chirp rates c1 and c1 + 1) are one on the integer sample grid
+            raise ConfigError(f"alpha_max={self.alpha_max} exceeds n={self.n}")
         if self.scenario == "bias-sweep":
             if not self.bias_values:
                 raise ConfigError("bias-sweep needs a nonempty bias_values list")
@@ -432,117 +436,100 @@ def _block_size(n: int) -> int:
     return max(1, _BLOCK_SAMPLES // n)
 
 
-class _Block:
-    """Exact-CSI trials of one sweep point whose chain runs as one stack.
+def _frame_draws(
+    config: ExperimentConfig, seeds: dict[str, np.ndarray], bias: float
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """One frame's data bits, keystream register state and Eve's guess draws (None for zeros)."""
+    bits = _rng(seeds["data"]).integers(0, 2, size=config.n * config.constellation.bits_per_symbol)
+    state = _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps)
+    rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
+    return bits, state, _draw_guess(config.eve_mode, rng_guess, config.n, config.codebook.m, bias)
 
-    The first trial to ask computes the seed words of every trial of the
-    block at once.  Each trial parks only the draws of its own generators:
-    data bits, its keystream register's state, the path draws of each
-    channel it samples, Eve's guess draws and one noise generator per
-    received row.  Every trial has two rows, Bob's and the other receiver's,
-    whose error counts are the (bob, other) of _run_trial's (bob, other,
-    bits): the other row is the plain-AFDM frame through Bob's channel on
-    bob-vs-afdm-ber, Eve's row through hers on every other scenario.  The
-    trial that fills the block maps all the draws at once (keystream bits of
-    every state through one output-mask table, symbols, level indices,
-    guesses, path gains and Dopplers), then modulates, passes through the
-    channel, equalizes, transforms and demaps every row.  Keystream bits
-    become codebook level indices, not rates, so Alice's transmit rows,
-    Bob's receive rows and the rows of Eve's random guess gather their
-    chirps from the codebook's chirp tables; zero rates are exact ones, and
-    a biased block, whose guess is off the codebook, exponentiates both its
-    receive rows as one stack of rates.
+
+def _run_block(
+    config: ExperimentConfig, point_idx: int, trials: range, sigma2: float, bias: float
+) -> tuple[int, int, int]:
+    """Exact-CSI trials of one sweep point run as one stack; returns their summed (bob, other, bits).
+
+    The seed words of every trial are computed at once, and each trial makes
+    only the draws of its own generators, in trial order: data bits, its
+    keystream register's state, Eve's guess draws, the path draws of each
+    channel it samples and one noise generator per received row.  Every
+    trial has two rows, Bob's and the other receiver's: the plain-AFDM
+    frame through Bob's channel on bob-vs-afdm-ber, Eve's row through hers
+    on every other scenario.  All the draws are then mapped at once
+    (keystream bits of every state through one output-mask table, symbols,
+    level indices, guesses, path gains and Dopplers), and every row is
+    modulated, passed through the channel, equalized, transformed and
+    demapped.  Keystream bits become codebook level indices, not rates, so
+    Alice's transmit rows, Bob's receive rows and the rows of Eve's random
+    guess gather their chirps from the codebook's chirp tables; zero rates
+    are exact ones, and a biased block, whose guess is off the codebook,
+    exponentiates both its receive rows as one stack of rates.
     """
-
-    def __init__(self, config: ExperimentConfig, point_idx: int, trials: range):
-        self.config = config
-        self.point_idx = point_idx
-        self.trials = trials
-        self.size = len(trials)
-        self.bits, self.states, self.guesses, self.links, self.noise = [], [], [], [], []
-        self._seeds = None
-
-    def seeds(self, trial_idx: int) -> dict[str, np.ndarray]:
-        """Seed words by child name of one of the block's trials."""
-        if self._seeds is None:
-            self._seeds = _trial_seeds(self.config, self.point_idx, self.trials)
-        return self._seeds[trial_idx - self.trials.start]
-
-    def park(self, bits: np.ndarray, state: int, guess, links: list, noise: list) -> bool:
-        """Add one trial's draws; True once the block is full."""
-        self.bits.append(bits)
-        self.states.append(state)
-        self.guesses.append(guess)
-        self.links += links
-        self.noise += noise
-        return len(self.bits) == self.size
-
-    def finish(self, sigma2: float) -> list[int]:
-        """Bit errors of each trial's two rows, (bob, other), each summed over the block."""
-        config = self.config
-        afdm = config.scenario == "bob-vs-afdm-ber"
-        params, const, n = config.frame_params, config.constellation, config.n
-        bits = np.array(self.bits)
-        x = map_bits(bits.ravel(), const).reshape(self.size, n)
-        book = config.codebook
-        keys = keystream_bits(np.array(self.states, dtype=np.uint64), config.lfsr_taps, n * book.bits_per_subcarrier)
-        alice = schedule_levels(keys, book)
-        links = paths_from_draws(np.array(self.links), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
-        if afdm:
-            # the plain-AFDM frame is a second right-hand side of Bob's system
-            rates = _row_rates("zeros", book, alice, None)
-            tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
-        else:
-            rates = _row_rates(config.eve_mode, book, alice, np.array(self.guesses))
-            tx = se_afdm_modulate(x, params, C2Schedule(LevelRates(book.levels, alice), "alice"))
-        # each link carries its rows: Bob's two frames, or one frame per receiver
-        samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
-        rows = SignalBlock(samples.reshape(len(self.links), -1, samples.shape[-1]), tx.prefix_len)
-        cores = remove_cpp(apply_channel(rows, links, self.noise, sigma2), params)
-        # the banded time-domain solve seen through the transmit DAFT equals
-        # the subcarrier-domain MMSE (the receiver's own DAFT cancels), so
-        # each row's solution goes through the DAFT at its row's rates; Eve
-        # does not undo the transmit schedule, and her DAFT at rate zero
-        # followed by descramble(guess) is her DAFT at the guessed rates
-        s_hat = banded_mmse_equalize(cores, circular_taps(links, params), sigma2)
-        received = demap(daft(s_hat, params, rates.reshape(cores.shape)), const).reshape(self.size, 2, -1)
-        sent = np.broadcast_to(bits[:, None, :], received.shape)
-        return count_errors(sent, received).sum(axis=0).tolist()
+    afdm = config.scenario == "bob-vs-afdm-ber"
+    params, const, n = config.frame_params, config.constellation, config.n
+    bits, states, guesses, path_draws, noise = [], [], [], [], []
+    for seeds in _trial_seeds(config, point_idx, trials):
+        frame_bits, state, guess = _frame_draws(config, seeds, bias)
+        bits.append(frame_bits)
+        states.append(state)
+        guesses.append(guess)
+        # the plain-AFDM frame replays Bob's noise through Bob's channel
+        path_draws.append(draw_paths(_rng(seeds["bob_channel"]), config.paths))
+        if not afdm:
+            path_draws.append(draw_paths(_rng(seeds["eve_channel"]), config.paths))
+        noise += [_rng(seeds["bob_noise"]), _rng(seeds["bob_noise" if afdm else "eve_noise"])]
+    bits = np.array(bits)
+    x = map_bits(bits.ravel(), const).reshape(len(trials), n)
+    book = config.codebook
+    keys = keystream_bits(np.array(states, dtype=np.uint64), config.lfsr_taps, n * book.bits_per_subcarrier)
+    alice = schedule_levels(keys, book)
+    links = paths_from_draws(np.array(path_draws), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
+    if afdm:
+        # the plain-AFDM frame is a second right-hand side of Bob's system
+        rates = _row_rates("zeros", book, alice, None)
+        tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
+    else:
+        rates = _row_rates(config.eve_mode, book, alice, np.array(guesses))
+        tx = se_afdm_modulate(x, params, C2Schedule(LevelRates(book.levels, alice), "alice"))
+    # each link carries its rows: Bob's two frames, or one frame per receiver
+    samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
+    rows = SignalBlock(samples.reshape(len(path_draws), -1, samples.shape[-1]), tx.prefix_len)
+    cores = remove_cpp(apply_channel(rows, links, noise, sigma2), params)
+    # the banded time-domain solve seen through the transmit DAFT equals
+    # the subcarrier-domain MMSE (the receiver's own DAFT cancels), so
+    # each row's solution goes through the DAFT at its row's rates; Eve
+    # does not undo the transmit schedule, and her DAFT at rate zero
+    # followed by descramble(guess) is her DAFT at the guessed rates
+    s_hat = banded_mmse_equalize(cores, circular_taps(links, params), sigma2)
+    received = demap(daft(s_hat, params, rates.reshape(cores.shape)), const).reshape(len(trials), 2, -1)
+    sent = np.broadcast_to(bits[:, None, :], received.shape)
+    bob, other = count_errors(sent, received).sum(axis=0).tolist()
+    return bob, other, bits.size
 
 
 def _run_trial(
-    config: ExperimentConfig, point_idx: int, trial_idx: int, sigma2: float, bias: float, block: _Block | None = None
+    config: ExperimentConfig, point_idx: int, trial_idx: int, sigma2: float, bias: float, block: range | None = None
 ) -> tuple[int, int, int]:
     """One frame end to end; returns the (bob, other, bits) error counts it completes.
 
     The other receiver is the plain-AFDM frame on ``bob-vs-afdm-ber`` and
-    Eve on every other scenario.  With exact CSI (``block`` given) the
-    frame waits in the block: the call parks its draws and completes
-    nothing, unless it fills the block, in which case it runs every parked
-    frame.
+    Eve on every other scenario.  With exact CSI (``block`` given, the
+    range of trials the frame's block holds) the block's last trial runs
+    the whole block and returns its summed counts, and every other trial
+    of it completes nothing.
     """
+    if block is not None:
+        return _run_block(config, point_idx, block, sigma2, bias) if trial_idx == block[-1] else (0, 0, 0)
     params = config.frame_params
     book = config.codebook
     const = config.constellation
     n = config.n
     afdm = config.scenario == "bob-vs-afdm-ber"
 
-    seeds = _trial_seeds(config, point_idx, (trial_idx,))[0] if block is None else block.seeds(trial_idx)
-    bits = _rng(seeds["data"]).integers(0, 2, size=n * const.bits_per_symbol)
-    state = _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps)
-    rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
-    draws = _draw_guess(config.eve_mode, rng_guess, n, book.m, bias)  # None for zeros, bob-vs-afdm-ber's guess
-
-    if block is not None:
-        # the trial's own draws; the block maps them once it is full.  The
-        # plain-AFDM frame replays Bob's noise through Bob's channel.
-        links = [draw_paths(_rng(seeds["bob_channel"]), config.paths)]
-        if not afdm:
-            links.append(draw_paths(_rng(seeds["eve_channel"]), config.paths))
-        noise = [_rng(seeds["bob_noise"]), _rng(seeds["bob_noise" if afdm else "eve_noise"])]
-        if not block.park(bits, state, draws, links, noise):
-            return 0, 0, 0
-        return *block.finish(sigma2), block.size * bits.size
+    seeds = _trial_seeds(config, point_idx, (trial_idx,))[0]
+    bits, state, draws = _frame_draws(config, seeds, bias)  # draws is None for zeros, bob-vs-afdm-ber's guess
 
     x = map_bits(bits, const)
     alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
@@ -589,7 +576,7 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
         sigma2 = 10.0 ** (-point / 10.0)
         bias = config.eve_bias
 
-    def one(trial_idx: int, block: _Block | None = None) -> tuple[int, int, int]:
+    def one(trial_idx: int, block: range | None = None) -> tuple[int, int, int]:
         return _run_trial(config, point_idx, trial_idx, sigma2, bias, block)
 
     workers = min(config.workers, config.trials)
@@ -599,8 +586,8 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
         outcomes = []
         size = _block_size(config.n)
         for first in range(0, config.trials, size):
-            block = _Block(config, point_idx, range(first, min(first + size, config.trials)))
-            outcomes += [one(t, block) for t in block.trials]
+            block = range(first, min(first + size, config.trials))
+            outcomes += [one(t, block) for t in block]
     elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(config.trials)))

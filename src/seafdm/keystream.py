@@ -149,12 +149,13 @@ def build_codebook(c2max: float, m: int) -> Codebook:
 
     level[k] = -c2max + k * 2*c2max/(m - 1); m must be a power of two >= 2 so
     each subcarrier consumes an exact number of keystream bits.  c2max = 0
-    degenerates every level to zero (scrambling disabled).
+    degenerates every level to zero (scrambling disabled).  A chirp rate acts
+    modulo 1 (rates c and c + 1 give one chirp), so c2max is at most 1.
     """
     if not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0:
         raise ContractViolation(f"codebook size must be a power of two >= 2, got {m!r}")
-    if not np.isfinite(c2max) or c2max < 0:
-        raise ContractViolation(f"c2max must be a finite nonnegative rate, got {c2max!r}")
+    if not 0.0 <= c2max <= 1.0:
+        raise ContractViolation(f"c2max must be a rate in [0, 1], got {c2max!r}")
     grid = -c2max + np.arange(m, dtype=np.float64) * (2.0 * c2max / (m - 1))
     # antisymmetrize and pin the endpoints so the +/- pairing is bit-exact
     levels = 0.5 * (grid - grid[::-1])

@@ -244,6 +244,11 @@ def test_bad_value_exits_2_naming_its_field(override, field, capsys):
         (["sinr-curve", "--set", "snr_db=[4000]"], "snr_db"),
         (["simulate", "--set", "eve_mode=biased", "--set", "eve_bias=1e308"], "eve_bias"),
         ([*BIAS_SWEEP, "--set", "bias_values=[1e308]"], "bias_values"),
+        (["simulate", "--set", "n=32", "--set", "paths=2", "--set", "c2max=1e308"], "c2max"),
+        (["search-space", "--set", "c2max=1e308"], "c2max"),
+        (["sinr-curve", "--set", "c2max_values=[1e308]"], "c2max_values"),
+        (["simulate", "--set", "n=32", "--set", "paths=2", "--set", "alpha_max=1e307"], "alpha_max"),
+        (["simulate", "--set", "n=32", "--set", "paths=2", "--set", "alpha_max=1e308"], "alpha_max"),
     ],
 )
 def test_a_finite_value_that_would_overflow_exits_2_naming_its_field(argv, field, capsys):

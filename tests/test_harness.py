@@ -181,6 +181,14 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"eve_mode": "biased", "eve_bias": 1.5},
         {"scenario": "bias-sweep", "bias_values": (1e308,)},
         {"scenario": "bias-sweep", "bias_values": (0.0, 1.0 + 2**-52)},
+        # a chirp rate acts modulo 1 and a Doppler modulo n (here 32)
+        {"c2max": 1e308},
+        {"c2max": 1.0 + 2**-52},
+        {"c2max_values": (1e308,)},
+        {"c2max_values": (1e-4, 1.5)},
+        {"alpha_max": 1e307},
+        {"alpha_max": 1e308},
+        {"alpha_max": 32.5},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -200,17 +208,23 @@ def test_config_takes_its_largest_counts():
 
 def test_config_takes_its_largest_snr_and_bias_and_runs_them():
     # each bound is a value that runs: no overflow in the trial or the closed
-    # form (a RuntimeWarning fails the suite)
+    # form (a RuntimeWarning fails the suite); the largest c2max is 1 and the
+    # largest alpha_max is n
     common = dict(snr_db=(-3000.0, 3000.0, float("inf")), trials=2)
+    largest = dict(c2max=1.0, alpha_max=32.0)
     for cfg in (
         tiny_config(eve_mode="biased", eve_bias=1.0, **common),
         tiny_config(scenario="csi-error-ber", csi_error_var=1e-3, eve_mode="biased", eve_bias=1.0, **common),
         tiny_config(scenario="bob-vs-afdm-ber", csi_error_var=1e-3, **common),
         tiny_config(scenario="bias-sweep", bias_values=(1.0,), trials=2),
+        tiny_config(eve_mode="random", **largest, **common),
+        tiny_config(scenario="bob-vs-afdm-ber", integer_doppler=True, **largest, **common),
+        tiny_config(scenario="csi-error-ber", csi_error_var=1e-3, **largest, **common),
     ):
         assert all(0.0 <= r.bob_ber <= 1.0 for r in run_scenario(cfg))
     for value in (-3000.0, 3000.0):
         assert np.isfinite(run_sinr_curve(tiny_config(snr_db=(value,)))[1]).all()
+    assert np.isfinite(run_sinr_curve(tiny_config(c2max_values=(0.0, 1.0)))[1]).all()
 
 
 def test_workers_bound_is_the_same_on_every_host(monkeypatch):
@@ -538,18 +552,18 @@ def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated
     # guess is exponentiated
     cfg = tiny_config(n=32, paths=3, trials=2 * harness._block_size(32), seed=41, **overrides)
     blocks, rates = [], []
-    chirp, finish = daft_module._chirp, harness._Block.finish
+    chirp, run_block = daft_module._chirp, harness._run_block
 
     def recorded(c, n, conjugate):
         rates.append((len(blocks), np.array(c, dtype=np.float64)))
         return chirp(c, n, conjugate)
 
-    def counted(self, *args):
-        blocks.append(self)
-        return finish(self, *args)
+    def counted(*args):
+        blocks.append(args[2])
+        return run_block(*args)
 
     monkeypatch.setattr(daft_module, "_chirp", recorded)
-    monkeypatch.setattr(harness._Block, "finish", counted)
+    monkeypatch.setattr(harness, "_run_block", counted)
     run_scenario(cfg)
     assert len(blocks) == 2
     second = [c for block, c in rates if block == 2 and c.ndim and c.any()]
@@ -557,6 +571,20 @@ def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated
     if exponentiated:
         # Bob's rows are stacked with Eve's, one row per link
         assert all(np.isin(c.reshape(-1, 2, cfg.n)[:, 0], cfg.codebook.levels).all() for c in second)
+
+
+@pytest.mark.parametrize("cfg", BLOCK_SCENARIOS[:5], ids=BLOCK_IDS[:5])
+def test_a_block_is_a_function_of_its_trial_range(cfg):
+    # the block's last trial runs it alone: no earlier trial leaves it anything
+    block = range(3, 8)
+    sigma2, bias = 10.0 ** (-cfg.snr_db[0] / 10.0), max(cfg.bias_values, default=cfg.eve_bias)
+    alone = harness._run_trial(cfg, 1, block[-1], sigma2, bias, block)
+    every = [harness._run_trial(cfg, 1, t, sigma2, bias, block) for t in block]
+    assert every[:-1] == [(0, 0, 0)] * (len(block) - 1)
+    assert alone == tuple(map(sum, zip(*every)))
+    singles = [harness._run_block(cfg, 1, range(t, t + 1), sigma2, bias) for t in block]
+    assert alone == tuple(map(sum, zip(*singles)))
+    assert alone[1] > 0 and alone[2] == len(block) * cfg.n * cfg.constellation.bits_per_symbol
 
 
 def test_an_exact_csi_point_builds_no_register(monkeypatch):

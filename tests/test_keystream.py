@@ -265,6 +265,10 @@ def test_codebook_validation():
         build_codebook(1e-3, 1)
     with pytest.raises(ContractViolation):
         build_codebook(-1e-3, 4)
+    for c2max in (1.0 + 2**-52, 1e308, float("nan")):  # a chirp rate acts modulo 1
+        with pytest.raises(ContractViolation, match="c2max"):
+            build_codebook(c2max, 4)
+    assert build_codebook(1.0, 4).levels[-1] == 1.0
 
 
 def test_schedule_consumes_exact_bit_budget():
