@@ -59,7 +59,6 @@ from .exceptions import ConfigError, ContractViolation
 from .keystream import (
     DEFAULT_TAPS,
     C2Schedule,
-    Codebook,
     Lfsr,
     build_codebook,
     generate_schedule,
@@ -397,28 +396,18 @@ def _draw_guess(mode: str, rng: np.random.Generator | None, n: int, m: int, bias
     return offset
 
 
-def _guess_rates(mode: str, alice: np.ndarray, book: Codebook, draws) -> np.ndarray:
-    """Eve's guessed rates, shaped like alice: one frame's, or a stack's from the stacked draws."""
-    if mode == "zeros":
-        return np.zeros_like(alice)
-    if mode == "random":
-        return book.levels[draws]
-    return alice + draws
+def _guess_rates(mode: str, alice: LevelRates, draws) -> LevelRates | np.ndarray:
+    """Eve's guessed rates, shaped like alice.index: one frame's, or a stack's from the stacked draws.
 
-
-def _row_rates(mode: str, book: Codebook, alice: np.ndarray, draws) -> LevelRates | np.ndarray:
-    """Receive rates of a block's rows, shape (T, 2, n): Alice's, then the zero rates or Eve's guess.
-
-    alice holds the level indices of the block's schedules.  Rates that are
-    codebook levels stay LevelRates; zero rates are one more level, whose
-    table row is exact ones.  A biased guess is off the codebook.
+    The zeros and random guesses are codebook levels, given as LevelRates
+    over the codebook's levels with the zero level appended (its table row
+    is exact ones).  A biased guess is off the codebook: the float rates of
+    Alice's schedule plus the offsets.
     """
     if mode == "biased":
-        rates = book.levels[alice]
-        return np.stack((rates, _guess_rates(mode, rates, book, draws)), axis=1)
-    if mode == "random":
-        return LevelRates(book.levels, np.stack((alice, draws), axis=1))
-    return LevelRates(np.append(book.levels, 0.0), np.stack((alice, np.full_like(alice, book.m)), axis=1))
+        return alice.levels[alice.index] + draws
+    levels = np.append(alice.levels, 0.0)
+    return LevelRates(levels, np.full_like(alice.index, alice.levels.size) if mode == "zeros" else draws)
 
 
 def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.ndarray:
@@ -461,20 +450,22 @@ def _run_block(
     (keystream bits of every state through one output-mask table, symbols,
     level indices, guesses, path gains and Dopplers), and every row is
     modulated, passed through the channel, equalized, transformed and
-    demapped.  Keystream bits become codebook level indices, not rates, so
-    Alice's transmit rows, Bob's receive rows and the rows of Eve's random
-    guess gather their chirps from the codebook's chirp tables; zero rates
-    are exact ones, and a biased block, whose guess is off the codebook,
-    exponentiates both its receive rows as one stack of rates.
+    demapped.  Keystream bits become codebook level indices, not rates.
+    Alice's transmit rows gather their chirps from the codebook's chirp
+    table.  Bob's receive row is stacked with the row _guess_rates gives
+    (the zero rates on bob-vs-afdm-ber); a zeros or random guess is a level
+    of the codebook with the zero level appended, so both rows gather from
+    that table, whose zero row is exact ones, and a biased guess is off the
+    codebook, so both rows are exponentiated as one stack of rates.
     """
     afdm = config.scenario == "bob-vs-afdm-ber"
     params, const, n = config.frame_params, config.constellation, config.n
     bits, states, guesses, path_draws, noise = [], [], [], [], []
     for seeds in _trial_seeds(config, point_idx, trials):
-        frame_bits, state, guess = _frame_draws(config, seeds, bias)
+        frame_bits, state, frame_guess = _frame_draws(config, seeds, bias)
         bits.append(frame_bits)
         states.append(state)
-        guesses.append(guess)
+        guesses.append(frame_guess)
         # the plain-AFDM frame replays Bob's noise through Bob's channel
         path_draws.append(draw_paths(_rng(seeds["bob_channel"]), config.paths))
         if not afdm:
@@ -484,15 +475,19 @@ def _run_block(
     x = map_bits(bits.ravel(), const).reshape(len(trials), n)
     book = config.codebook
     keys = keystream_bits(np.array(states, dtype=np.uint64), config.lfsr_taps, n * book.bits_per_subcarrier)
-    alice = schedule_levels(keys, book)
+    alice = LevelRates(book.levels, schedule_levels(keys, book))
     links = paths_from_draws(np.array(path_draws), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
+    # each trial's receive rows, shape (T, 2, n): Bob's, then the zero rates or Eve's guess
+    guess = _guess_rates(config.eve_mode, alice, np.array(guesses))  # zeros on bob-vs-afdm-ber
+    if isinstance(guess, LevelRates):
+        rates = LevelRates(guess.levels, np.stack((alice.index, guess.index), axis=1))
+    else:
+        rates = np.stack((alice.levels[alice.index], guess), axis=1)
     if afdm:
         # the plain-AFDM frame is a second right-hand side of Bob's system
-        rates = _row_rates("zeros", book, alice, None)
         tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
     else:
-        rates = _row_rates(config.eve_mode, book, alice, np.array(guesses))
-        tx = se_afdm_modulate(x, params, C2Schedule(LevelRates(book.levels, alice), "alice"))
+        tx = se_afdm_modulate(x, params, C2Schedule(alice, "alice"))
     # each link carries its rows: Bob's two frames, or one frame per receiver
     samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
     rows = SignalBlock(samples.reshape(len(path_draws), -1, samples.shape[-1]), tx.prefix_len)
@@ -562,7 +557,7 @@ def _run_trial(
         other_hat = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, _rng(seeds["csi"]))
     else:
         # she knows her own front end, not the transmit schedule
-        guess = C2Schedule(_guess_rates(config.eve_mode, alice.values, book, draws), "eve")
+        guess = C2Schedule(_guess_rates(config.eve_mode, alice.chirp_rates, draws), "eve")
         scrambled_hat = receive(eve_front_end, channel("eve_channel"), tx, "eve_noise", guess, None, rng_csi)
         other_hat = descramble(scrambled_hat, guess)
     return bob_err, errors(other_hat), bits.size
@@ -620,7 +615,8 @@ def run_sinr_curve(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the sweep and the frame-averaged SINR as two float64 arrays.
     The closed form needs a finite snr_db[0]; without c2max_values it sweeps
-    four decades around c2max, which must then be positive.
+    four decades around c2max, which must then be positive, and keeps the
+    points at most 1 (a chirp rate acts modulo 1).
     """
     snr_db = config.snr_db[0]
     if snr_db == np.inf:
@@ -629,7 +625,7 @@ def run_sinr_curve(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     if not values:
         if config.c2max == 0.0:
             raise ConfigError("sinr-curve with c2max=0 needs explicit c2max_values: the default sweep scales c2max")
-        values = tuple(config.c2max * 10.0 ** e for e in np.linspace(-2, 2, 17))
+        values = tuple(v for v in (config.c2max * 10.0 ** e for e in np.linspace(-2, 2, 17)) if v <= 1.0)
     c2max = np.array(values, dtype=np.float64)
     gamma = 10.0 ** (snr_db / 10.0)
     return c2max, np.array([sinr_eve_average(config.n, gamma, v) for v in c2max])
@@ -667,7 +663,7 @@ def wilson(errors: int, total: int, z: float = 1.96) -> tuple[float, float]:
 _CSV_COLUMNS = ("point", "bob_ber", "eve_ber", "afdm_ber", "bit_count", "seed")
 
 
-def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentConfig | None = None) -> None:
+def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentConfig) -> None:
     """Write sweep records to CSV plus a JSON sidecar with run provenance.
 
     The CSV holds only reproducible numbers; wall-clock times and config
@@ -681,21 +677,12 @@ def emit_csv(records: list[TrialRecord], path: str | Path, config: ExperimentCon
     writer = csv.writer(table)
     writer.writerow(_CSV_COLUMNS)
     for rec in records:
-        writer.writerow(
-            [
-                repr(rec.point),
-                repr(rec.bob_ber),
-                repr(rec.eve_ber),
-                repr(rec.afdm_ber),
-                rec.bit_count,
-                rec.seed,
-            ]
-        )
+        writer.writerow([repr(getattr(rec, name)) for name in _CSV_COLUMNS])
     meta = {
         "version": __version__,
         "rng": "numpy.random.default_rng (PCG64)",
         "seed_policy": _SEED_POLICY,
-        "config": None if config is None else asdict(config),
+        "config": asdict(config),
         "provenance": _provenance(),
         "wall_ms": [rec.wall_ms for rec in records],
         "wilson_95": {

@@ -316,6 +316,14 @@ def test_sinr_curve_with_zero_c2max_needs_explicit_values(capsys):
     assert capsys.readouterr().out.count("c2max=") == 2
 
 
+def test_sinr_curve_default_sweep_stops_at_rate_1(capsys):
+    # four decades around c2max = 1 keep only the nine points at most 1
+    assert main(["sinr-curve", "--set", "c2max=1.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 9
+    assert rows[-1].startswith("c2max=1.0000e+00 ")
+
+
 def test_failed_sinr_curve_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "curve.csv"
     assert main(["sinr-curve", "--set", "c2max_values=[1.0e-6, 1.0e-4]", "--out", str(out)]) == 0

@@ -37,6 +37,7 @@ import seafdm
 from seafdm import daft as daft_module
 from seafdm import detection, harness, keystream
 from seafdm.channel import ChannelRealization
+from seafdm.daft import LevelRates
 from seafdm.harness import (
     TrialRecord,
     _draw_guess,
@@ -690,10 +691,13 @@ def test_awgn_reference_ber():
 def test_guess_modes():
     rng = np.random.default_rng(4)
     book = build_codebook(0.05, 4)
-    alice = book.levels[rng.integers(0, 4, size=32)]
+    levels = LevelRates(book.levels, rng.integers(0, 4, size=32))
+    alice = C2Schedule(levels, "alice").values
 
     def guess(mode, bias):
-        return _guess_rates(mode, alice, book, _draw_guess(mode, rng, alice.size, book.m, bias))
+        # the float rates of the guess, as the CSI-error trial's schedule holds them
+        rates = _guess_rates(mode, levels, _draw_guess(mode, rng, alice.size, book.m, bias))
+        return C2Schedule(rates, "eve").values
 
     assert np.all(guess("zeros", 0.0) == 0)
     assert np.all(np.isin(guess("random", 0.0), book.levels))
@@ -787,9 +791,10 @@ def test_run_sinr_curve_matches_analytics():
     assert c2max.tolist() == [1e-6, 1e-5, 1e-4]
     assert sinr.tolist() == [sinr_eve_average(32, 10**2.5, c) for c in (1e-6, 1e-5, 1e-4)]
     default, _ = run_sinr_curve(tiny_config())
-    assert default.size == 17
+    # the four decades around c2max = 0.05 stop at the last point at most 1
+    assert default.size == 14
     assert default[0] == pytest.approx(0.05 * 1e-2)
-    assert default[-1] == pytest.approx(0.05 * 1e2)
+    assert default[-1] == pytest.approx(0.05 * 10**1.25)
 
 
 def test_search_space_summary():
@@ -893,7 +898,7 @@ def test_csi_error_is_drawn_in_place_with_the_same_bytes(monkeypatch):
 
 def test_csv_of_empty_run(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path)
+    emit_csv([], path, tiny_config())
     assert read_csv(path) == []
     assert path.read_text().startswith("point,bob_ber,eve_ber,afdm_ber")
 
@@ -929,8 +934,8 @@ def test_failed_sidecar_write_keeps_the_earlier_pair(tmp_path, monkeypatch):
 def test_identical_seeds_identical_csv_bytes(tmp_path):
     cfg = tiny_config(trials=6)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_scenario(cfg), a)
-    emit_csv(run_scenario(cfg), b)
+    emit_csv(run_scenario(cfg), a, cfg)
+    emit_csv(run_scenario(cfg), b, cfg)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -993,6 +998,19 @@ GOLDEN_COUNTS = [
         ExperimentConfig(scenario="eve-ber", n=1024, snr_db=(10.0,), trials=3, seed=15),
         [(298, 2978, None, 6144)],
     ),
+    (
+        ExperimentConfig(
+            scenario="csi-error-ber", n=64, snr_db=(15.0,), trials=12, seed=16, csi_error_var=1e-3, eve_mode="random"
+        ),
+        [(51, 185, None, 1536)],
+    ),
+    (
+        ExperimentConfig(
+            scenario="csi-error-ber", n=64, snr_db=(15.0,), trials=12, seed=17, csi_error_var=1e-3,
+            eve_mode="biased", eve_bias=2e-4,
+        ),
+        [(38, 441, None, 1536)],
+    ),
 ]
 
 
@@ -1002,7 +1020,7 @@ GOLDEN_COUNTS = [
     ids=[
         "eve-zeros", "eve-random", "eve-biased", "bob-vs-afdm", "integer-doppler-n256", "csi-error-afdm",
         "noiseless", "bias-sweep", "csi-error-qam16-2-workers", "taps-5-2-0", "n4-3-paths",
-        "two-paths-ncp1", "eve-n1024",
+        "two-paths-ncp1", "eve-n1024", "csi-error-random", "csi-error-biased",
     ],
 )
 def test_golden_error_counts(cfg, expected):
