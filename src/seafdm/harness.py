@@ -8,18 +8,22 @@ error).  A trial builds only the children it reads.  Child k's generator is
 PCG64 on the four words SeedSequence(config.seed, spawn_key=(point_index,
 trial_index, k)).generate_state(4, uint64), the tree's spawn(8)[k] state
 for state; _stream_words computes them for many trials and children at
-once with SeedSequence's own mix on uint32 arrays.  Results depend only on
-(seed, point, trial), never on worker count or completion order, and error
-counts are summed as integers before any division.
+once with SeedSequence's own mix on uint32 arrays.  The data bits and the
+keystream register's state are read from the raw 64-bit outputs of that
+PCG64, with no Generator built: they are the values Generator.integers(0,
+2) and Generator.bytes give on it (_draw_bits, _draw_lfsr_state).  Results
+depend only on (seed, point, trial), never on worker count or completion
+order, and error counts are summed as integers before any division.
 
 The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
-channel realization, the same noise vector and the same channel-estimate
-error as the scrambled frame (two generators built from one child's words
-replay identical draws), so the comparison isolates the scrambling itself.
+channel realization, the same noise vector (two generators built from one
+child's words replay identical draws) and Bob's own channel-estimate error
+matrix, so the comparison isolates the scrambling itself.
 
-With exact channel knowledge the trials of a point run serially in blocks,
-and a block's counts are a function of its trial range alone: its last
-trial makes every trial's draws from that trial's own generators, maps
+With exact channel knowledge the trials of a point run serially in blocks
+of at most _BLOCK_SAMPLES frame samples (one trial when a frame alone is
+larger), and a block's counts are a function of its trial range alone: its
+last trial makes every trial's draws from that trial's own generators, maps
 them at once (symbols, schedule level indices, Eve's guess, path gains and
 Dopplers), then modulates, passes through the channel, equalizes,
 transforms and demaps the whole block; nothing is kept between trials.
@@ -109,10 +113,12 @@ _STREAMS = ("data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise
 # workers bounds the threads a CSI-error point starts, the same on every host
 _LARGEST = {"n": 2**16, "m": 2**16, "trials": 2**32 - 1, "workers": 256}
 
-# Frame samples (trials times n) per exact-CSI trial block: enough frames to
-# spread each receive-side stage's fixed cost at small n, one trial per
-# block once n exceeds 1024.  Measured per-trial times are in the README.
-_BLOCK_SAMPLES = 2048
+# Most frame samples (trials times n) per exact-CSI trial block: enough
+# frames to spread a block's fixed cost, one trial per block once n exceeds
+# it.  The largest of the caps 2048 to 16384 that made no timed n slower
+# than 2048 did, at n = 64 to 2048 and 8 to 200 trials; the per-trial times
+# are in the README.
+_BLOCK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -363,6 +369,27 @@ def _rng(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
 
 
+def _draw_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """Generator.integers(0, 2, size=count) on one child's seed words, read from raw PCG64 words as uint32.
+
+    Each bit takes one 32-bit draw u, the low half of a 64-bit word before
+    its high half, and Lemire's bounded draw gives (2 * u) >> 32, the top
+    bit of u; with a range of 2 it never rejects, so no draw is skipped.
+    """
+    raw = np.random.PCG64(_HashedSeed(words)).random_raw(-(-count // 2))
+    return raw.astype("<u8", copy=False).view("<u4")[:count] >> 31
+
+
+def _draw_lfsr_state(words: np.ndarray, taps: tuple[int, ...]) -> int:
+    """A nonzero register state: the first raw PCG64 word's low degree bits, or 1 if they are all zero.
+
+    Generator.bytes(k) with k <= 8 gives that word's first k little-endian
+    bytes, so this is the state a generator on the same words draws as
+    bytes((degree + 7) // 8) masked to the degree.
+    """
+    return np.random.PCG64(_HashedSeed(words)).random_raw() & ((1 << max(taps)) - 1) or 1
+
+
 def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> list[dict[str, np.ndarray]]:
     """Seed words by child name of each trial, for the children a trial of this config reads."""
     skip = {"csi"} if config.csi_error_var == 0.0 else set()
@@ -373,13 +400,6 @@ def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> list[dict[
     names = [name for name in _STREAMS if name not in skip]
     words = _stream_words(config.seed, point_idx, trials, [_STREAMS.index(name) for name in names])
     return [dict(zip(names, row)) for row in words]
-
-
-def _draw_lfsr_state(rng: np.random.Generator, taps: tuple[int, ...]) -> int:
-    degree = max(taps)
-    nbytes = (degree + 7) // 8
-    state = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << degree) - 1)
-    return state or 1
 
 
 def _draw_guess(mode: str, rng: np.random.Generator | None, n: int, m: int, bias: float) -> np.ndarray | None:
@@ -410,13 +430,17 @@ def _guess_rates(mode: str, alice: LevelRates, draws) -> LevelRates | np.ndarray
     return LevelRates(levels, np.full_like(alice.index, alice.levels.size) if mode == "zeros" else draws)
 
 
-def _perturb(matrix: np.ndarray, rng: np.random.Generator, var: float) -> np.ndarray:
-    """matrix + sqrt(var/2) * (a + 1j*b), with a and b drawn in that order, in one new array."""
-    out = np.empty(matrix.shape, dtype=np.complex128)
-    out.real = rng.standard_normal(matrix.shape)
-    out.imag = rng.standard_normal(matrix.shape)
+def _csi_error(rng: np.random.Generator, n: int, var: float) -> np.ndarray:
+    """One n-by-n channel-estimate error sqrt(var/2) * (a + 1j*b), with a and b drawn in that order.
+
+    Two (n, n) draws, not one (2, n, n) draw of the same values: at n=256
+    the single draw's larger buffer cost up to twice the page faults and
+    3-13% more time per CSI-error trial.
+    """
+    out = np.empty((n, n), dtype=np.complex128)
+    out.real = rng.standard_normal((n, n))
+    out.imag = rng.standard_normal((n, n))
     out *= np.sqrt(var / 2.0)
-    out += matrix
     return out
 
 
@@ -429,8 +453,8 @@ def _frame_draws(
     config: ExperimentConfig, seeds: dict[str, np.ndarray], bias: float
 ) -> tuple[np.ndarray, int, np.ndarray | None]:
     """One frame's data bits, keystream register state and Eve's guess draws (None for zeros)."""
-    bits = _rng(seeds["data"]).integers(0, 2, size=config.n * config.constellation.bits_per_symbol)
-    state = _draw_lfsr_state(_rng(seeds["key"]), config.lfsr_taps)
+    bits = _draw_bits(seeds["data"], config.n * config.constellation.bits_per_symbol)
+    state = _draw_lfsr_state(seeds["key"], config.lfsr_taps)
     rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
     return bits, state, _draw_guess(config.eve_mode, rng_guess, config.n, config.codebook.m, bias)
 
@@ -533,13 +557,15 @@ def _run_trial(
         rng = _rng(seeds[name])
         return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler)
 
-    def receive(front_end, link, signal, noise, sched_rx, sched_tx, rng_err):
+    def receive(front_end, link, signal, noise, sched_rx, sched_tx, error=None):
         """Imperfect CSI perturbs the dense subcarrier matrix, so it runs
-        front end, effective matrix, CSI error and dense MMSE."""
+        front end, effective matrix, CSI error and dense MMSE.  Without a
+        given error it takes the csi generator's next draw, which is freed
+        before the solve."""
         r = apply_channel(signal, link, _rng(seeds[noise]), sigma2)
         y = front_end(r, params, sched_rx)
         h = effective_channel(link, params, sched_rx, sched_tx).matrix
-        h = _perturb(h, rng_err, config.csi_error_var)  # frees the exact matrix before the solve
+        h += _csi_error(rng_csi, n, config.csi_error_var) if error is None else error
         return mmse_equalize(y, h, sigma2)
 
     def errors(x_hat):
@@ -548,17 +574,19 @@ def _run_trial(
     realization = channel("bob_channel")
     tx = se_afdm_modulate(x, params, alice)
     rng_csi = _rng(seeds["csi"])
+    # Bob's error is kept only where the plain-AFDM row adds it too
+    bob_error = _csi_error(rng_csi, n, config.csi_error_var) if afdm else None
     bob = C2Schedule(alice.values, "bob")
-    bob_err = errors(receive(bob_front_end, realization, tx, "bob_noise", bob, alice, rng_csi))
+    bob_err = errors(receive(bob_front_end, realization, tx, "bob_noise", bob, alice, bob_error))
     if afdm:
-        # fresh generators from Bob's seed words replay his noise and CSI error
+        # a fresh generator from Bob's seed words replays his noise
         a0 = zero_schedule(n, "alice")
         tx0 = se_afdm_modulate(x, params, a0)
-        other_hat = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, _rng(seeds["csi"]))
+        other_hat = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, bob_error)
     else:
-        # she knows her own front end, not the transmit schedule
+        # she knows her own front end, not the transmit schedule; her error is the csi generator's second draw
         guess = C2Schedule(_guess_rates(config.eve_mode, alice.chirp_rates, draws), "eve")
-        scrambled_hat = receive(eve_front_end, channel("eve_channel"), tx, "eve_noise", guess, None, rng_csi)
+        scrambled_hat = receive(eve_front_end, channel("eve_channel"), tx, "eve_noise", guess, None)
         other_hat = descramble(scrambled_hat, guess)
     return bob_err, errors(other_hat), bits.size
 

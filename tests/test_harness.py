@@ -286,6 +286,25 @@ def test_hashed_seed_serves_only_pcg64_words():
         harness._stream_words(1, 0, [2**32], [0])
 
 
+def test_raw_word_bits_are_the_generators_bits():
+    # odd counts leave the high half of the last word unread, as the generator does
+    for words in harness._stream_words(7, 2, range(200), [0])[:, 0]:
+        for count in (1, 2, 3, 64, 127, 128, 257):
+            bits = harness._draw_bits(words, count)
+            assert bits.dtype == np.uint32
+            assert np.array_equal(bits, harness._rng(words).integers(0, 2, size=count))
+
+
+def test_raw_word_states_follow_the_bytes_rule():
+    zero_low_bits = 0
+    for degree in range(2, 65):
+        for words in harness._stream_words(9, 1, range(200), [1])[:, 0]:
+            low = int.from_bytes(harness._rng(words).bytes((degree + 7) // 8), "little") & ((1 << degree) - 1)
+            zero_low_bits += low == 0
+            assert harness._draw_lfsr_state(words, (degree, 0)) == (low or 1), degree
+    assert zero_low_bits > 0  # the all-zero draw becomes state 1
+
+
 @pytest.mark.parametrize(
     "overrides, streams",
     [
@@ -488,7 +507,7 @@ BLOCK_SCENARIOS = [
     tiny_config(n=32, paths=3, trials=20, snr_db=(10.0,), seed=33, eve_mode="biased", eve_bias=1e-3),
     tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(4.0, 10.0), seed=34),
     tiny_config(scenario="bias-sweep", n=32, paths=2, trials=20, snr_db=(12.0,), seed=35, bias_values=(0.0, 1e-3)),
-    tiny_config(n=1024, paths=3, trials=7, snr_db=(8.0,), seed=36),
+    tiny_config(n=1024, paths=3, trials=10, snr_db=(8.0,), seed=36),  # blocks of 8 and 2 at the default size
     tiny_config(n=32, paths=3, trials=20, snr_db=(8.0,), seed=37, integer_doppler=True),
     tiny_config(n=32, paths=3, trials=20, snr_db=(12.0,), seed=38, modulation="qam16", m=16, eve_mode="random"),
     tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(14.0,), seed=39, modulation="qam16", m=16),
@@ -534,6 +553,15 @@ def test_trial_blocks_do_not_change_records(cfg, monkeypatch):
     for size in (3, default):
         assert all(records_equal(a, b) for a, b in zip(records[1], records[size]))
     assert any(r.bob_ber > 0 for r in records[1])
+
+
+def test_a_block_holds_the_most_frames_within_the_sample_cap():
+    cap = harness._BLOCK_SAMPLES
+    for n in range(2, harness._LARGEST["n"] + 1):
+        size = harness._block_size(n)
+        # one trial per block once a frame alone exceeds the cap
+        assert size * n <= cap or size == 1, n
+        assert (size + 1) * n > cap, n
 
 
 @pytest.mark.parametrize(
@@ -777,9 +805,9 @@ def test_a_bias_sweep_point_is_eve_ber_with_that_bias(bias):
 def test_time_domain_solve_matches_dense_replay(cfg, monkeypatch):
     fast = run_scenario(cfg)
     # a positive csi_error_var sends every receiver through its front end, the
-    # dense effective matrix and the Cholesky MMSE; the identity perturbation
+    # dense effective matrix and the Cholesky MMSE; a zero estimate error
     # keeps that channel knowledge exact
-    monkeypatch.setattr(harness, "_perturb", lambda matrix, rng, var: matrix)
+    monkeypatch.setattr(harness, "_csi_error", lambda rng, n, var: 0.0)
     dense = run_scenario(replace(cfg, csi_error_var=1e-300))
     assert all(records_equal(a, b) for a, b in zip(fast, dense))
     assert any(r.bob_ber > 0 for r in fast)
@@ -884,16 +912,52 @@ def test_csi_error_is_drawn_in_place_with_the_same_bytes(monkeypatch):
     exact = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
     before = exact.copy()
     for var in (1e-4, 0.3):
-        got = harness._perturb(exact, np.random.default_rng(42), var)
+        estimate = exact + harness._csi_error(np.random.default_rng(42), 24, var)
         draw = np.random.default_rng(42)
         a, b = draw.standard_normal(exact.shape), draw.standard_normal(exact.shape)
-        assert got.tobytes() == (exact + np.sqrt(var / 2.0) * (a + 1j * b)).tobytes()
+        assert estimate.tobytes() == (exact + np.sqrt(var / 2.0) * (a + 1j * b)).tobytes()
         assert exact.tobytes() == before.tobytes()
     # exact channel knowledge draws no error: its trials have no csi child and never perturb
     cfg = tiny_config(scenario="bob-vs-afdm-ber", trials=3)
     assert all("csi" not in seeds for seeds in harness._trial_seeds(cfg, 0, range(3)))
-    monkeypatch.setattr(harness, "_perturb", None)
+    monkeypatch.setattr(harness, "_csi_error", None)
     assert run_scenario(cfg)[0].bit_count == 3 * 64
+
+
+@pytest.mark.parametrize("scenario", ["bob-vs-afdm-ber", "csi-error-ber"])
+def test_each_receiver_adds_its_estimate_error_to_its_exact_matrix(scenario, monkeypatch):
+    # Bob's error is the csi generator's first draw; the plain-AFDM row adds
+    # that same error, and Eve's is the generator's second draw
+    cfg = tiny_config(scenario=scenario, csi_error_var=1e-2, trials=3, snr_db=(10.0,))
+    exact, estimates, errors = [], [], []
+    build, solve, draw = harness.effective_channel, harness.mmse_equalize, harness._csi_error
+
+    def built(*args):
+        out = build(*args)
+        exact.append(out.matrix.copy())
+        return out
+
+    def solved(y, h, sigma2):
+        estimates.append(h.copy())
+        return solve(y, h, sigma2)
+
+    def drawn(rng, n, var):
+        errors.append(draw(rng, n, var))
+        return errors[-1]
+
+    monkeypatch.setattr(harness, "effective_channel", built)
+    monkeypatch.setattr(harness, "mmse_equalize", solved)
+    monkeypatch.setattr(harness, "_csi_error", drawn)
+    run_scenario(cfg)
+    afdm = scenario == "bob-vs-afdm-ber"
+    assert len(estimates) == len(exact) == 2 * cfg.trials
+    assert len(errors) == (1 if afdm else 2) * cfg.trials
+    for t, seeds in enumerate(harness._trial_seeds(cfg, 0, range(cfg.trials))):
+        replay = harness._rng(seeds["csi"])
+        bob = draw(replay, cfg.n, cfg.csi_error_var)
+        other = bob if afdm else draw(replay, cfg.n, cfg.csi_error_var)
+        for row, error in zip((2 * t, 2 * t + 1), (bob, other)):
+            assert estimates[row].tobytes() == (exact[row] + error).tobytes()
 
 
 def test_csv_of_empty_run(tmp_path):
