@@ -23,7 +23,6 @@ its nonzeros.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +85,23 @@ def _doppler_rows(realization: ChannelRealization, n: int, prefix: int) -> np.nd
 
     The result has shape (R, P, prefix + n), with R = 1 for a lone link.  The
     realization keeps it read-only for every later stage of the same geometry.
+    The real and imaginary parts are cos and sin of the real phase: the
+    bytes np.exp gives on the complex argument, in less time.
     """
     key = (n, prefix)
     rows = realization._phasor_rows.get(key)
     if rows is None:
         t = np.arange(prefix + n, dtype=np.float64) - prefix
-        nu = realization.dopplers.reshape(-1, realization.delays.size)
-        rows = np.exp(2j * np.pi * nu[..., None] * t / n)
+        nu = realization.dopplers.reshape(-1, realization.delays.size, 1)
+        # the imaginary part of numpy's complex (2j*pi*nu)*t, signed zeros
+        # included: 2j*pi*nu is (copysign(0, nu), 2*pi*nu + 0), so that part
+        # is copysign(0, nu) + (2*pi*nu + 0)*t, which is 2*pi*nu*t but at zeros
+        phase = (2.0 * np.pi * nu + 0.0) * t
+        phase += np.copysign(0.0, nu)
+        phase *= 1.0 / n  # numpy's complex division by n multiplies by 1/n
+        rows = np.empty(phase.shape, dtype=np.complex128)
+        np.cos(phase, out=rows.real)
+        np.sin(phase, out=rows.imag)
         rows.flags.writeable = False
         realization._phasor_rows[key] = rows
     return rows
@@ -161,7 +170,7 @@ def paths_from_draws(draws: np.ndarray, alpha_max: float, *, n: int, integer_dop
 def apply_channel(
     s: SignalBlock,
     realization: ChannelRealization,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    noise: np.random.Generator | np.ndarray | None,
     sigma2: float,
 ) -> SignalBlock:
     """Push prefixed frames through the channel by direct time-domain convolution.
@@ -169,10 +178,12 @@ def apply_channel(
     Works on the whole prefixed block so prefix contamination is physical,
     not modeled.  The longest path delay must fit inside the prefix.  The
     frames lead with the link shape, () or (R,), and each link carries the
-    frame rows after it.  Each frame takes one generator, in row order (a
-    lone frame its own), and gets what it gets alone: complex Gaussian
-    noise of total variance sigma2, real then imaginary parts from its
-    generator.
+    frame rows after it.  Each frame gets complex Gaussian noise of total
+    variance sigma2 from its standard normal draws, real parts then
+    imaginary parts: ``noise`` holds them, shape (*frames, 2, total) with
+    the frames' leading shape, where an axis of length 1 shares its draws
+    with every frame along it; a lone frame may take its generator instead,
+    which draws them.
     """
     if not isinstance(s, SignalBlock):
         raise ContractViolation("apply_channel expects a prefixed block; add_cpp first")
@@ -185,21 +196,24 @@ def apply_channel(
     if max(delays) > s.prefix_len:
         raise ContractViolation(f"path delay {max(delays)} exceeds prefix length {s.prefix_len}")
     phasors = _doppler_rows(realization, s.n, s.prefix_len)
-    total = s.samples.shape[-1]
+    frames, total = s.samples.shape[:-1], s.samples.shape[-1]
     samples = s.samples.reshape(len(phasors), -1, total)
     gains = realization.gains.reshape(len(phasors), -1)
     out = np.zeros_like(samples)
     for j, delay in enumerate(delays):
         out[..., delay:] += gains[:, j, None, None] * samples[..., : total - delay] * phasors[:, j, None, delay:]
+    out = out.reshape(s.samples.shape)
     if sigma2 > 0.0:
-        gens = [rng] if isinstance(rng, np.random.Generator) else list(rng or ())
-        if len(gens) != out.size // total or None in gens:
-            raise ContractViolation(f"noise needs one generator per frame, got {len(gens)} for {out.size // total}")
-        draws = np.empty((len(gens), 2, total))
-        for gen, row in zip(gens, draws):
-            gen.standard_normal(out=row)
-        out += (np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])).reshape(out.shape)
-    return SignalBlock(out.reshape(s.samples.shape), prefix_len=s.prefix_len)
+        want = (*frames, 2, total)
+        if isinstance(noise, np.random.Generator) and out.size == total:
+            noise = noise.standard_normal(want)
+        shape = getattr(noise, "shape", ())
+        shared = all(have in (1, size) for have, size in zip(shape, frames))  # an axis of length 1 shares its draws
+        if len(shape) != len(want) or shape[-2:] != want[-2:] or not shared:
+            got = shape or type(noise).__name__
+            raise ContractViolation(f"noise needs draws of shape {want} or a lone frame's generator, got {got}")
+        out += np.sqrt(sigma2 / 2.0) * (noise[..., 0, :] + 1j * noise[..., 1, :])
+    return SignalBlock(out, prefix_len=s.prefix_len)
 
 
 def circular_taps(realization: ChannelRealization, params: FrameParams) -> np.ndarray:

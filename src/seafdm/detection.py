@@ -41,10 +41,10 @@ def _scipy_cython(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     if not known:
-        # the extension enters itself in sys.modules; without the entry a later
-        # import of it goes through scipy.linalg, which then binds the same
-        # module object as its attribute
-        del sys.modules[full]
+        # the extension enters itself in sys.modules on its first load only;
+        # without the entry a later import of it goes through scipy.linalg,
+        # which then binds the same module object as its attribute
+        sys.modules.pop(full, None)
     return module
 
 

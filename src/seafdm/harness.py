@@ -11,14 +11,18 @@ for state; _stream_words computes them for many trials and children at
 once with SeedSequence's own mix on uint32 arrays.  The data bits and the
 keystream register's state are read from the raw 64-bit outputs of that
 PCG64, with no Generator built: they are the values Generator.integers(0,
-2) and Generator.bytes give on it (_draw_bits, _draw_lfsr_state).  Results
-depend only on (seed, point, trial), never on worker count or completion
-order, and error counts are summed as integers before any division.
+2) and Generator.bytes give on it (_draw_bits, _draw_lfsr_states), each
+unpacked once over the stacked raw words of the trials that read them.
+Results depend only on (seed, point, trial), never on worker count or
+completion order, and error counts are summed as integers before any
+division.
 
 The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
-channel realization, the same noise vector (two generators built from one
-child's words replay identical draws) and Bob's own channel-estimate error
-matrix, so the comparison isolates the scrambling itself.
+channel realization, Bob's noise and Bob's own channel-estimate error
+matrix, so the comparison isolates the scrambling itself.  An exact-CSI
+block draws Bob's noise once and adds those draws to both of his frames; a
+CSI-error trial builds a second generator on Bob's noise words, which
+replays them.
 
 With exact channel knowledge the trials of a point run serially in blocks
 of at most _BLOCK_SAMPLES frame samples (one trial when a frame alone is
@@ -68,6 +72,7 @@ from .keystream import (
     generate_schedule,
     keystream_bits,
     schedule_levels,
+    tap_polynomial,
     zero_schedule,
 )
 from .sinr import sinr_eve_average
@@ -223,7 +228,7 @@ class ExperimentConfig:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
         ncp = self.paths - 1 if self.ncp is None else self.ncp
         try:
-            Lfsr(self.lfsr_taps)
+            tap_polynomial(self.lfsr_taps)
             set_("frame_params", FrameParams.for_profile(self.n, self.alpha_max, ncp, self.modulation))
             set_("codebook", build_codebook(self.c2max, self.m))
             set_("constellation", constellation_by_name(self.modulation))
@@ -365,33 +370,38 @@ class _HashedSeed(np.random.bit_generator.ISeedSequence):
 
 
 def _rng(words: np.ndarray) -> np.random.Generator:
-    """A fresh generator on one child's seed words: two from one child replay identical draws."""
+    """A fresh generator on one child's seed words."""
     return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
 
 
-def _draw_bits(words: np.ndarray, count: int) -> np.ndarray:
-    """Generator.integers(0, 2, size=count) on one child's seed words, read from raw PCG64 words as uint32.
+def _raw_words(seed_words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw 64-bit outputs of PCG64 on each row of seed words, shape (T, count) little-endian."""
+    return np.array([np.random.PCG64(_HashedSeed(words)).random_raw(count) for words in seed_words], dtype="<u8")
+
+
+def _draw_bits(seed_words: np.ndarray, count: int) -> np.ndarray:
+    """Generator.integers(0, 2, size=count) on each row of seed words, shape (T, count) uint32.
 
     Each bit takes one 32-bit draw u, the low half of a 64-bit word before
     its high half, and Lemire's bounded draw gives (2 * u) >> 32, the top
     bit of u; with a range of 2 it never rejects, so no draw is skipped.
+    The raw words of every row are unpacked at once.
     """
-    raw = np.random.PCG64(_HashedSeed(words)).random_raw(-(-count // 2))
-    return raw.astype("<u8", copy=False).view("<u4")[:count] >> 31
+    return _raw_words(seed_words, -(-count // 2)).view("<u4")[:, :count] >> 31
 
 
-def _draw_lfsr_state(words: np.ndarray, taps: tuple[int, ...]) -> int:
-    """A nonzero register state: the first raw PCG64 word's low degree bits, or 1 if they are all zero.
+def _draw_lfsr_states(seed_words: np.ndarray, taps: tuple[int, ...]) -> np.ndarray:
+    """Each row's nonzero register state, shape (T,) uint64: its first raw PCG64 word's low degree bits, or 1 if all zero.
 
     Generator.bytes(k) with k <= 8 gives that word's first k little-endian
     bytes, so this is the state a generator on the same words draws as
     bytes((degree + 7) // 8) masked to the degree.
     """
-    return np.random.PCG64(_HashedSeed(words)).random_raw() & ((1 << max(taps)) - 1) or 1
+    return np.maximum(_raw_words(seed_words, 1)[:, 0] & ((1 << max(taps)) - 1), 1)
 
 
-def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> list[dict[str, np.ndarray]]:
-    """Seed words by child name of each trial, for the children a trial of this config reads."""
+def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> dict[str, np.ndarray]:
+    """Seed words of the given trials, shape (T, 4), by the name of each child a trial of this config reads."""
     skip = {"csi"} if config.csi_error_var == 0.0 else set()
     if config.scenario == "bob-vs-afdm-ber":
         skip |= {"eve_channel", "eve_noise"}
@@ -399,7 +409,7 @@ def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> list[dict[
         skip.add("eve_guess")  # the all-zeros guess, bob-vs-afdm-ber's only one, draws nothing
     names = [name for name in _STREAMS if name not in skip]
     words = _stream_words(config.seed, point_idx, trials, [_STREAMS.index(name) for name in names])
-    return [dict(zip(names, row)) for row in words]
+    return {name: words[:, k] for k, name in enumerate(names)}
 
 
 def _draw_guess(mode: str, rng: np.random.Generator | None, n: int, m: int, bias: float) -> np.ndarray | None:
@@ -451,12 +461,14 @@ def _block_size(n: int) -> int:
 
 def _frame_draws(
     config: ExperimentConfig, seeds: dict[str, np.ndarray], bias: float
-) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """One frame's data bits, keystream register state and Eve's guess draws (None for zeros)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Each trial's data bits (T, bits), keystream register state (T,) and Eve's guess draws (T, n), None for zeros."""
     bits = _draw_bits(seeds["data"], config.n * config.constellation.bits_per_symbol)
-    state = _draw_lfsr_state(seeds["key"], config.lfsr_taps)
-    rng_guess = _rng(seeds["eve_guess"]) if "eve_guess" in seeds else None
-    return bits, state, _draw_guess(config.eve_mode, rng_guess, config.n, config.codebook.m, bias)
+    states = _draw_lfsr_states(seeds["key"], config.lfsr_taps)
+    if "eve_guess" not in seeds:
+        return bits, states, None  # the zeros guess draws nothing
+    n, m = config.n, config.codebook.m
+    return bits, states, np.array([_draw_guess(config.eve_mode, _rng(w), n, m, bias) for w in seeds["eve_guess"]])
 
 
 def _run_block(
@@ -465,44 +477,49 @@ def _run_block(
     """Exact-CSI trials of one sweep point run as one stack; returns their summed (bob, other, bits).
 
     The seed words of every trial are computed at once, and each trial makes
-    only the draws of its own generators, in trial order: data bits, its
-    keystream register's state, Eve's guess draws, the path draws of each
-    channel it samples and one noise generator per received row.  Every
-    trial has two rows, Bob's and the other receiver's: the plain-AFDM
-    frame through Bob's channel on bob-vs-afdm-ber, Eve's row through hers
-    on every other scenario.  All the draws are then mapped at once
-    (keystream bits of every state through one output-mask table, symbols,
-    level indices, guesses, path gains and Dopplers), and every row is
-    modulated, passed through the channel, equalized, transformed and
-    demapped.  Keystream bits become codebook level indices, not rates.
-    Alice's transmit rows gather their chirps from the codebook's chirp
-    table.  Bob's receive row is stacked with the row _guess_rates gives
-    (the zero rates on bob-vs-afdm-ber); a zeros or random guess is a level
-    of the codebook with the zero level appended, so both rows gather from
-    that table, whose zero row is exact ones, and a biased guess is off the
-    codebook, so both rows are exponentiated as one stack of rates.
+    only the draws of its own generators, each stream once: data bits and
+    its keystream register's state (raw PCG64 words, unpacked once for the
+    block), Eve's guess draws, then the path draws and the noise of each
+    channel.  Every trial has two rows, Bob's and the other receiver's: the
+    plain-AFDM frame through Bob's channel, with Bob's noise draws, on
+    bob-vs-afdm-ber, Eve's row through her channel on every other
+    scenario.  All the draws are then mapped at once (keystream bits
+    of every state through one output-mask table, symbols, level indices,
+    guesses, path gains and Dopplers), and every row is modulated, passed
+    through the channel, equalized, transformed and demapped.  Keystream
+    bits become codebook level indices, not rates.  Alice's transmit rows
+    gather their chirps from the codebook's chirp table.  Bob's receive row
+    is stacked with the row _guess_rates gives (the zero rates on
+    bob-vs-afdm-ber); a zeros or random guess is a level of the codebook
+    with the zero level appended, so both rows gather from that table,
+    whose zero row is exact ones, and a biased guess is off the codebook,
+    so both rows are exponentiated as one stack of rates.
     """
     afdm = config.scenario == "bob-vs-afdm-ber"
     params, const, n = config.frame_params, config.constellation, config.n
-    bits, states, guesses, path_draws, noise = [], [], [], [], []
-    for seeds in _trial_seeds(config, point_idx, trials):
-        frame_bits, state, frame_guess = _frame_draws(config, seeds, bias)
-        bits.append(frame_bits)
-        states.append(state)
-        guesses.append(frame_guess)
-        # the plain-AFDM frame replays Bob's noise through Bob's channel
-        path_draws.append(draw_paths(_rng(seeds["bob_channel"]), config.paths))
-        if not afdm:
-            path_draws.append(draw_paths(_rng(seeds["eve_channel"]), config.paths))
-        noise += [_rng(seeds["bob_noise"]), _rng(seeds["bob_noise" if afdm else "eve_noise"])]
-    bits = np.array(bits)
+    seeds = _trial_seeds(config, point_idx, trials)
+    bits, states, guesses = _frame_draws(config, seeds, bias)
+    # each trial's links and noise, receiver by receiver: the plain-AFDM frame
+    # shares Bob's link and his noise draws
+    receivers = ("bob",) if afdm else ("bob", "eve")
+    path_draws = np.empty((len(trials), len(receivers), 3, config.paths))
+    noise = np.empty((len(trials), len(receivers), 2, n + params.ncp)) if sigma2 > 0.0 else None
+    for r, name in enumerate(receivers):
+        for t, words in enumerate(seeds[f"{name}_channel"]):
+            path_draws[t, r] = draw_paths(_rng(words), config.paths)
+        if noise is not None:
+            for t, words in enumerate(seeds[f"{name}_noise"]):
+                _rng(words).standard_normal(out=noise[t, r])
     x = map_bits(bits.ravel(), const).reshape(len(trials), n)
     book = config.codebook
-    keys = keystream_bits(np.array(states, dtype=np.uint64), config.lfsr_taps, n * book.bits_per_subcarrier)
+    keys = keystream_bits(states, config.lfsr_taps, n * book.bits_per_subcarrier)
     alice = LevelRates(book.levels, schedule_levels(keys, book))
-    links = paths_from_draws(np.array(path_draws), config.alpha_max, n=n, integer_doppler=config.integer_doppler)
+    count = len(trials) * len(receivers)  # links, one per receiver of each trial
+    links = paths_from_draws(
+        path_draws.reshape(count, 3, config.paths), config.alpha_max, n=n, integer_doppler=config.integer_doppler
+    )
     # each trial's receive rows, shape (T, 2, n): Bob's, then the zero rates or Eve's guess
-    guess = _guess_rates(config.eve_mode, alice, np.array(guesses))  # zeros on bob-vs-afdm-ber
+    guess = _guess_rates(config.eve_mode, alice, guesses)  # zeros on bob-vs-afdm-ber
     if isinstance(guess, LevelRates):
         rates = LevelRates(guess.levels, np.stack((alice.index, guess.index), axis=1))
     else:
@@ -514,7 +531,9 @@ def _run_block(
         tx = se_afdm_modulate(x, params, C2Schedule(alice, "alice"))
     # each link carries its rows: Bob's two frames, or one frame per receiver
     samples = tx.samples if afdm else np.repeat(tx.samples, 2, axis=0)
-    rows = SignalBlock(samples.reshape(len(path_draws), -1, samples.shape[-1]), tx.prefix_len)
+    rows = SignalBlock(samples.reshape(count, -1, samples.shape[-1]), tx.prefix_len)
+    if noise is not None:
+        noise = noise.reshape(count, 1, *noise.shape[2:])  # a link's draws serve every frame it carries
     cores = remove_cpp(apply_channel(rows, links, noise, sigma2), params)
     # the banded time-domain solve seen through the transmit DAFT equals
     # the subcarrier-domain MMSE (the receiver's own DAFT cancels), so
@@ -547,14 +566,16 @@ def _run_trial(
     n = config.n
     afdm = config.scenario == "bob-vs-afdm-ber"
 
-    seeds = _trial_seeds(config, point_idx, (trial_idx,))[0]
-    bits, state, draws = _frame_draws(config, seeds, bias)  # draws is None for zeros, bob-vs-afdm-ber's guess
+    # the trial's seed words and draws as a block of one
+    seeds = _trial_seeds(config, point_idx, (trial_idx,))
+    bits, states, draws = _frame_draws(config, seeds, bias)
+    bits, draws = bits[0], None if draws is None else draws[0]  # draws is None for zeros, bob-vs-afdm-ber's guess
 
     x = map_bits(bits, const)
-    alice = generate_schedule(Lfsr(config.lfsr_taps, state), book, n, "alice")
+    alice = generate_schedule(Lfsr(config.lfsr_taps, int(states[0])), book, n, "alice")
 
     def channel(name):
-        rng = _rng(seeds[name])
+        rng = _rng(seeds[name][0])
         return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler)
 
     def receive(front_end, link, signal, noise, sched_rx, sched_tx, error=None):
@@ -562,7 +583,7 @@ def _run_trial(
         front end, effective matrix, CSI error and dense MMSE.  Without a
         given error it takes the csi generator's next draw, which is freed
         before the solve."""
-        r = apply_channel(signal, link, _rng(seeds[noise]), sigma2)
+        r = apply_channel(signal, link, _rng(seeds[noise][0]), sigma2)
         y = front_end(r, params, sched_rx)
         h = effective_channel(link, params, sched_rx, sched_tx).matrix
         h += _csi_error(rng_csi, n, config.csi_error_var) if error is None else error
@@ -573,7 +594,7 @@ def _run_trial(
 
     realization = channel("bob_channel")
     tx = se_afdm_modulate(x, params, alice)
-    rng_csi = _rng(seeds["csi"])
+    rng_csi = _rng(seeds["csi"][0])
     # Bob's error is kept only where the plain-AFDM row adds it too
     bob_error = _csi_error(rng_csi, n, config.csi_error_var) if afdm else None
     bob = C2Schedule(alice.values, "bob")

@@ -27,6 +27,7 @@ from .exceptions import ContractViolation
 __all__ = [
     "DEFAULT_TAPS",
     "Lfsr",
+    "tap_polynomial",
     "keystream_bits",
     "Codebook",
     "build_codebook",
@@ -45,7 +46,7 @@ SCHEDULE_OWNERS = ("alice", "bob", "eve")
 
 
 @functools.lru_cache(maxsize=16)
-def _polynomial(taps: tuple) -> tuple[int, ...]:
+def tap_polynomial(taps: tuple) -> tuple[int, ...]:
     """Exponents of a tap list, highest first; each distinct list is checked once."""
     taps = tuple(sorted({int(t) for t in taps}, reverse=True))
     if len(taps) < 2 or taps[-1] != 0:
@@ -67,7 +68,7 @@ class Lfsr:
     """
 
     def __init__(self, taps=DEFAULT_TAPS, seed: int = 1):
-        self.taps = _polynomial(tuple(taps))
+        self.taps = tap_polynomial(tuple(taps))
         self.degree = degree = self.taps[0]
         seed = int(seed)
         if not 1 <= seed < (1 << degree):
@@ -126,7 +127,7 @@ def keystream_bits(states, taps, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ContractViolation("bit count must be nonnegative")
-    masks = _output_masks(_polynomial(tuple(taps)), count)
+    masks = _output_masks(tap_polynomial(tuple(taps)), count)
     states = np.asarray(states, dtype=np.uint64)
     return (np.bitwise_count(states[..., None] & masks) & 1).astype(np.uint8)
 

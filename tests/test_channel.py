@@ -278,28 +278,29 @@ def test_stacked_channel_contracts():
         with pytest.raises(ContractViolation):
             se_afdm_modulate(frames, params, sched)
     tx = se_afdm_modulate(x, params, scheds)
-    gens = [np.random.default_rng(k) for k in range(3)]
+    draws = rng.standard_normal((3, 2, 10))
     # the frames lead with the link shape
     for links, samples in [(stack_of(real, 2), tx.samples), (three, tx.samples[0]), (three, tx.samples[None])]:
         with pytest.raises(ContractViolation, match="link shape"):
-            apply_channel(SignalBlock(samples, 2), links, gens, 0.1)
-    with pytest.raises(ContractViolation):
-        apply_channel(tx, three, gens[:2], 0.1)  # one generator short
-    with pytest.raises(ContractViolation):
-        apply_channel(tx, three, None, 0.1)
-    with pytest.raises(ContractViolation):
-        apply_channel(tx, three, [gens[0], None, gens[2]], 0.1)
-    with pytest.raises(ContractViolation):
-        apply_channel(SignalBlock(tx.samples[:, None], 2), three, gens[0], 0.1)  # a lone generator for a stacked frame
+            apply_channel(SignalBlock(samples, 2), links, draws, 0.1)
+    # the draws follow the frames' leading shape, an axis of length 1 shared
+    for bad in (draws[:2], draws[0], draws[:, :, :9], draws[:, None], None):
+        with pytest.raises(ContractViolation, match="noise needs draws"):
+            apply_channel(tx, three, bad, 0.1)
+    with pytest.raises(ContractViolation, match="noise needs draws"):
+        apply_channel(tx, three, np.random.default_rng(0), 0.1)  # a generator draws a lone frame's noise only
     assert apply_channel(tx, three, None, 0.0).samples.shape == (3, 10)
     for build in (effective_channel, effective_channel_closed_form):
         with pytest.raises(ContractViolation, match="one link"):
             build(three, params, zero_schedule(8, "bob"))
-    # a lone frame is a stack of one, and keeps its one-dimensional form
+    # a lone frame is a stack of one, and keeps its one-dimensional form; its
+    # generator draws what the stack of one is given
     lone = apply_channel(SignalBlock(tx.samples[1], 2), real, np.random.default_rng(5), 0.1)
-    stack = apply_channel(SignalBlock(tx.samples[1:2], 2), stack_of(real, 1), [np.random.default_rng(5)], 0.1)
+    given = np.random.default_rng(5).standard_normal((1, 2, 10))
     assert lone.samples.shape == (10,)
-    assert lone.samples.tobytes() == stack.samples[0].tobytes()
+    for noise in (given, np.random.default_rng(5)):
+        stack = apply_channel(SignalBlock(tx.samples[1:2], 2), stack_of(real, 1), noise, 0.1)
+        assert lone.samples.tobytes() == stack.samples[0].tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -312,7 +313,7 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     links = data.draw(st.integers(1, 3), label="links")
     carried = data.draw(st.integers(1, 3), label="frames per link")
     # (frame, noise stream) of each row, link by link; rows that share a stream
-    # replay one noise vector, as Bob's and the plain-AFDM frame do in the harness
+    # get one noise vector
     rows = data.draw(
         st.lists(st.tuples(st.integers(0, frames - 1), st.integers(0, 2)), min_size=links * carried, max_size=links * carried),
         label="rows",
@@ -338,14 +339,21 @@ def test_stacked_transmit_chain_equals_each_frame_alone(data):
     # each link carries its rows; each row gets what its frame gets alone
     # through that link, with a fresh generator on the same stream
     picked = SignalBlock(tx.samples[[f for f, _ in rows]].reshape(links, carried, -1), ncp)
-    gens = [np.random.default_rng(streams[k]) for _, k in rows]
-    rx = apply_channel(picked, ChannelRealization(gains, delays, dopplers), gens, sigma2)
+    draws = np.array([np.random.default_rng(streams[k]).standard_normal((2, n + ncp)) for _, k in rows])
+    draws = draws.reshape(links, carried, 2, n + ncp)
+    stack = ChannelRealization(gains, delays, dopplers)
+    rx = apply_channel(picked, stack, draws, sigma2)
     received = remove_cpp(rx, params)
+    # the draws of each link's first row, shared by every frame it carries,
+    # as the plain-AFDM frame shares Bob's in the harness
+    shared = apply_channel(picked, stack, draws[:, :1], sigma2)
     for i, (f, k) in enumerate(rows):
         link = ChannelRealization(gains[i // carried], delays, dopplers[i // carried])
         one = apply_channel(alone[f], link, np.random.default_rng(streams[k]), sigma2)
         assert rx.samples[divmod(i, carried)].tobytes() == one.samples.tobytes()
         assert received[divmod(i, carried)].tobytes() == remove_cpp(one, params).tobytes()
+        first = np.random.default_rng(streams[rows[i - i % carried][1]])
+        assert shared.samples[divmod(i, carried)].tobytes() == apply_channel(alone[f], link, first, sigma2).samples.tobytes()
 
 
 def test_prefixed_transmission_is_circular():
@@ -427,16 +435,22 @@ def test_wrap_rows_are_the_prefix_phasors():
 
 def test_doppler_phasor_rows_are_built_once_and_read_only():
     # row p of each link holds exp(2j*pi*nu_p*t/n) for t in [-prefix, n), as
-    # the channel formula evaluates it on the sample clock; a realization
-    # keeps its rows and every stage that passes a frame through it reads them
+    # the channel formula evaluates it on the sample clock, signed zeros
+    # included; a realization keeps its rows and every stage that passes a
+    # frame through it reads them.  Integer Doppler rounds small shifts to
+    # +0.0 and -0.0, whose rows hold +-0 imaginary parts
     rng = np.random.default_rng(17)
-    for _ in range(50):
+    zeros, sizes = set(), set()
+    for case in range(120):
         n = int(rng.integers(2, 100))
         paths = int(rng.integers(1, min(n, 4) + 1))
         prefix = int(rng.integers(paths - 1, n))
         links = int(rng.integers(1, 4))
         draws = np.array([draw_paths(rng, paths) for _ in range(links)])
-        stack = paths_from_draws(draws, float(rng.uniform(0.0, 4.0)), n=n)
+        integer = case % 2 == 1
+        stack = paths_from_draws(draws, float(rng.uniform(0.0, 4.0)), n=n, integer_doppler=integer)
+        zeros |= {bool(np.signbit(nu)) for nu in stack.dopplers.ravel() if nu == 0.0}
+        sizes.add(n & (n - 1) == 0)
         frames = SignalBlock(rng.standard_normal((links, 2, prefix + n)) + 0j, prefix)
         apply_channel(frames, stack, None, 0.0)
         rows = stack._phasor_rows[n, prefix]
@@ -452,6 +466,7 @@ def test_doppler_phasor_rows_are_built_once_and_read_only():
                 assert rows[link, p].tobytes() == formula.tobytes()
                 # the tap diagonals' clock t in [0, n) on integers reads the same bytes
                 assert rows[link, p, prefix:].tobytes() == np.exp(rotation * np.arange(n) / n).tobytes()
+    assert zeros == {False, True} and sizes == {False, True}  # +0.0 and -0.0; powers of two and other n
     # the channel and the tap diagonals use the rows; one zero-delay path shows them
     params = FrameParams(n=16, ncp=2, c1=0.1)
     real = ChannelRealization([0.5 - 0.25j], [0], [1.3])

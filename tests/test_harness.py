@@ -287,21 +287,27 @@ def test_hashed_seed_serves_only_pcg64_words():
 
 
 def test_raw_word_bits_are_the_generators_bits():
-    # odd counts leave the high half of the last word unread, as the generator does
-    for words in harness._stream_words(7, 2, range(200), [0])[:, 0]:
-        for count in (1, 2, 3, 64, 127, 128, 257):
-            bits = harness._draw_bits(words, count)
-            assert bits.dtype == np.uint32
-            assert np.array_equal(bits, harness._rng(words).integers(0, 2, size=count))
+    # odd counts leave the high half of the last word unread, as the generator does;
+    # a stack of seed words gives each row the bits it gets alone
+    stack = harness._stream_words(7, 2, range(200), [0])[:, 0]
+    for count in (1, 2, 3, 64, 127, 128, 257):
+        bits = harness._draw_bits(stack, count)
+        assert bits.dtype == np.uint32 and bits.shape == (200, count)
+        assert np.array_equal(harness._draw_bits(stack[5:6], count), bits[5:6])
+        for words, row in zip(stack, bits):
+            assert np.array_equal(row, harness._rng(words).integers(0, 2, size=count))
 
 
 def test_raw_word_states_follow_the_bytes_rule():
     zero_low_bits = 0
+    stack = harness._stream_words(9, 1, range(200), [1])[:, 0]
     for degree in range(2, 65):
-        for words in harness._stream_words(9, 1, range(200), [1])[:, 0]:
+        states = harness._draw_lfsr_states(stack, (degree, 0))
+        assert states.dtype == np.uint64 and states.shape == (200,)
+        for words, state in zip(stack, states.tolist()):
             low = int.from_bytes(harness._rng(words).bytes((degree + 7) // 8), "little") & ((1 << degree) - 1)
             zero_low_bits += low == 0
-            assert harness._draw_lfsr_state(words, (degree, 0)) == (low or 1), degree
+            assert state == (low or 1), degree
     assert zero_low_bits > 0  # the all-zero draw becomes state 1
 
 
@@ -511,6 +517,9 @@ BLOCK_SCENARIOS = [
     tiny_config(n=32, paths=3, trials=20, snr_db=(8.0,), seed=37, integer_doppler=True),
     tiny_config(n=32, paths=3, trials=20, snr_db=(12.0,), seed=38, modulation="qam16", m=16, eve_mode="random"),
     tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(14.0,), seed=39, modulation="qam16", m=16),
+    # two full default blocks of 128 and a short one of 7
+    tiny_config(n=64, paths=3, trials=2 * 128 + 7, snr_db=(8.0,), seed=40, eve_mode="random"),
+    tiny_config(scenario="bob-vs-afdm-ber", n=64, paths=3, trials=2 * 128 + 7, snr_db=(6.0,), seed=42),
 ]
 
 
@@ -526,6 +535,8 @@ BLOCK_IDS = [
     "eve-ber-integer-doppler-n32",
     "eve-ber-random-qam16-m16-n32",
     "bob-vs-afdm-ber-qam16-m16-n32",
+    "eve-ber-random-n64-three-blocks",
+    "bob-vs-afdm-ber-zeros-n64-three-blocks",
 ]
 
 
@@ -919,7 +930,7 @@ def test_csi_error_is_drawn_in_place_with_the_same_bytes(monkeypatch):
         assert exact.tobytes() == before.tobytes()
     # exact channel knowledge draws no error: its trials have no csi child and never perturb
     cfg = tiny_config(scenario="bob-vs-afdm-ber", trials=3)
-    assert all("csi" not in seeds for seeds in harness._trial_seeds(cfg, 0, range(3)))
+    assert "csi" not in harness._trial_seeds(cfg, 0, range(3))
     monkeypatch.setattr(harness, "_csi_error", None)
     assert run_scenario(cfg)[0].bit_count == 3 * 64
 
@@ -952,8 +963,8 @@ def test_each_receiver_adds_its_estimate_error_to_its_exact_matrix(scenario, mon
     afdm = scenario == "bob-vs-afdm-ber"
     assert len(estimates) == len(exact) == 2 * cfg.trials
     assert len(errors) == (1 if afdm else 2) * cfg.trials
-    for t, seeds in enumerate(harness._trial_seeds(cfg, 0, range(cfg.trials))):
-        replay = harness._rng(seeds["csi"])
+    for t, words in enumerate(harness._trial_seeds(cfg, 0, range(cfg.trials))["csi"]):
+        replay = harness._rng(words)
         bob = draw(replay, cfg.n, cfg.csi_error_var)
         other = bob if afdm else draw(replay, cfg.n, cfg.csi_error_var)
         for row, error in zip((2 * t, 2 * t + 1), (bob, other)):

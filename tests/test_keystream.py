@@ -147,7 +147,7 @@ def test_split_next_bits_equal_one_call(taps):
 
 
 def test_output_masks_are_one_read_only_table_per_taps_and_count():
-    taps = keystream._polynomial((5, 2, 0))
+    taps = keystream.tap_polynomial((5, 2, 0))
     masks = keystream._output_masks(taps, 5_000)
     assert masks.dtype == np.uint64 and masks.shape == (5_000,) and not masks.flags.writeable
     with pytest.raises(ValueError):
@@ -156,11 +156,11 @@ def test_output_masks_are_one_read_only_table_per_taps_and_count():
     np.testing.assert_array_equal(masks[:5], 1 << np.arange(5))
     np.testing.assert_array_equal(masks[5:], masks[2:-3] ^ masks[:-5])
     # one table per (taps, count), however the taps are written
-    assert keystream._output_masks(keystream._polynomial((0, 2, 5)), 5_000) is masks
+    assert keystream._output_masks(keystream.tap_polynomial((0, 2, 5)), 5_000) is masks
     # a mask does not depend on the count
     for count in (0, 1, 7, 4_999):
         np.testing.assert_array_equal(keystream._output_masks(taps, count), masks[:count])
-    assert not np.shares_memory(masks, keystream._output_masks(keystream._polynomial((4, 1, 0)), 5_000))
+    assert not np.shares_memory(masks, keystream._output_masks(keystream.tap_polynomial((4, 1, 0)), 5_000))
 
 
 def test_first_concurrent_build_of_a_mask_table():
@@ -176,7 +176,7 @@ def test_first_concurrent_build_of_a_mask_table():
         rows = list(pool.map(draw, seeds))
     for seed, row in zip(seeds, rows):
         np.testing.assert_array_equal(row, stepped(Lfsr(taps, seed), count))
-    assert not keystream._output_masks(keystream._polynomial(taps), count).flags.writeable
+    assert not keystream._output_masks(keystream.tap_polynomial(taps), count).flags.writeable
 
 
 def test_default_stream_golden_digest():

@@ -88,6 +88,30 @@ def test_a_run_imports_neither_scipy_linalg_nor_f2py():
     assert out.stdout.split() == ["True"]
 
 
+_RELOADED_SOLVE = """
+import importlib, json, sys
+import numpy as np
+from seafdm import detection
+rng = np.random.default_rng(3)
+taps = rng.standard_normal((2, 3, 16)) + 1j * rng.standard_normal((2, 3, 16))
+r = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
+before = detection.banded_mmse_equalize(r, taps, 0.1)
+importlib.reload(detection)
+after = detection.banded_mmse_equalize(r, taps, 0.1)
+print(json.dumps({
+    "same_bytes": before.tobytes() == after.tobytes(),
+    "entered": sorted(name for name in ("scipy.linalg", "scipy.linalg.cython_blas", "scipy.linalg.cython_lapack") if name in sys.modules),
+}))
+"""
+
+
+def test_reloading_the_solvers_keeps_their_bytes():
+    """A second load of the extension modules finds no sys.modules entry of theirs to remove."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _RELOADED_SOLVE], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"same_bytes": True, "entered": []}
+
+
 def test_a_missing_extension_file_names_its_path():
     from seafdm import detection
 
