@@ -71,7 +71,9 @@ _zpbtrf = _routine(_cython_lapack, "zpbtrf", 6)
 _zpbtrs = _routine(_cython_lapack, "zpbtrs", 9)
 
 
-def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
+def mmse_equalize(
+    y: np.ndarray, h: np.ndarray, sigma2: float, *, overwrite_h: bool = False, gram: np.ndarray | None = None
+) -> np.ndarray:
     """x_hat = H^H (H H^H + sigma2 I)^{-1} y for unit-energy symbols.
 
     The Gram matrix is Hermitian positive definite for sigma2 > 0 (and for
@@ -87,6 +89,16 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
     `workers` pool overlap their solves.  A 16-QAM CSI-error trial at n=256
     (two dense receivers; OPENBLAS_NUM_THREADS=1, 2-core host) took about
     21 ms with one worker and 10 ms with two.
+
+    With ``overwrite_h`` the caller hands h over, as with scipy's
+    ``overwrite_a``: a C-ordered complex128 h is conjugated in place and
+    holds conj(H) afterwards, so the solve holds two n-by-n arrays, h and
+    the Gram.  Otherwise, and for any other h, the conjugate is a C-ordered
+    copy and h is left as it was.  Both give the same estimate bytes.
+    ``gram``, an (n, n) Fortran-ordered complex128 array that shares no
+    memory with h or y, takes the Gram and its factor in place of a fresh
+    array; its values on entry are never read.  A caller that solves one
+    system after another can so keep one buffer for all of them.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
@@ -97,8 +109,19 @@ def mmse_equalize(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
     if not sigma2 >= 0:
         raise ContractViolation(f"noise variance must be a nonnegative number, got {sigma2}")
     n = h.shape[0]
-    h_conj = np.conj(h, order="C")  # LAPACK reads raw memory: C order whatever the layout of h
-    gram = np.empty((n, n), dtype=np.complex128, order="F")
+    # LAPACK reads raw memory: C order whatever the layout of h
+    if overwrite_h and h.flags.c_contiguous and h.flags.writeable:
+        h_conj = np.conjugate(h, out=h)
+    else:
+        h_conj = np.conj(h, order="C")
+    if gram is None:
+        gram = np.empty((n, n), dtype=np.complex128, order="F")
+    elif not (
+        isinstance(gram, np.ndarray) and gram.dtype == np.complex128 and gram.shape == (n, n)
+        and gram.flags.f_contiguous and gram.flags.writeable
+        and not np.may_share_memory(gram, h) and not np.may_share_memory(gram, y)
+    ):
+        raise ContractViolation("gram must be a writeable Fortran-ordered complex128 n-by-n array apart from h and y")
     z = np.array(y)
     lower, adjoint = ctypes.c_char(b"L"), ctypes.c_char(b"C")
     dim, lead, one = ctypes.c_int(n), ctypes.c_int(max(n, 1)), ctypes.c_int(1)

@@ -147,6 +147,50 @@ def test_dense_solve_reads_any_layout(n):
     assert np.array_equal(y, _dense_system(n, n)[0])  # the observation is not overwritten
 
 
+@pytest.mark.parametrize("n", [5, 64, 131])
+def test_dense_solve_overwrites_only_a_handed_over_matrix(n):
+    # a matrix not handed over comes back byte for byte whatever its layout or
+    # dtype; a handed-over C-ordered complex one holds conj(h) afterwards, any
+    # other handed-over one is left as it was, and every path gives the estimate
+    # of the copying path
+    y, h = _dense_system(n, n)
+    big = np.zeros((2 * n, 3 * n), dtype=complex)
+    big[::2, ::3] = h
+    for layout in (h, np.asfortranarray(h), big[::2, ::3], h.real.copy(), np.asfortranarray(h.real)):
+        before, whole = layout.tobytes(), big.tobytes()
+        want = mmse_equalize(y, layout, 0.1).tobytes()
+        assert layout.tobytes() == before and big.tobytes() == whole
+        in_place = layout.dtype == complex and layout.flags.c_contiguous
+        handed = layout.copy() if in_place else layout
+        assert mmse_equalize(y, handed, 0.1, overwrite_h=True).tobytes() == want
+        assert handed.tobytes() == (np.conj(layout).tobytes() if in_place else before)
+        assert big.tobytes() == whole
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_dense_solve_writes_its_gram_into_a_given_buffer(n):
+    # a given buffer gives the estimate of a fresh one, whatever it held
+    y, h = _dense_system(n, n)
+    want = mmse_equalize(y, h, 0.1).tobytes()
+    gram = np.full((n, n), np.nan, dtype=complex, order="F")
+    assert mmse_equalize(y, h, 0.1, gram=gram).tobytes() == want
+    assert mmse_equalize(y, h.copy(), 0.1, overwrite_h=True, gram=gram).tobytes() == want
+    handed = np.array(h)
+    bad = [
+        np.empty((n, n), dtype=complex),  # C order
+        np.empty((n, n), dtype=np.complex64, order="F"),
+        np.empty((n + 1, n + 1), dtype=complex, order="F"),
+        np.empty((n, n), dtype=complex, order="F")[:, ::-1],
+        handed.T,  # h's own memory, Fortran-ordered
+    ]
+    readonly = np.empty((n, n), dtype=complex, order="F")
+    readonly.flags.writeable = False
+    for buffer in bad + [readonly]:
+        with pytest.raises(ContractViolation, match="gram"):
+            mmse_equalize(y, handed, 0.1, gram=buffer)
+    assert handed.tobytes() == h.tobytes()
+
+
 def test_dense_solves_on_a_thread_pool_equal_serial_ones():
     systems = [_dense_system(n, seed) for seed, n in enumerate([64, 96, 128, 200] * 4)]
     serial = [mmse_equalize(y, h, 0.05).tobytes() for y, h in systems]

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -818,7 +819,7 @@ def test_time_domain_solve_matches_dense_replay(cfg, monkeypatch):
     # a positive csi_error_var sends every receiver through its front end, the
     # dense effective matrix and the Cholesky MMSE; a zero estimate error
     # keeps that channel knowledge exact
-    monkeypatch.setattr(harness, "_csi_error", lambda rng, n, var: 0.0)
+    monkeypatch.setattr(harness, "_add_csi_error", lambda h, rng, var, draw: h)
     dense = run_scenario(replace(cfg, csi_error_var=1e-300))
     assert all(records_equal(a, b) for a, b in zip(fast, dense))
     assert any(r.bob_ber > 0 for r in fast)
@@ -918,20 +919,27 @@ def test_sidecar_records_provenance_and_leaves_the_csv_alone(tmp_path, monkeypat
     assert prov["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
 
 
+def _replayed_error(rng: np.random.Generator, n: int, var: float) -> np.ndarray:
+    """The csi generator's next estimate error, sqrt(var/2) * (a + 1j*b) with a drawn before b."""
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return np.sqrt(var / 2.0) * (a + 1j * b)
+
+
 def test_csi_error_is_drawn_in_place_with_the_same_bytes(monkeypatch):
     rng = np.random.default_rng(41)
     exact = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-    before = exact.copy()
     for var in (1e-4, 0.3):
-        estimate = exact + harness._csi_error(np.random.default_rng(42), 24, var)
-        draw = np.random.default_rng(42)
-        a, b = draw.standard_normal(exact.shape), draw.standard_normal(exact.shape)
-        assert estimate.tobytes() == (exact + np.sqrt(var / 2.0) * (a + 1j * b)).tobytes()
-        assert exact.tobytes() == before.tobytes()
+        want = (exact + _replayed_error(np.random.default_rng(42), 24, var)).tobytes()
+        estimate = exact.copy()
+        assert harness._add_csi_error(estimate, np.random.default_rng(42), var, np.empty((24, 24))) is estimate
+        assert estimate.tobytes() == want
+        # the plain-AFDM row's kept error: the same draw added to zeros, then to the matrix
+        kept = harness._add_csi_error(np.zeros_like(exact), np.random.default_rng(42), var, np.empty((24, 24)))
+        assert (exact + kept).tobytes() == want
     # exact channel knowledge draws no error: its trials have no csi child and never perturb
     cfg = tiny_config(scenario="bob-vs-afdm-ber", trials=3)
     assert "csi" not in harness._trial_seeds(cfg, 0, range(3))
-    monkeypatch.setattr(harness, "_csi_error", None)
+    monkeypatch.setattr(harness, "_add_csi_error", None)
     assert run_scenario(cfg)[0].bit_count == 3 * 64
 
 
@@ -940,35 +948,56 @@ def test_each_receiver_adds_its_estimate_error_to_its_exact_matrix(scenario, mon
     # Bob's error is the csi generator's first draw; the plain-AFDM row adds
     # that same error, and Eve's is the generator's second draw
     cfg = tiny_config(scenario=scenario, csi_error_var=1e-2, trials=3, snr_db=(10.0,))
-    exact, estimates, errors = [], [], []
-    build, solve, draw = harness.effective_channel, harness.mmse_equalize, harness._csi_error
+    exact, estimates = [], []
+    draws = 0
+    build, solve, add = harness.effective_channel, harness.mmse_equalize, harness._add_csi_error
 
     def built(*args):
         out = build(*args)
         exact.append(out.matrix.copy())
         return out
 
-    def solved(y, h, sigma2):
+    def solved(y, h, sigma2, **kwargs):
+        # the receive hands its matrix over and gives the trial's buffer for the Gram
+        assert kwargs["overwrite_h"] is True and kwargs["gram"].shape == h.shape
         estimates.append(h.copy())
-        return solve(y, h, sigma2)
+        return solve(y, h, sigma2, **kwargs)
 
-    def drawn(rng, n, var):
-        errors.append(draw(rng, n, var))
-        return errors[-1]
+    def added(h, rng, var, draw):
+        nonlocal draws
+        draws += 1
+        return add(h, rng, var, draw)
 
     monkeypatch.setattr(harness, "effective_channel", built)
     monkeypatch.setattr(harness, "mmse_equalize", solved)
-    monkeypatch.setattr(harness, "_csi_error", drawn)
+    monkeypatch.setattr(harness, "_add_csi_error", added)
     run_scenario(cfg)
     afdm = scenario == "bob-vs-afdm-ber"
     assert len(estimates) == len(exact) == 2 * cfg.trials
-    assert len(errors) == (1 if afdm else 2) * cfg.trials
+    assert draws == (1 if afdm else 2) * cfg.trials
     for t, words in enumerate(harness._trial_seeds(cfg, 0, range(cfg.trials))["csi"]):
         replay = harness._rng(words)
-        bob = draw(replay, cfg.n, cfg.csi_error_var)
-        other = bob if afdm else draw(replay, cfg.n, cfg.csi_error_var)
+        bob = _replayed_error(replay, cfg.n, cfg.csi_error_var)
+        other = bob if afdm else _replayed_error(replay, cfg.n, cfg.csi_error_var)
         for row, error in zip((2 * t, 2 * t + 1), (bob, other)):
             assert estimates[row].tobytes() == (exact[row] + error).tobytes()
+
+
+@pytest.mark.parametrize("scenario, floor", [("csi-error-ber", 2.25), ("bob-vs-afdm-ber", 3.25)])
+def test_dense_receive_holds_two_matrices_per_receiver(scenario, floor):
+    # a dense receiver holds its estimated matrix and the matrix's Gram, n-by-n
+    # complex each; the plain-AFDM row's kept error is the scenario's third
+    n = 256
+    cfg = tiny_config(scenario=scenario, n=n, paths=3, trials=2, workers=1, csi_error_var=1e-4, snr_db=(10.0,))
+    run_scenario(cfg)  # warm: plans and caches are built
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (16 * n * n) <= floor
 
 
 def test_csv_of_empty_run(tmp_path):
