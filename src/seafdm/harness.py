@@ -19,10 +19,10 @@ division.
 
 The plain-AFDM reference inside ``bob-vs-afdm-ber`` reuses the same
 channel realization, Bob's noise and Bob's own channel-estimate error
-matrix, so the comparison isolates the scrambling itself.  An exact-CSI
-block draws Bob's noise once and adds those draws to both of his frames; a
-CSI-error trial builds a second generator on Bob's noise words, which
-replays them.
+matrix, so the comparison isolates the scrambling itself.  Both chains draw
+each receiver's noise once, as (2, n + ncp) standard normals (none at an
+infinite SNR), and add Bob's draws to both of his frames.  Both end in one
+decision, _decide: a hard demap of each row of estimates and its bit errors.
 
 With exact channel knowledge the trials of a point run serially in blocks
 of at most _BLOCK_SAMPLES frame samples (one trial when a frame alone is
@@ -459,6 +459,12 @@ def _add_csi_error(h: np.ndarray, rng: np.random.Generator, var: float, draw: np
     return h
 
 
+def _decide(const, bits: np.ndarray, rows: np.ndarray) -> int | np.ndarray:
+    """Bit errors of each row of symbol estimates, hard-demapped, against the frame bits broadcast over the rows."""
+    received = demap(rows, const)
+    return count_errors(np.broadcast_to(bits, received.shape), received)
+
+
 def _block_size(n: int) -> int:
     """Exact-CSI trials per block."""
     return max(1, _BLOCK_SAMPLES // n)
@@ -481,24 +487,13 @@ def _run_block(
 ) -> tuple[int, int, int]:
     """Exact-CSI trials of one sweep point run as one stack; returns their summed (bob, other, bits).
 
-    The seed words of every trial are computed at once, and each trial makes
-    only the draws of its own generators, each stream once: data bits and
-    its keystream register's state (raw PCG64 words, unpacked once for the
-    block), Eve's guess draws, then the path draws and the noise of each
-    channel.  Every trial has two rows, Bob's and the other receiver's: the
-    plain-AFDM frame through Bob's channel, with Bob's noise draws, on
-    bob-vs-afdm-ber, Eve's row through her channel on every other
-    scenario.  All the draws are then mapped at once (keystream bits
-    of every state through one output-mask table, symbols, level indices,
-    guesses, path gains and Dopplers), and every row is modulated, passed
-    through the channel, equalized, transformed and demapped.  Keystream
-    bits become codebook level indices, not rates.  Alice's transmit rows
-    gather their chirps from the codebook's chirp table.  Bob's receive row
-    is stacked with the row _guess_rates gives (the zero rates on
-    bob-vs-afdm-ber); a zeros or random guess is a level of the codebook
-    with the zero level appended, so both rows gather from that table,
-    whose zero row is exact ones, and a biased guess is off the codebook,
-    so both rows are exponentiated as one stack of rates.
+    Each trial draws only from its own generators, each stream once, so the
+    counts are those of its trials run alone.  Keystream bits become
+    codebook level indices, not rates, so Alice's rows gather their chirps
+    from the codebook's table.  A zeros or random guess is a level of the
+    codebook with the zero level appended (a row of exact ones), so Bob's
+    and Eve's rows gather from that table too; a biased guess is off the
+    codebook, so both rows are exponentiated as one stack of rates.
     """
     afdm = config.scenario == "bob-vs-afdm-ber"
     params, const, n = config.frame_params, config.constellation, config.n
@@ -546,9 +541,8 @@ def _run_block(
     # does not undo the transmit schedule, and her DAFT at rate zero
     # followed by descramble(guess) is her DAFT at the guessed rates
     s_hat = banded_mmse_equalize(cores, circular_taps(links, params), sigma2)
-    received = demap(daft(s_hat, params, rates.reshape(cores.shape)), const).reshape(len(trials), 2, -1)
-    sent = np.broadcast_to(bits[:, None, :], received.shape)
-    bob, other = count_errors(sent, received).sum(axis=0).tolist()
+    rows = daft(s_hat, params, rates.reshape(cores.shape)).reshape(len(trials), 2, n)
+    bob, other = _decide(const, bits[:, None], rows).sum(axis=0).tolist()
     return bob, other, bits.size
 
 
@@ -583,6 +577,9 @@ def _run_trial(
         rng = _rng(seeds[name][0])
         return sample_channel(config.paths, config.alpha_max, rng, n=n, integer_doppler=config.integer_doppler)
 
+    def noise_draws(name):  # none when the point is noiseless
+        return _rng(seeds[name][0]).standard_normal((2, n + params.ncp)) if sigma2 > 0.0 else None
+
     def receive(front_end, link, signal, noise, sched_rx, sched_tx, error=None):
         """Imperfect CSI perturbs the dense subcarrier matrix, so it runs
         front end, effective matrix, CSI error and dense MMSE.  Without a
@@ -590,7 +587,7 @@ def _run_trial(
         solve takes the matrix over and conjugates it in place, and writes
         its Gram into the trial's buffer, so a receiver holds two n-by-n
         arrays, the matrix and the buffer."""
-        r = apply_channel(signal, link, _rng(seeds[noise][0]), sigma2)
+        r = apply_channel(signal, link, noise, sigma2)
         y = front_end(r, params, sched_rx)
         h = effective_channel(link, params, sched_rx, sched_tx).matrix
         if error is None:
@@ -598,9 +595,6 @@ def _run_trial(
         else:
             h += error
         return mmse_equalize(y, h, sigma2, overwrite_h=True, gram=gram)
-
-    def errors(x_hat):
-        return count_errors(bits, demap(x_hat, const))
 
     realization = channel("bob_channel")
     tx = se_afdm_modulate(x, params, alice)
@@ -615,19 +609,22 @@ def _run_trial(
     bob_error = None
     if afdm:
         bob_error = _add_csi_error(np.zeros((n, n), dtype=np.complex128), rng_csi, config.csi_error_var, draw)
+    bob_noise = noise_draws("bob_noise")
     bob = C2Schedule(alice.values, "bob")
-    bob_err = errors(receive(bob_front_end, realization, tx, "bob_noise", bob, alice, bob_error))
+    # decided before the other receive: Bob's estimate held through it kept the heap from
+    # shrinking, and perfbench's 2-worker n=256 16-QAM process peaked 0.7 MB higher
+    bob_err = _decide(const, bits, receive(bob_front_end, realization, tx, bob_noise, bob, alice, bob_error))
     if afdm:
-        # a fresh generator from Bob's seed words replays his noise
+        # the plain-AFDM frame takes Bob's link, his noise draws and his error
         a0 = zero_schedule(n, "alice")
         tx0 = se_afdm_modulate(x, params, a0)
-        other_hat = receive(bob_front_end, realization, tx0, "bob_noise", zero_schedule(n, "bob"), a0, bob_error)
+        other_hat = receive(bob_front_end, realization, tx0, bob_noise, zero_schedule(n, "bob"), a0, bob_error)
     else:
         # she knows her own front end, not the transmit schedule; her error is the csi generator's second draw
         guess = C2Schedule(_guess_rates(config.eve_mode, alice.chirp_rates, draws), "eve")
-        scrambled_hat = receive(eve_front_end, channel("eve_channel"), tx, "eve_noise", guess, None)
+        scrambled_hat = receive(eve_front_end, channel("eve_channel"), tx, noise_draws("eve_noise"), guess, None)
         other_hat = descramble(scrambled_hat, guess)
-    return bob_err, errors(other_hat), bits.size
+    return bob_err, _decide(const, bits, other_hat), bits.size
 
 
 def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialRecord:

@@ -983,6 +983,64 @@ def test_each_receiver_adds_its_estimate_error_to_its_exact_matrix(scenario, mon
             assert estimates[row].tobytes() == (exact[row] + error).tobytes()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(eve_mode="zeros"),
+        dict(eve_mode="random"),
+        dict(eve_mode="biased", eve_bias=1e-3),
+        dict(scenario="bob-vs-afdm-ber"),
+        dict(scenario="bias-sweep", bias_values=(0.0, 1e-3)),
+        dict(scenario="csi-error-ber", csi_error_var=1e-3, eve_mode="random"),
+        dict(scenario="bob-vs-afdm-ber", csi_error_var=1e-3),
+    ],
+    ids=["eve-zeros", "eve-random", "eve-biased", "bob-vs-afdm", "bias-sweep", "csi-error", "csi-error-afdm"],
+)
+def test_both_chains_decide_in_one_stage(overrides, monkeypatch):
+    # a block decides all its rows at once; a CSI-error trial decides each receiver's estimate
+    cfg = tiny_config(n=32, paths=3, trials=8, snr_db=(6.0,), **overrides)
+    decided = []
+    decide = harness._decide
+
+    def recorded(const, bits, rows):
+        errors = decide(const, bits, rows)
+        decided.append((rows.shape, int(np.sum(errors))))
+        return errors
+
+    monkeypatch.setattr(harness, "_decide", recorded)
+    monkeypatch.setattr(harness, "_block_size", lambda n: 3)
+    records = run_scenario(cfg)
+    if cfg.csi_error_var == 0.0:
+        per_point = [(3, 2, cfg.n), (3, 2, cfg.n), (2, 2, cfg.n)]  # blocks of 3, 3 and 2 trials
+    else:
+        per_point = [(cfg.n,)] * 2 * cfg.trials
+    assert [shape for shape, _ in decided] == per_point * len(records)
+    bers = [(ber, r.bit_count) for r in records for ber in (r.bob_ber, r.eve_ber, r.afdm_ber) if not math.isnan(ber)]
+    counted = sum(round(ber * bits) for ber, bits in bers)
+    assert sum(errors for _, errors in decided) == counted > 0
+
+
+@pytest.mark.parametrize("scenario, streams", [("bob-vs-afdm-ber", ["bob_noise"]), ("csi-error-ber", ["bob_noise", "eve_noise"])])
+def test_a_csi_error_trial_draws_each_noise_stream_once(scenario, streams, monkeypatch):
+    # the plain-AFDM frame adds Bob's draws, so no second generator replays them,
+    # and a noiseless point builds no noise generator
+    built = []
+    rng = harness._rng
+
+    def recorded(words):
+        built.append(words.tobytes())
+        return rng(words)
+
+    monkeypatch.setattr(harness, "_rng", recorded)
+    for snr_db, generators in ((10.0, 1), (float("inf"), 0)):
+        built.clear()
+        cfg = tiny_config(scenario=scenario, csi_error_var=1e-3, trials=3, snr_db=(snr_db,))
+        run_scenario(cfg)
+        seeds = harness._trial_seeds(cfg, 0, range(cfg.trials))
+        for name in streams:
+            assert [built.count(words.tobytes()) for words in seeds[name]] == [generators] * cfg.trials, name
+
+
 @pytest.mark.parametrize("scenario, floor", [("csi-error-ber", 2.25), ("bob-vs-afdm-ber", 3.25)])
 def test_dense_receive_holds_two_matrices_per_receiver(scenario, floor):
     # a dense receiver holds its estimated matrix and the matrix's Gram, n-by-n
