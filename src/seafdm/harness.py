@@ -26,13 +26,14 @@ decision, _decide: a hard demap of each row of estimates and its bit errors.
 
 With exact channel knowledge the trials of a point run serially in blocks
 of at most _BLOCK_SAMPLES frame samples (one trial when a frame alone is
-larger), and a block's counts are a function of its trial range alone: its
-last trial makes every trial's draws from that trial's own generators, maps
-them at once (symbols, schedule level indices, Eve's guess, path gains and
-Dopplers), then modulates, passes through the channel, equalizes,
-transforms and demaps the whole block; nothing is kept between trials.
-Every stacked stage gives each frame the bytes it gets alone, so the
-block size changes no count.
+larger).  A trial finds its block from its own index, and a block's counts
+are a function of its trial range alone: its last trial makes every
+trial's draws from that trial's own generators, maps them at once
+(symbols, schedule level indices, Eve's guess, path gains and Dopplers),
+then modulates, passes through the channel, equalizes, transforms and
+demaps the whole block; nothing is kept between trials.  Every stacked
+stage gives each frame the bytes it gets alone, so the block size changes
+no count.
 """
 
 from __future__ import annotations
@@ -412,10 +413,8 @@ def _trial_seeds(config: ExperimentConfig, point_idx: int, trials) -> dict[str, 
     return {name: words[:, k] for k, name in enumerate(names)}
 
 
-def _draw_guess(mode: str, rng: np.random.Generator | None, n: int, m: int, bias: float) -> np.ndarray | None:
-    """Eve's draws for one frame: none for zeros, level indices for random, offsets from Alice's rates for biased."""
-    if mode == "zeros":
-        return None
+def _draw_guess(mode: str, rng: np.random.Generator, n: int, m: int, bias: float) -> np.ndarray:
+    """Eve's draws for one frame: level indices for random, offsets from Alice's rates for biased."""
     if mode == "random":
         return rng.integers(0, m, size=n)
     offset = rng.uniform(-bias, bias, size=n)
@@ -546,19 +545,20 @@ def _run_block(
     return bob, other, bits.size
 
 
-def _run_trial(
-    config: ExperimentConfig, point_idx: int, trial_idx: int, sigma2: float, bias: float, block: range | None = None
-) -> tuple[int, int, int]:
+def _run_trial(config: ExperimentConfig, point_idx: int, trial_idx: int, sigma2: float, bias: float) -> tuple[int, int, int]:
     """One frame end to end; returns the (bob, other, bits) error counts it completes.
 
     The other receiver is the plain-AFDM frame on ``bob-vs-afdm-ber`` and
-    Eve on every other scenario.  With exact CSI (``block`` given, the
-    range of trials the frame's block holds) the block's last trial runs
-    the whole block and returns its summed counts, and every other trial
-    of it completes nothing.
+    Eve on every other scenario.  With exact CSI the trial finds its block
+    from its index: the block's last trial runs the whole block and returns
+    its summed counts, and every other trial of it completes nothing.
     """
-    if block is not None:
-        return _run_block(config, point_idx, block, sigma2, bias) if trial_idx == block[-1] else (0, 0, 0)
+    if config.csi_error_var == 0.0:
+        size = _block_size(config.n)
+        # a block ends after size trials or at the point's last trial
+        if (trial_idx + 1) % size and trial_idx + 1 < config.trials:
+            return 0, 0, 0
+        return _run_block(config, point_idx, range(trial_idx - trial_idx % size, trial_idx + 1), sigma2, bias)
     params = config.frame_params
     book = config.codebook
     const = config.constellation
@@ -627,31 +627,18 @@ def _run_trial(
     return bob_err, _decide(const, bits, other_hat), bits.size
 
 
-def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialRecord:
-    if config.scenario == "bias-sweep":
-        sigma2 = 10.0 ** (-config.snr_db[0] / 10.0)
-        bias = point
-    else:
-        sigma2 = 10.0 ** (-point / 10.0)
-        bias = config.eve_bias
-
-    def one(trial_idx: int, block: range | None = None) -> tuple[int, int, int]:
-        return _run_trial(config, point_idx, trial_idx, sigma2, bias, block)
+def _run_point(config: ExperimentConfig, point_idx: int, point: float, sigma2: float, bias: float) -> TrialRecord:
+    def one(trial_idx: int) -> tuple[int, int, int]:
+        return _run_trial(config, point_idx, trial_idx, sigma2, bias)
 
     workers = min(config.workers, config.trials)
     start = time.perf_counter()
-    if config.csi_error_var == 0.0:
-        # serial blocks: the stacked receive side leaves a thread nothing to overlap
-        outcomes = []
-        size = _block_size(config.n)
-        for first in range(0, config.trials, size):
-            block = range(first, min(first + size, config.trials))
-            outcomes += [one(t, block) for t in block]
-    elif workers > 1:
+    # exact CSI runs serially: the stacked receive side leaves a thread nothing to overlap
+    if config.csi_error_var > 0.0 and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(config.trials)))
     else:
-        outcomes = [one(t) for t in range(config.trials)]
+        outcomes = list(map(one, range(config.trials)))
     wall_ms = (time.perf_counter() - start) * 1e3
 
     bob_err, other_err, bit_count = (sum(column) for column in zip(*outcomes))
@@ -670,8 +657,12 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float) -> TrialR
 
 def run_scenario(config: ExperimentConfig) -> list[TrialRecord]:
     """Run a Monte Carlo scenario, one aggregated record per sweep point."""
-    points = config.bias_values if config.scenario == "bias-sweep" else config.snr_db
-    return [_run_point(config, i, p) for i, p in enumerate(points)]
+    if config.scenario == "bias-sweep":
+        sigma2 = 10.0 ** (-config.snr_db[0] / 10.0)
+        points = [(b, sigma2, b) for b in config.bias_values]
+    else:
+        points = [(snr, 10.0 ** (-snr / 10.0), config.eve_bias) for snr in config.snr_db]
+    return [_run_point(config, i, *point) for i, point in enumerate(points)]
 
 
 def run_sinr_curve(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -614,13 +614,19 @@ def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated
         assert all(np.isin(c.reshape(-1, 2, cfg.n)[:, 0], cfg.codebook.levels).all() for c in second)
 
 
-@pytest.mark.parametrize("cfg", BLOCK_SCENARIOS[:5], ids=BLOCK_IDS[:5])
-def test_a_block_is_a_function_of_its_trial_range(cfg):
-    # the block's last trial runs it alone: no earlier trial leaves it anything
-    block = range(3, 8)
+@pytest.mark.parametrize(
+    "cfg, size, block",
+    # a full block of the 20-trial point, then its short last block
+    [(cfg, 5, range(5, 10)) for cfg in BLOCK_SCENARIOS[:5]] + [(cfg, 6, range(18, 20)) for cfg in BLOCK_SCENARIOS[:5]],
+    ids=BLOCK_IDS[:5] + [f"{name}-short-last-block" for name in BLOCK_IDS[:5]],
+)
+def test_a_block_is_a_function_of_its_trial_range(cfg, size, block, monkeypatch):
+    # a trial finds its block from its index, and the block's last trial runs it
+    # alone: no earlier trial leaves it anything
+    monkeypatch.setattr(harness, "_block_size", lambda n: size)
     sigma2, bias = 10.0 ** (-cfg.snr_db[0] / 10.0), max(cfg.bias_values, default=cfg.eve_bias)
-    alone = harness._run_trial(cfg, 1, block[-1], sigma2, bias, block)
-    every = [harness._run_trial(cfg, 1, t, sigma2, bias, block) for t in block]
+    alone = harness._run_trial(cfg, 1, block[-1], sigma2, bias)
+    every = [harness._run_trial(cfg, 1, t, sigma2, bias) for t in block]
     assert every[:-1] == [(0, 0, 0)] * (len(block) - 1)
     assert alone == tuple(map(sum, zip(*every)))
     singles = [harness._run_block(cfg, 1, range(t, t + 1), sigma2, bias) for t in block]
@@ -735,8 +741,9 @@ def test_guess_modes():
     alice = C2Schedule(levels, "alice").values
 
     def guess(mode, bias):
-        # the float rates of the guess, as the CSI-error trial's schedule holds them
-        rates = _guess_rates(mode, levels, _draw_guess(mode, rng, alice.size, book.m, bias))
+        # the float rates of the guess, as the CSI-error trial's schedule holds them; zeros draws nothing
+        draws = None if mode == "zeros" else _draw_guess(mode, rng, alice.size, book.m, bias)
+        rates = _guess_rates(mode, levels, draws)
         return C2Schedule(rates, "eve").values
 
     assert np.all(guess("zeros", 0.0) == 0)
