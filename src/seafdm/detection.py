@@ -159,7 +159,7 @@ def banded_mmse_equalize(r: np.ndarray, taps: np.ndarray, sigma2: float) -> np.n
     solution is, bit for bit, the one it gets alone.  zpbtrf('L') factors
     the band in place and zpbtrs('L') solves every right-hand side on it,
     both called like mmse_equalize's routines, through ctypes, with the GIL
-    released.
+    released.  _gram_band floors sigma2 per system, so noiseless ones factor.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
@@ -189,9 +189,11 @@ def banded_mmse_equalize(r: np.ndarray, taps: np.ndarray, sigma2: float) -> np.n
 
 
 def _gram_band(taps: np.ndarray, sigma2: float) -> np.ndarray:
-    """Lower band of the stacked folded Gram matrices plus sigma2 on the diagonal, then the identity block.
+    """Lower band of the stacked folded Gram matrices plus each one's noise variance, then the identity block.
 
-    The band is built in column order, the layout LAPACK's banded Cholesky reads.
+    The band is built in column order, the layout LAPACK's banded Cholesky reads.  Each system's
+    noise variance is max(sigma2, eps * its own largest Gram diagonal entry): a noiseless Gram still
+    factors, and no system's floor depends on another, so stacking changes no system's band.
 
     Every band cell sums its terms taps[l, k] * conj(taps[m, j]) in plan
     order, starting from zero: the cells are accumulated rank by rank, the
@@ -209,7 +211,8 @@ def _gram_band(taps: np.ndarray, sigma2: float) -> np.ndarray:
     columns = np.zeros((count * n + plan.band_rows - 1, plan.band_rows), dtype=np.complex128)
     columns.reshape(-1)[plan.cells] = sums
     band = columns.T
-    band[0] += sigma2
+    diagonal = band[0, : count * n].reshape(count, n)
+    diagonal += np.maximum(sigma2, np.finfo(np.float64).eps * diagonal.real.max(axis=1, keepdims=True))
     band[0, count * n :] = 1.0
     return band
 

@@ -105,7 +105,6 @@ SCENARIOS = (
     "bob-vs-afdm-ber",
     "eve-ber",
     "csi-error-ber",
-    "bias-sweep",
 )
 
 EVE_MODES = ("zeros", "random", "biased")
@@ -131,9 +130,8 @@ _BLOCK_SAMPLES = 8192
 class ExperimentConfig:
     """One experiment: link geometry, adversary model, sweep, and budget.
 
-    snr_db is the sweep axis for the BER scenarios; bias-sweep sweeps
-    bias_values at snr_db[0] instead, with the biased guess.  An unset
-    eve_mode is biased for bias-sweep and zeros for every other scenario.
+    A run sweeps snr_db, or, when eve_bias holds more than one value, the
+    biased guess's error over eve_bias at the one snr_db.
     csi_error_var is the per-entry variance of the complex Gaussian error
     added to every receiver's channel estimate (zero means genie CSI).
     Construction coerces and checks every field, and builds the tables
@@ -152,12 +150,11 @@ class ExperimentConfig:
     snr_db: tuple[float, ...] = (25.0,)
     trials: int = 200
     seed: int = 1
-    eve_mode: str | None = None
-    eve_bias: float = 0.0
+    eve_mode: str = "zeros"
+    eve_bias: tuple[float, ...] = (0.0,)
     csi_error_var: float = 0.0
     workers: int = 1
     lfsr_taps: tuple[int, ...] = DEFAULT_TAPS
-    bias_values: tuple[float, ...] = ()
     c2max_values: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -170,19 +167,16 @@ class ExperimentConfig:
         if not isinstance(self.lfsr_taps, (list, tuple, np.ndarray)):
             raise ConfigError(f"lfsr_taps must be a list of exponents, got {self.lfsr_taps!r}")
         set_("lfsr_taps", tuple(_as_int(t, "lfsr_taps entry") for t in self.lfsr_taps))
-        for name in ("c2max", "alpha_max", "eve_bias", "csi_error_var"):
+        for name in ("c2max", "alpha_max", "csi_error_var"):
             set_(name, _as_float(getattr(self, name), name))
-        set_("snr_db", _as_float_tuple(self.snr_db, "snr_db"))
-        for name in ("bias_values", "c2max_values"):
-            set_(name, _as_float_tuple(getattr(self, name), name, empty_ok=True))
+        for name in ("snr_db", "eve_bias"):
+            set_(name, _as_float_tuple(getattr(self, name), name))
+        set_("c2max_values", _as_float_tuple(self.c2max_values, "c2max_values", empty_ok=True))
         if not isinstance(self.integer_doppler, (bool, np.bool_)):
             raise ConfigError(f"integer_doppler must be true or false, got {self.integer_doppler!r}")
         set_("integer_doppler", bool(self.integer_doppler))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; known: {SCENARIOS}")
-        if self.eve_mode is None:
-            # the sweep varies the biased guess's error, so that is the guess it runs
-            set_("eve_mode", "biased" if self.scenario == "bias-sweep" else "zeros")
         if self.eve_mode not in EVE_MODES:
             raise ConfigError(f"unknown eve_mode {self.eve_mode!r}; known: {EVE_MODES}")
         if not isinstance(self.modulation, str):
@@ -195,12 +189,12 @@ class ExperimentConfig:
         for name, most in _LARGEST.items():
             if getattr(self, name) > most:
                 raise ConfigError(f"{name}={getattr(self, name)} exceeds its largest value {most}")
-        for name in ("alpha_max", "eve_bias", "csi_error_var", "bias_values", "c2max_values"):
+        for name in ("alpha_max", "eve_bias", "csi_error_var", "c2max_values"):
             value = getattr(self, name)
-            if not all(0 <= v < np.inf for v in (value if isinstance(value, tuple) else (value,))):
+            if not all(0 <= v < np.inf for v in np.atleast_1d(value)):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        for name in ("eve_bias", "bias_values", "c2max_values"):
-            if max(np.atleast_1d(getattr(self, name)), default=0.0) > 1.0:
+        for name in ("eve_bias", "c2max_values"):
+            if max(getattr(self, name), default=0.0) > 1.0:
                 # a chirp rate acts modulo 1 (c and c + 1 give one chirp): 1 spans every rate and every rate error
                 raise ConfigError(f"{name}={getattr(self, name)} exceeds its largest value 1.0")
         if not all(abs(v) <= 3000.0 or v == np.inf for v in self.snr_db):
@@ -211,20 +205,12 @@ class ExperimentConfig:
         if self.alpha_max > self.n:
             # Dopplers nu and nu + n (and chirp rates c1 and c1 + 1) are one on the integer sample grid
             raise ConfigError(f"alpha_max={self.alpha_max} exceeds n={self.n}")
-        if self.scenario == "bias-sweep":
-            if not self.bias_values:
-                raise ConfigError("bias-sweep needs a nonempty bias_values list")
-            if self.eve_mode != "biased":
-                raise ConfigError(f"bias-sweep runs the biased guess; eve_mode={self.eve_mode!r} contradicts it")
         if self.scenario == "bob-vs-afdm-ber" and self.eve_mode != "zeros":
-            # an unset eve_mode resolves to zeros, so only a guess nothing draws passes
             raise ConfigError(f"bob-vs-afdm-ber has no interceptor; eve_mode={self.eve_mode!r} would be ignored")
-        if self.eve_bias > 0.0 and (self.eve_mode != "biased" or self.scenario == "bias-sweep"):
-            # bias-sweep sweeps bias_values in its place
-            raise ConfigError(
-                f"eve_bias={self.eve_bias} is read only by the biased guess of eve-ber and csi-error-ber, "
-                f"not by {self.scenario} with eve_mode={self.eve_mode!r}"
-            )
+        if self.eve_bias != (0.0,) and self.eve_mode != "biased":
+            raise ConfigError(f"eve_bias={list(self.eve_bias)} needs eve_mode='biased', got {self.eve_mode!r}")
+        if len(self.snr_db) > 1 and len(self.eve_bias) > 1:
+            raise ConfigError(f"a run sweeps snr_db or eve_bias, not both: {list(self.snr_db)}, {list(self.eve_bias)}")
         if self.scenario == "csi-error-ber" and self.csi_error_var == 0.0:
             raise ConfigError("csi-error-ber needs csi_error_var > 0")
         ncp = self.paths - 1 if self.ncp is None else self.ncp
@@ -656,13 +642,15 @@ def _run_point(config: ExperimentConfig, point_idx: int, point: float, sigma2: f
 
 
 def run_scenario(config: ExperimentConfig) -> list[TrialRecord]:
-    """Run a Monte Carlo scenario, one aggregated record per sweep point."""
-    if config.scenario == "bias-sweep":
-        sigma2 = 10.0 ** (-config.snr_db[0] / 10.0)
-        points = [(b, sigma2, b) for b in config.bias_values]
+    """Run a Monte Carlo scenario, one aggregated record per sweep point.
+
+    The points are the eve_bias values at snr_db[0] when eve_bias holds more than one, else the snr_db values.
+    """
+    if len(config.eve_bias) > 1:
+        points = [(b, config.snr_db[0], b) for b in config.eve_bias]
     else:
-        points = [(snr, 10.0 ** (-snr / 10.0), config.eve_bias) for snr in config.snr_db]
-    return [_run_point(config, i, *point) for i, point in enumerate(points)]
+        points = [(snr, snr, config.eve_bias[0]) for snr in config.snr_db]
+    return [_run_point(config, i, point, 10.0 ** (-snr / 10.0), bias) for i, (point, snr, bias) in enumerate(points)]
 
 
 def run_sinr_curve(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -321,11 +321,12 @@ def test_a07_no_security_when_scrambling_disabled():
 def test_a08_guess_error_thresholds():
     start = time.perf_counter()
     cfg = ExperimentConfig(
-        scenario="bias-sweep",
+        scenario="eve-ber",
         n=1024,
         paths=3,
         snr_db=(25.0,),
-        bias_values=(1e-6, 1e-8),
+        eve_mode="biased",
+        eve_bias=(1e-6, 1e-8),
         trials=30,
         seed=1,
         c2max=4.88e-5,

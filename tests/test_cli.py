@@ -74,6 +74,10 @@ def test_config_from_yaml(tmp_path):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
     assert load("--config", str(empty)) == ExperimentConfig()
+    # a lone eve_bias is a one-value sweep, in a file or an override
+    path.write_text("eve_mode: biased\neve_bias: 2.0e-4\nsnr_db: [10, 20]\n")
+    assert load("--config", str(path)).eve_bias == (2e-4,)
+    assert load("--config", str(path), "--set", "eve_bias=1e-3").eve_bias == (1e-3,)
 
 
 def test_float_written_without_a_dot_runs(tmp_path):
@@ -108,7 +112,7 @@ def test_bad_override_exits_2(capsys):
     assert main(["simulate", "--set", "no-equals-sign"]) == 2
 
 
-BIAS_SWEEP = ["simulate", "--set", "scenario=bias-sweep", "--set", "n=32", "--set", "paths=2"]
+BIAS_SWEEP = ["simulate", "--set", "eve_mode=biased", "--set", "n=32", "--set", "paths=2"]
 
 
 @pytest.mark.parametrize(
@@ -117,9 +121,9 @@ BIAS_SWEEP = ["simulate", "--set", "scenario=bias-sweep", "--set", "n=32", "--se
         ["simulate", "--set", "snr_db=[.nan]"],
         ["simulate", "--set", "snr_db=[20, -.inf]"],
         ["simulate", "--set", "eve_bias=.inf"],
-        [*BIAS_SWEEP, "--set", "bias_values=[0.0, -0.001]"],
-        [*BIAS_SWEEP, "--set", "bias_values=[1.0e-6, -1.0e-6]"],
-        [*BIAS_SWEEP, "--set", "bias_values=[.nan]"],
+        [*BIAS_SWEEP, "--set", "eve_bias=[0.0, -0.001]"],
+        [*BIAS_SWEEP, "--set", "eve_bias=[1.0e-6, -1.0e-6]"],
+        [*BIAS_SWEEP, "--set", "eve_bias=[.nan]"],
     ],
 )
 def test_bad_snr_or_bias_exits_2_before_any_trial(argv, capsys):
@@ -194,12 +198,12 @@ def test_bias_sweep_command(tmp_path):
     code = main(
         [
             "simulate",
-            "--set", "scenario=bias-sweep",
+            "--set", "eve_mode=biased",
             "--set", "n=32",
             "--set", "paths=2",
             "--set", "trials=3",
             "--set", "snr_db=[60]",
-            "--set", "bias_values=[0.0, 0.3]",
+            "--set", "eve_bias=[0.0, 0.3]",
             "--out", str(out),
         ]
     )
@@ -211,8 +215,8 @@ def test_bias_sweep_command(tmp_path):
 
 
 def test_bias_sweep_without_values_exits_2(capsys):
-    assert main(BIAS_SWEEP) == 2
-    assert "bias_values" in capsys.readouterr().err
+    assert main([*BIAS_SWEEP, "--set", "eve_bias=[]"]) == 2
+    assert "eve_bias" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -228,11 +232,13 @@ def test_bias_sweep_without_values_exits_2(capsys):
         (f"n={10**400}", "n"),
         (f"trials={2**32}", "trials"),
         ("workers=257", "workers"),
-        ("eve_bias=0.5", "eve_bias"),
+        # one interceptor scenario, swept over snr_db or eve_bias, not both
+        ("snr_db=[5, 10]", "snr_db"),
+        ("scenario=bias-sweep", "scenario"),
     ],
 )
 def test_bad_value_exits_2_naming_its_field(override, field, capsys):
-    assert main([*BIAS_SWEEP, "--set", "bias_values=[0.001]", "--set", override]) == 2
+    assert main([*BIAS_SWEEP, "--set", "eve_bias=[0.0, 0.001]", "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
 
@@ -243,7 +249,7 @@ def test_bad_value_exits_2_naming_its_field(override, field, capsys):
         (["simulate", "--set", "snr_db=[-4000]"], "snr_db"),
         (["sinr-curve", "--set", "snr_db=[4000]"], "snr_db"),
         (["simulate", "--set", "eve_mode=biased", "--set", "eve_bias=1e308"], "eve_bias"),
-        ([*BIAS_SWEEP, "--set", "bias_values=[1e308]"], "bias_values"),
+        ([*BIAS_SWEEP, "--set", "eve_bias=[0.0, 1e308]"], "eve_bias"),
         (["simulate", "--set", "n=32", "--set", "paths=2", "--set", "c2max=1e308"], "c2max"),
         (["search-space", "--set", "c2max=1e308"], "c2max"),
         (["sinr-curve", "--set", "c2max_values=[1e308]"], "c2max_values"),

@@ -502,6 +502,26 @@ def test_gram_band_and_solutions_equal_the_bincount_oracle(systems, n, delays, l
     assert fast.tobytes() == slow.tobytes()
 
 
+@pytest.mark.parametrize("n", [5, 64, 256])
+def test_each_stacked_gram_gets_its_own_noise_floor(n):
+    # a system's noise variance is max(sigma2, eps * its own largest Gram diagonal
+    # entry): the loud middle link is floored at 1e-6 and the quiet ones are not
+    rng = np.random.default_rng(n)
+    params = FrameParams(n=n, ncp=2, c1=0.1)
+    gains = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    gains[1] *= 1e6
+    taps = circular_taps(ChannelRealization(gains, [0, 1, 2], rng.uniform(-2.0, 2.0, (3, 3))), params)
+    for sigma2 in (0.0, 1e-300, 1e-6):
+        want = gram_band(taps, 0.0)
+        for s in range(3):
+            diagonal = want[0, s * n : (s + 1) * n]
+            diagonal += max(sigma2, np.finfo(np.float64).eps * diagonal.real.max())
+        got = detection._gram_band(taps, sigma2)
+        assert got.tobytes() == want.tobytes()
+        for s in range(3):
+            assert got[:, s * n : (s + 1) * n].tobytes() == detection._gram_band(taps[s : s + 1], sigma2)[:, :n].tobytes()
+
+
 def test_count_errors():
     a = np.array([0, 1, 1, 0])
     assert count_errors(a, a) == 0

@@ -75,17 +75,20 @@ def records_equal(a: TrialRecord, b: TrialRecord) -> bool:
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"scenario": "eve-ber", "turbo": True})
+    with pytest.raises(ConfigError, match="unknown config keys: \\['bias_values'\\]"):
+        ExperimentConfig.from_dict({"eve_mode": "biased", "bias_values": [0.0, 1e-3]})
     with pytest.raises(ConfigError, match="must be a mapping"):
         ExperimentConfig.from_dict([("scenario", "eve-ber")])
 
 
 def test_unset_eve_mode_is_the_scenario_default():
+    # every scenario's unset guess is zeros, a constant default: no None stands for it
+    assert ExperimentConfig.__dataclass_fields__["eve_mode"].default == "zeros"
     assert ExperimentConfig().eve_mode == "zeros"
-    assert ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,)).eve_mode == "biased"
-    assert ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,), eve_mode="biased").eve_mode == "biased"
-    assert ExperimentConfig.from_dict({"eve_mode": None, "scenario": "bias-sweep", "bias_values": [0.0]}).eve_mode == "biased"
-    with pytest.raises(ConfigError, match="eve_mode='random'"):
-        ExperimentConfig(scenario="bias-sweep", bias_values=(1e-3,), eve_mode="random")
+    assert ExperimentConfig(scenario="csi-error-ber", csi_error_var=1e-3).eve_mode == "zeros"
+    assert ExperimentConfig(eve_mode="biased", eve_bias=(0.0, 1e-3)).eve_mode == "biased"
+    with pytest.raises(ConfigError, match="eve_mode None"):
+        ExperimentConfig.from_dict({"eve_mode": None})
     # bob-vs-afdm-ber has no interceptor: its unset eve_mode is zeros, which
     # a copy of its config passes on, and any guess that draws is rejected
     bob = ExperimentConfig(scenario="bob-vs-afdm-ber")
@@ -110,16 +113,16 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"eve_bias": -0.1},
         {"eve_bias": float("inf")},
         {"eve_bias": float("nan")},
-        {"scenario": "bias-sweep", "bias_values": (1e-6, -1e-6)},
-        {"scenario": "bias-sweep", "bias_values": (float("inf"),)},
-        {"scenario": "bias-sweep", "bias_values": (float("nan"),)},
+        {"eve_mode": "biased", "eve_bias": (1e-6, -1e-6)},
+        {"eve_mode": "biased", "eve_bias": (float("inf"),)},
+        {"eve_mode": "biased", "eve_bias": (float("nan"),)},
         {"snr_db": (float("nan"),)},
         {"snr_db": (20.0, float("-inf"))},
         {"csi_error_var": -1.0},
         {"scenario": "csi-error-ber", "csi_error_var": float("nan")},
         {"scenario": "csi-error-ber", "csi_error_var": float("inf")},
         {"alpha_max": -1.0},
-        {"scenario": "bias-sweep", "bias_values": ()},
+        {"eve_mode": "biased", "eve_bias": ()},
         {"scenario": "csi-error-ber", "csi_error_var": 0.0},
         {"modulation": "qam7"},
         {"m": 1},
@@ -156,7 +159,7 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"c2max_values": (-1e-4,)},
         {"modulation": ["qpsk"]},
         {"snr_db": None},
-        {"scenario": "bias-sweep", "bias_values": None},
+        {"eve_mode": "biased", "eve_bias": None},
         {"c2max_values": None},
         {"c2max": 10**400},
         {"m": 2**17},
@@ -171,7 +174,7 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"eve_bias": 0.5, "eve_mode": "random"},
         {"scenario": "bob-vs-afdm-ber", "eve_bias": 0.5},
         {"scenario": "bob-vs-afdm-ber", "eve_mode": "biased", "eve_bias": 0.5},
-        {"scenario": "bias-sweep", "bias_values": (1e-3,), "eve_bias": 0.5},
+        {"eve_bias": (0.0, 0.5)},
         # bob-vs-afdm-ber has no interceptor to guess
         {"scenario": "bob-vs-afdm-ber", "eve_mode": "random"},
         {"scenario": "bob-vs-afdm-ber", "eve_mode": "biased"},
@@ -181,8 +184,8 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"snr_db": (-3000.5,)},
         {"eve_mode": "biased", "eve_bias": 1e308},
         {"eve_mode": "biased", "eve_bias": 1.5},
-        {"scenario": "bias-sweep", "bias_values": (1e308,)},
-        {"scenario": "bias-sweep", "bias_values": (0.0, 1.0 + 2**-52)},
+        {"eve_mode": "biased", "eve_bias": (1e308,)},
+        {"eve_mode": "biased", "eve_bias": (0.0, 1.0 + 2**-52)},
         # a chirp rate acts modulo 1 and a Doppler modulo n (here 32)
         {"c2max": 1e308},
         {"c2max": 1.0 + 2**-52},
@@ -191,6 +194,9 @@ def test_unset_eve_mode_is_the_scenario_default():
         {"alpha_max": 1e307},
         {"alpha_max": 1e308},
         {"alpha_max": 32.5},
+        # a run sweeps snr_db or eve_bias, and a bias sweep is eve-ber's, not a scenario of its own
+        {"eve_mode": "biased", "eve_bias": (0.0, 1e-3), "snr_db": (5.0, 10.0)},
+        {"scenario": "bias-sweep", "eve_mode": "biased", "eve_bias": (0.0, 1e-3)},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -218,7 +224,7 @@ def test_config_takes_its_largest_snr_and_bias_and_runs_them():
         tiny_config(eve_mode="biased", eve_bias=1.0, **common),
         tiny_config(scenario="csi-error-ber", csi_error_var=1e-3, eve_mode="biased", eve_bias=1.0, **common),
         tiny_config(scenario="bob-vs-afdm-ber", csi_error_var=1e-3, **common),
-        tiny_config(scenario="bias-sweep", bias_values=(1.0,), trials=2),
+        tiny_config(eve_mode="biased", eve_bias=(0.0, 1.0), trials=2),
         tiny_config(eve_mode="random", **largest, **common),
         tiny_config(scenario="bob-vs-afdm-ber", integer_doppler=True, **largest, **common),
         tiny_config(scenario="csi-error-ber", csi_error_var=1e-3, **largest, **common),
@@ -342,15 +348,33 @@ def test_infinite_snr_means_noiseless():
     assert rec.bob_ber == 0.0 and rec.afdm_ber == 0.0
 
 
+@pytest.mark.parametrize(
+    "scenario, n, seed, trials",
+    [
+        ("eve-ber", 256, 16, 1),
+        ("eve-ber", 256, 40, 1),
+        ("bob-vs-afdm-ber", 256, 16, 1),
+        ("bob-vs-afdm-ber", 256, 40, 1),
+        ("eve-ber", 1024, 2, 1),
+        ("eve-ber", 256, 1, 32),  # one block of 32 frames
+    ],
+)
+def test_noiseless_runs_at_large_n_decode_bob_exactly(scenario, n, seed, trials):
+    # each of these links' noiseless Gram fails to factor in rounding unless the
+    # banded solve floors its noise variance
+    cfg = ExperimentConfig(scenario=scenario, n=n, snr_db=(float("inf"),), seed=seed, trials=trials)
+    assert run_scenario(cfg)[0].bob_ber == 0.0
+
+
 def test_float_fields_name_themselves_and_parse_strings():
     with pytest.raises(ConfigError, match="c2max"):
         ExperimentConfig.from_dict({"c2max": True})
-    with pytest.raises(ConfigError, match="bias_values entry"):
-        ExperimentConfig(n=32, paths=2, bias_values=(1e-6, "x"))
+    with pytest.raises(ConfigError, match="eve_bias entry"):
+        ExperimentConfig(n=32, paths=2, eve_mode="biased", eve_bias=(1e-6, "x"))
     # YAML 1.1 leaves 1e-4 as a string
     cfg = ExperimentConfig(n=32, paths=2, csi_error_var="1e-4", c2max="1e-3", alpha_max=1, snr_db="10")
     assert (cfg.csi_error_var, cfg.c2max, cfg.alpha_max, cfg.snr_db) == (1e-4, 1e-3, 1.0, (10.0,))
-    assert all(type(v) is float for v in (cfg.csi_error_var, cfg.c2max, cfg.alpha_max, cfg.eve_bias))
+    assert all(type(v) is float for v in (cfg.csi_error_var, cfg.c2max, cfg.alpha_max, *cfg.eve_bias))
 
 
 def test_derived_tables_are_resolved_once_per_config(monkeypatch):
@@ -371,8 +395,8 @@ def test_derived_tables_are_resolved_once_per_config(monkeypatch):
 
 
 def test_config_coerces_scalar_sweeps():
-    cfg = ExperimentConfig(snr_db=20, n=32, paths=2)
-    assert cfg.snr_db == (20.0,)
+    cfg = ExperimentConfig(snr_db=20, n=32, paths=2, eve_mode="biased", eve_bias=1e-3)
+    assert (cfg.snr_db, cfg.eve_bias) == ((20.0,), (1e-3,))
     assert isinstance(cfg.lfsr_taps, tuple)
 
 
@@ -387,8 +411,8 @@ CONFIG_ECHOES = {
                 "alpha_max: 1\nsnr_db: [1e1, 20]\n"
             )
         ),
-        '{"alpha_max": 1.0, "bias_values": [], "c2max": 0.001, "c2max_values": [], "csi_error_var": 0.0001, '
-        '"eve_bias": 0.0, "eve_mode": "zeros", "integer_doppler": false, "lfsr_taps": [32, 22, 2, 1, 0], "m": 4, '
+        '{"alpha_max": 1.0, "c2max": 0.001, "c2max_values": [], "csi_error_var": 0.0001, '
+        '"eve_bias": [0.0], "eve_mode": "zeros", "integer_doppler": false, "lfsr_taps": [32, 22, 2, 1, 0], "m": 4, '
         '"modulation": "qpsk", "n": 32, "ncp": null, "paths": 2, "scenario": "csi-error-ber", "seed": 1, '
         '"snr_db": [10.0, 20.0], "trials": 200, "workers": 1}',
     ),
@@ -397,28 +421,28 @@ CONFIG_ECHOES = {
             scenario="bob-vs-afdm-ber", n=np.int64(64), m=np.int32(8), paths=np.uint8(3), trials=np.int16(5),
             workers=np.int64(2), integer_doppler=np.bool_(True), snr_db=np.array([5.0, 10.0]), c2max=np.float32(0.5),
         ),
-        '{"alpha_max": 2.0, "bias_values": [], "c2max": 0.5, "c2max_values": [], "csi_error_var": 0.0, '
-        '"eve_bias": 0.0, "eve_mode": "zeros", "integer_doppler": true, "lfsr_taps": [32, 22, 2, 1, 0], "m": 8, '
+        '{"alpha_max": 2.0, "c2max": 0.5, "c2max_values": [], "csi_error_var": 0.0, '
+        '"eve_bias": [0.0], "eve_mode": "zeros", "integer_doppler": true, "lfsr_taps": [32, 22, 2, 1, 0], "m": 8, '
         '"modulation": "qpsk", "n": 64, "ncp": null, "paths": 3, "scenario": "bob-vs-afdm-ber", "seed": 1, '
         '"snr_db": [5.0, 10.0], "trials": 5, "workers": 2}',
     ),
     "scalar-sweeps-list-taps-ncp": (
         lambda: ExperimentConfig(
-            scenario="bias-sweep", n=16, paths=2, ncp=4, snr_db=20, bias_values=1e-3, c2max_values=[1e-6, 1e-4],
-            lfsr_taps=[5, 2, 0], eve_bias=0,
+            n=16, paths=2, ncp=4, snr_db=20, eve_mode="biased", eve_bias=1e-3, c2max_values=[1e-6, 1e-4],
+            lfsr_taps=[5, 2, 0],
         ),
-        '{"alpha_max": 2.0, "bias_values": [0.001], "c2max": 4.88e-05, "c2max_values": [1e-06, 0.0001], '
-        '"csi_error_var": 0.0, "eve_bias": 0.0, "eve_mode": "biased", "integer_doppler": false, '
+        '{"alpha_max": 2.0, "c2max": 4.88e-05, "c2max_values": [1e-06, 0.0001], '
+        '"csi_error_var": 0.0, "eve_bias": [0.001], "eve_mode": "biased", "integer_doppler": false, '
         '"lfsr_taps": [5, 2, 0], "m": 4, "modulation": "qpsk", "n": 16, "ncp": 4, "paths": 2, '
-        '"scenario": "bias-sweep", "seed": 1, "snr_db": [20.0], "trials": 200, "workers": 1}',
+        '"scenario": "eve-ber", "seed": 1, "snr_db": [20.0], "trials": 200, "workers": 1}',
     ),
     "big-seed": (
         lambda: ExperimentConfig(
             seed=2**40, modulation="qam16", eve_mode="biased", eve_bias="2e-4", lfsr_taps=np.array([7, 6, 0]),
             snr_db=(float("inf"), -3), alpha_max=0.0,
         ),
-        '{"alpha_max": 0.0, "bias_values": [], "c2max": 4.88e-05, "c2max_values": [], "csi_error_var": 0.0, '
-        '"eve_bias": 0.0002, "eve_mode": "biased", "integer_doppler": false, "lfsr_taps": [7, 6, 0], "m": 4, '
+        '{"alpha_max": 0.0, "c2max": 4.88e-05, "c2max_values": [], "csi_error_var": 0.0, '
+        '"eve_bias": [0.0002], "eve_mode": "biased", "integer_doppler": false, "lfsr_taps": [7, 6, 0], "m": 4, '
         '"modulation": "qam16", "n": 64, "ncp": null, "paths": 3, "scenario": "eve-ber", "seed": 1099511627776, '
         '"snr_db": [Infinity, -3.0], "trials": 200, "workers": 1}',
     ),
@@ -513,7 +537,7 @@ BLOCK_SCENARIOS = [
     tiny_config(n=32, paths=3, trials=20, snr_db=(10.0,), seed=32, eve_mode="random"),
     tiny_config(n=32, paths=3, trials=20, snr_db=(10.0,), seed=33, eve_mode="biased", eve_bias=1e-3),
     tiny_config(scenario="bob-vs-afdm-ber", n=32, paths=3, trials=20, snr_db=(4.0, 10.0), seed=34),
-    tiny_config(scenario="bias-sweep", n=32, paths=2, trials=20, snr_db=(12.0,), seed=35, bias_values=(0.0, 1e-3)),
+    tiny_config(n=32, paths=2, trials=20, snr_db=(12.0,), seed=35, eve_mode="biased", eve_bias=(0.0, 1e-3)),
     tiny_config(n=1024, paths=3, trials=10, snr_db=(8.0,), seed=36),  # blocks of 8 and 2 at the default size
     tiny_config(n=32, paths=3, trials=20, snr_db=(8.0,), seed=37, integer_doppler=True),
     tiny_config(n=32, paths=3, trials=20, snr_db=(12.0,), seed=38, modulation="qam16", m=16, eve_mode="random"),
@@ -524,8 +548,8 @@ BLOCK_SCENARIOS = [
 ]
 
 
-# Ids name each case by its config as written: bias-sweep's "zeros" is the default it was
-# built with, before the config turns it into the biased guess that bias-sweep runs.
+# "bias-sweep" in an id names an eve-ber run that sweeps the biased guess's eve_bias
+# (here (0, 1e-3)), whatever the id's guess says
 BLOCK_IDS = [
     "eve-ber-zeros-n32",
     "eve-ber-random-n32",
@@ -624,7 +648,7 @@ def test_a_block_is_a_function_of_its_trial_range(cfg, size, block, monkeypatch)
     # a trial finds its block from its index, and the block's last trial runs it
     # alone: no earlier trial leaves it anything
     monkeypatch.setattr(harness, "_block_size", lambda n: size)
-    sigma2, bias = 10.0 ** (-cfg.snr_db[0] / 10.0), max(cfg.bias_values, default=cfg.eve_bias)
+    sigma2, bias = 10.0 ** (-cfg.snr_db[0] / 10.0), max(cfg.eve_bias)
     alone = harness._run_trial(cfg, 1, block[-1], sigma2, bias)
     every = [harness._run_trial(cfg, 1, t, sigma2, bias) for t in block]
     assert every[:-1] == [(0, 0, 0)] * (len(block) - 1)
@@ -756,13 +780,7 @@ def test_guess_modes():
 
 
 def test_bias_sweep_scenario():
-    cfg = tiny_config(
-        scenario="bias-sweep",
-        snr_db=(60.0,),
-        bias_values=(0.0, 0.3),
-        trials=6,
-    )
-    assert cfg.eve_mode == "biased"  # the guess an unset eve_mode means for bias-sweep
+    cfg = tiny_config(eve_mode="biased", snr_db=(60.0,), eve_bias=(0.0, 0.3), trials=6)
     recs = run_scenario(cfg)
     assert [r.point for r in recs] == [0.0, 0.3]
     assert recs[0].eve_ber == 0.0  # exact schedule knowledge, no noise
@@ -801,11 +819,12 @@ def test_csi_error_ber_is_eve_ber_with_a_csi_error(guess):
 
 @pytest.mark.parametrize("bias", [0.0, 1e-4, 1e-3])
 def test_a_bias_sweep_point_is_eve_ber_with_that_bias(bias):
-    # point 0 of the sweep is trial for trial the biased eve-ber point at snr_db[0]
-    common = dict(n=64, paths=3, trials=40, seed=9, snr_db=(15.0,))
-    swept = run_scenario(tiny_config(scenario="bias-sweep", bias_values=(bias,), **common))[0]
-    fixed = run_scenario(tiny_config(scenario="eve-ber", eve_mode="biased", eve_bias=bias, **common))[0]
-    assert records_equal(replace(swept, point=15.0), fixed)
+    # point 0 of an eve_bias sweep is trial for trial the single-bias run at snr_db[0]
+    common = dict(n=64, paths=3, trials=40, seed=9, snr_db=(15.0,), eve_mode="biased")
+    swept = run_scenario(tiny_config(eve_bias=(bias, 0.5), **common))
+    fixed = run_scenario(tiny_config(eve_bias=bias, **common))
+    assert [r.point for r in swept] == [bias, 0.5] and [r.point for r in fixed] == [15.0]
+    assert records_equal(replace(swept[0], point=15.0), fixed[0])
 
 
 @pytest.mark.parametrize(
@@ -817,7 +836,7 @@ def test_a_bias_sweep_point_is_eve_ber_with_that_bias(bias):
         tiny_config(
             scenario="bob-vs-afdm-ber", n=48, paths=4, trials=30, snr_db=(8.0,), seed=24, integer_doppler=True
         ),
-        tiny_config(scenario="bias-sweep", n=64, paths=3, trials=20, snr_db=(12.0,), seed=25, bias_values=(0.0, 1e-4, 1e-3)),
+        tiny_config(n=64, paths=3, trials=20, snr_db=(12.0,), seed=25, eve_mode="biased", eve_bias=(0.0, 1e-4, 1e-3)),
     ],
     ids=["eve-zeros", "eve-random", "bob-vs-afdm", "bob-vs-afdm-integer", "bias-sweep"],
 )
@@ -904,11 +923,11 @@ def test_sidecar_intervals_cover_every_receiver(scenario, tmp_path):
 
 
 def test_sidecar_records_the_package_version_and_the_guess_that_ran(tmp_path):
-    cfg = tiny_config(scenario="bias-sweep", trials=2, bias_values=(0.0, 1e-3))
+    cfg = tiny_config(trials=2)  # eve_mode and eve_bias unset
     emit_csv(run_scenario(cfg), tmp_path / "sweep.csv", cfg)
     meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
     assert meta["version"] == seafdm.__version__
-    assert meta["config"]["eve_mode"] == "biased"
+    assert (meta["config"]["eve_mode"], meta["config"]["eve_bias"]) == ("zeros", [0.0])
 
 
 def test_sidecar_records_provenance_and_leaves_the_csv_alone(tmp_path, monkeypatch):
@@ -997,7 +1016,7 @@ def test_each_receiver_adds_its_estimate_error_to_its_exact_matrix(scenario, mon
         dict(eve_mode="random"),
         dict(eve_mode="biased", eve_bias=1e-3),
         dict(scenario="bob-vs-afdm-ber"),
-        dict(scenario="bias-sweep", bias_values=(0.0, 1e-3)),
+        dict(eve_mode="biased", eve_bias=(0.0, 1e-3)),
         dict(scenario="csi-error-ber", csi_error_var=1e-3, eve_mode="random"),
         dict(scenario="bob-vs-afdm-ber", csi_error_var=1e-3),
     ],
@@ -1141,7 +1160,9 @@ GOLDEN_COUNTS = [
         [(0, None, 0, 1024)],
     ),
     (
-        ExperimentConfig(scenario="bias-sweep", n=64, snr_db=(20.0,), bias_values=(0.0, 1e-3), trials=12, seed=10),
+        ExperimentConfig(
+            scenario="eve-ber", n=64, snr_db=(20.0,), eve_mode="biased", eve_bias=(0.0, 1e-3), trials=12, seed=10
+        ),
         [(1, 1, None, 1536), (1, 579, None, 1536)],
     ),
     (
