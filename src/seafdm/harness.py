@@ -474,11 +474,12 @@ def _run_block(
 
     Each trial draws only from its own generators, each stream once, so the
     counts are those of its trials run alone.  Keystream bits become
-    codebook level indices, not rates, so Alice's rows gather their chirps
-    from the codebook's table.  A zeros or random guess is a level of the
-    codebook with the zero level appended (a row of exact ones), so Bob's
-    and Eve's rows gather from that table too; a biased guess is off the
-    codebook, so both rows are exponentiated as one stack of rates.
+    codebook level indices, not rates, so Alice's transmit rows and Bob's
+    receive rows gather their chirps from the codebook's table.  The other
+    receive row takes its own DAFT at its own rates: a zeros or random guess
+    is a level of the codebook with the zero level appended (a row of exact
+    ones), gathered from that table; a biased guess is off the codebook, so
+    Eve's row alone is exponentiated.
     """
     afdm = config.scenario == "bob-vs-afdm-ber"
     params, const, n = config.frame_params, config.constellation, config.n
@@ -503,14 +504,10 @@ def _run_block(
     links = paths_from_draws(
         path_draws.reshape(count, 3, config.paths), config.alpha_max, n=n, integer_doppler=config.integer_doppler
     )
-    # each trial's receive rows, shape (T, 2, n): Bob's, then the zero rates or Eve's guess
-    guess = _guess_rates(config.eve_mode, alice, guesses)  # zeros on bob-vs-afdm-ber
-    if isinstance(guess, LevelRates):
-        rates = LevelRates(guess.levels, np.stack((alice.index, guess.index), axis=1))
-    else:
-        rates = np.stack((alice.levels[alice.index], guess), axis=1)
+    guess = _guess_rates(config.eve_mode, alice, guesses)  # the other receive rows: zeros on bob-vs-afdm-ber
     if afdm:
         # the plain-AFDM frame is a second right-hand side of Bob's system
+        rates = LevelRates(guess.levels, np.stack((alice.index, guess.index), axis=1))
         tx = se_afdm_modulate(np.repeat(x, 2, axis=0), params, C2Schedule(rates.reshape(-1, n), "alice"))
     else:
         tx = se_afdm_modulate(x, params, C2Schedule(alice, "alice"))
@@ -525,8 +522,9 @@ def _run_block(
     # each row's solution goes through the DAFT at its row's rates; Eve
     # does not undo the transmit schedule, and her DAFT at rate zero
     # followed by descramble(guess) is her DAFT at the guessed rates
-    s_hat = banded_mmse_equalize(cores, circular_taps(links, params), sigma2)
-    rows = daft(s_hat, params, rates.reshape(cores.shape)).reshape(len(trials), 2, n)
+    rows = banded_mmse_equalize(cores, circular_taps(links, params), sigma2).reshape(len(trials), 2, n)
+    for r, c2 in enumerate((alice, guess)):
+        rows[:, r] = daft(rows[:, r], params, c2)
     bob, other = _decide(const, bits[:, None], rows).sum(axis=0).tolist()
     return bob, other, bits.size
 

@@ -13,7 +13,20 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from seafdm import ConfigError
+from seafdm import (
+    C2Schedule,
+    ConfigError,
+    Lfsr,
+    apply_channel,
+    bob_front_end,
+    descramble,
+    effective_channel_closed_form,
+    eve_front_end,
+    map_bits,
+    sample_channel,
+    se_afdm_modulate,
+    zero_schedule,
+)
 from seafdm.daft import chirp_diag
 from seafdm.harness import _CSV_COLUMNS, TrialRecord
 
@@ -117,6 +130,80 @@ def lfsr_step(reg) -> int:
     feedback = sum((reg.state >> t) & 1 for t in reg.taps[1:]) & 1
     reg.state = (reg.state >> 1) | (feedback << (reg.degree - 1))
     return out
+
+
+def replay_trial(config, point_idx: int, trial_idx: int) -> tuple[int, int, int]:
+    """Counterpart of one trial of ``seafdm.harness.run_scenario``: its (bob, other, bits) error counts.
+
+    Written from the README's reproducibility contract in the literal forms:
+    the trial's seed tree by spawn(8) with a Generator on each child, the
+    register stepped one bit at a time, each receiver's subcarrier matrix in
+    closed form with its estimate error added, and a direct solve of the
+    MMSE.  The other receiver is the plain-AFDM frame on bob-vs-afdm-ber,
+    through Bob's link with his noise draws and his estimate error, and the
+    interceptor elsewhere, who descrambles her estimate by her guess.
+    """
+    if len(config.eve_bias) > 1:
+        snr_db, bias = config.snr_db[0], config.eve_bias[point_idx]
+    else:
+        snr_db, bias = config.snr_db[point_idx], config.eve_bias[0]
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    names = ("data", "key", "bob_channel", "bob_noise", "eve_channel", "eve_noise", "eve_guess", "csi")
+    tree = np.random.SeedSequence(config.seed, spawn_key=(point_idx, trial_idx)).spawn(8)
+    rng = {name: np.random.Generator(np.random.PCG64(child)) for name, child in zip(names, tree)}
+    params, book, const, n = config.frame_params, config.codebook, config.constellation, config.n
+
+    bits = rng["data"].integers(0, 2, size=n * const.bits_per_symbol)
+    degree = max(config.lfsr_taps)
+    state = int.from_bytes(rng["key"].bytes((degree + 7) // 8), "little") & ((1 << degree) - 1)
+    reg, k = Lfsr(config.lfsr_taps, state or 1), book.bits_per_subcarrier
+    key = np.array([lfsr_step(reg) for _ in range(n * k)]).reshape(n, k)
+    alice = book.levels[key @ (1 << np.arange(k - 1, -1, -1))]
+
+    def channel(name):
+        return sample_channel(config.paths, config.alpha_max, rng[name], n=n, integer_doppler=config.integer_doppler)
+
+    def noise(name):
+        return rng[name].standard_normal((2, n + params.ncp)) if sigma2 > 0.0 else None
+
+    def error():  # the csi generator's next (n, n) real parts, then imaginary parts
+        if config.csi_error_var == 0.0:
+            return 0.0
+        real = rng["csi"].standard_normal((n, n))
+        return np.sqrt(config.csi_error_var / 2.0) * (real + 1j * rng["csi"].standard_normal((n, n)))
+
+    def receive(front_end, link, tx, draws, sched_rx, sched_tx, err):
+        y = front_end(apply_channel(tx, link, draws, sigma2), params, sched_rx)
+        h = effective_channel_closed_form(link, params, sched_rx, sched_tx).matrix + err
+        return h.conj().T @ np.linalg.solve(h @ h.conj().T + sigma2 * np.eye(n), y)
+
+    def errors(x_hat):
+        return int(np.count_nonzero(demap_argmin(x_hat, const) != bits))
+
+    x = map_bits(bits, const)
+    sched = C2Schedule(alice, "alice")
+    tx = se_afdm_modulate(x, params, sched)
+    link, draws, err = channel("bob_channel"), noise("bob_noise"), error()
+    bob = errors(receive(bob_front_end, link, tx, draws, C2Schedule(alice, "bob"), sched, err))
+    if config.scenario == "bob-vs-afdm-ber":
+        plain = zero_schedule(n, "alice")
+        other = receive(bob_front_end, link, se_afdm_modulate(x, params, plain), draws, zero_schedule(n, "bob"), plain, err)
+        return bob, errors(other), bits.size
+    # random: codebook level indices; biased: offsets from Alice's rates, one pinned to +-bias
+    draw = rng["eve_guess"]
+    if config.eve_mode == "random":
+        guess = book.levels[draw.integers(0, book.m, size=n)]
+    elif config.eve_mode == "biased":
+        offset = draw.uniform(-bias, bias, size=n)
+        if bias > 0.0:
+            j = int(draw.integers(0, n))
+            offset[j] = bias if draw.integers(0, 2) else -bias
+        guess = alice + offset
+    else:
+        guess = np.zeros(n)
+    eve = C2Schedule(guess, "eve")
+    scrambled = receive(eve_front_end, channel("eve_channel"), tx, noise("eve_noise"), eve, None, error())
+    return bob, errors(descramble(scrambled, eve)), bits.size
 
 
 def read_csv(path: str | Path) -> list[TrialRecord]:

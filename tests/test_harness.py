@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from seafdm.harness import (
 from seafdm.keystream import C2Schedule
 from seafdm.sinr import sinr_eve_average
 
-from oracles import read_csv
+from oracles import read_csv, replay_trial
 
 
 def tiny_config(**overrides):
@@ -601,23 +602,24 @@ def test_a_block_holds_the_most_frames_within_the_sample_cap():
 
 
 @pytest.mark.parametrize(
-    "overrides, exponentiated",
+    "overrides",
     [
-        (dict(scenario="bob-vs-afdm-ber"), False),
-        (dict(eve_mode="zeros"), False),
-        (dict(eve_mode="random"), False),
-        (dict(eve_mode="biased", eve_bias=1e-3), True),
+        dict(scenario="bob-vs-afdm-ber"),
+        dict(eve_mode="zeros"),
+        dict(eve_mode="random"),
+        dict(eve_mode="biased", eve_bias=1e-3),
     ],
     ids=["bob-vs-afdm-ber", "eve-ber-zeros", "eve-ber-random", "eve-ber-biased"],
 )
-def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated, monkeypatch):
+def test_a_second_block_exponentiates_no_scheduled_rate(overrides, monkeypatch):
     # scheduled rates and Eve's random guess are codebook levels, so a block
     # gathers their chirps from the tables an earlier block at the same
-    # geometry built; zero rates are exact ones, and the continuous biased
-    # guess is exponentiated
+    # geometry built, and zero rates are exact ones; the continuous biased
+    # guess is exponentiated, on Eve's row alone
     cfg = tiny_config(n=32, paths=3, trials=2 * harness._block_size(32), seed=41, **overrides)
-    blocks, rates = [], []
+    blocks, rates, levels, guesses = [], [], [], []
     chirp, run_block = daft_module._chirp, harness._run_block
+    schedule_levels, guess_rates = harness.schedule_levels, harness._guess_rates
 
     def recorded(c, n, conjugate):
         rates.append((len(blocks), np.array(c, dtype=np.float64)))
@@ -627,15 +629,30 @@ def test_a_second_block_exponentiates_no_scheduled_rate(overrides, exponentiated
         blocks.append(args[2])
         return run_block(*args)
 
+    def scheduled(*args):
+        levels.append(schedule_levels(*args))
+        return levels[-1]
+
+    def guessed(*args):
+        guesses.append(guess_rates(*args))
+        return guesses[-1]
+
     monkeypatch.setattr(daft_module, "_chirp", recorded)
     monkeypatch.setattr(harness, "_run_block", counted)
+    monkeypatch.setattr(harness, "schedule_levels", scheduled)
+    monkeypatch.setattr(harness, "_guess_rates", guessed)
     run_scenario(cfg)
-    assert len(blocks) == 2
-    second = [c for block, c in rates if block == 2 and c.ndim and c.any()]
-    assert bool(second) == exponentiated
-    if exponentiated:
-        # Bob's rows are stacked with Eve's, one row per link
-        assert all(np.isin(c.reshape(-1, 2, cfg.n)[:, 0], cfg.codebook.levels).all() for c in second)
+    assert len(blocks) == len(levels) == len(guesses) == 2
+    bob = cfg.codebook.levels[levels[1]]  # Bob's receive rows of the second block, (T, n)
+    second = [c for block, c in rates if block == 2 and c.ndim]
+    assert not any((row == bob).all(axis=-1).any() for c in second for row in c.reshape(-1, cfg.n))
+    if cfg.eve_mode != "biased":
+        assert second == []
+    else:
+        (eve,) = second
+        assert eve.shape == bob.shape == (len(blocks[1]), cfg.n)
+        assert np.array_equal(eve, guesses[1])
+        assert not np.isin(eve, cfg.codebook.levels).all()
 
 
 @pytest.mark.parametrize(
@@ -656,6 +673,54 @@ def test_a_block_is_a_function_of_its_trial_range(cfg, size, block, monkeypatch)
     singles = [harness._run_block(cfg, 1, range(t, t + 1), sigma2, bias) for t in block]
     assert alone == tuple(map(sum, zip(*singles)))
     assert alone[1] > 0 and alone[2] == len(block) * cfg.n * cfg.constellation.bits_per_symbol
+
+
+@st.composite
+def replay_configs(draw):
+    """Small configs of every scenario, guess and alphabet, with exact CSI or an estimate error, at finite SNR."""
+    scenario = draw(st.sampled_from(harness.SCENARIOS))
+    eve_mode = "zeros" if scenario == "bob-vs-afdm-ber" else draw(st.sampled_from(harness.EVE_MODES))
+    exact = scenario != "csi-error-ber" and draw(st.booleans())
+    n = draw(st.sampled_from([4, 6, 8, 12, 16, 32]))
+    paths = draw(st.integers(1, 4))
+    snr_db = st.integers(0, 30).map(float)
+    bias = st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1])
+    if eve_mode == "biased" and draw(st.booleans()):
+        sweep = dict(snr_db=[draw(snr_db)], eve_bias=draw(st.lists(bias, min_size=2, max_size=3)))
+    else:
+        sweep = dict(snr_db=draw(st.lists(snr_db, min_size=1, max_size=2)))
+        if eve_mode == "biased":
+            sweep["eve_bias"] = [draw(bias)]
+    return ExperimentConfig(
+        scenario=scenario,
+        eve_mode=eve_mode,
+        n=n,
+        modulation=draw(st.sampled_from(["qpsk", "qam16"])),
+        m=draw(st.sampled_from([2, 4, 16])),
+        c2max=draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5])),
+        paths=paths,
+        ncp=min(paths - 1 + draw(st.integers(0, 2)), n),
+        alpha_max=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        integer_doppler=draw(st.booleans()),
+        lfsr_taps=draw(st.sampled_from([(32, 22, 2, 1, 0), (5, 2, 0), (3, 1, 0)])),
+        csi_error_var=0.0 if exact else draw(st.sampled_from([1e-3, 1e-2])),
+        trials=draw(st.integers(1, 7)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        **sweep,
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cfg=replay_configs(), size=st.integers(1, 3))
+def test_each_point_counts_what_its_trials_replayed_alone_count(cfg, size):
+    # blocks of a few trials, so a point spans several and ends in a short one
+    with mock.patch.object(harness, "_block_size", lambda n: size):
+        records = run_scenario(cfg)
+    for point_idx, rec in enumerate(records):
+        bob, other, bits = map(sum, zip(*(replay_trial(cfg, point_idx, t) for t in range(cfg.trials))))
+        afdm = cfg.scenario == "bob-vs-afdm-ber"
+        assert rec.bit_count == bits
+        assert (rec.bob_ber, rec.afdm_ber if afdm else rec.eve_ber) == (bob / bits, other / bits)
 
 
 def test_an_exact_csi_point_builds_no_register(monkeypatch):
